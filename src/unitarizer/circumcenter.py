@@ -40,9 +40,6 @@ from .errors import (
 from .geometry import GLcBall, distance, geodesic, in_ball
 from .linalg import SpdMatrix
 
-# Certified bounds are compared with this additive slack in tests.
-CERT_TOL = 1e-9
-
 # Distances within this relative band of the maximum count as ties; the
 # farthest index is the smallest one in the band.
 TIE_RTOL = 1e-12
@@ -150,6 +147,39 @@ def certify(candidate: SpdMatrix, pset: PointSet):
     lb = radius_lower_bound(pset)
     gap = r * r - lb * lb
     return _error_bound(r * r, lb * lb), gap
+
+
+def certified_result(
+    center: SpdMatrix,
+    pset: PointSet,
+    eps: float,
+    iterations: int,
+    radius: float | None = None,
+    lower: float | None = None,
+) -> CircumcenterResult:
+    """Certify ``center`` against ``pset`` and wrap it as a result.
+
+    ``radius`` and ``lower`` default to ``radius_at(center, pset)`` and
+    ``radius_lower_bound(pset)``; callers that already hold them pass them
+    in.  Raises :class:`NumericalEscape` when the center lies outside the
+    set's ball; ``converged`` is True exactly when the bound is at most
+    ``eps``.
+    """
+    if not in_ball(center, pset.ball, _ITERATE_SLACK):
+        raise NumericalEscape(f"center escaped GL_c with c = {pset.ball.c:g}")
+    if radius is None:
+        radius = radius_at(center, pset)[0]
+    if lower is None:
+        lower = radius_lower_bound(pset)
+    bound = _error_bound(radius * radius, lower * lower)
+    return CircumcenterResult(
+        center=center,
+        radius_at_center=radius,
+        radius_lower_bound=lower,
+        center_error_bound=bound,
+        iterations=iterations,
+        converged=bound <= eps,
+    )
 
 
 def _conj_t(stack: np.ndarray) -> np.ndarray:
@@ -462,14 +492,4 @@ def solve(
         center, r_fin = x, r_last
     else:
         center, r_fin = best_x, radius_at(best_x, pset)[0]
-    if not in_ball(center, pset.ball, _ITERATE_SLACK):
-        raise NumericalEscape(f"center escaped GL_c with c = {pset.ball.c:g}")
-    bound = _error_bound(r_fin * r_fin, lb_sq)
-    return CircumcenterResult(
-        center=center,
-        radius_at_center=r_fin,
-        radius_lower_bound=lb,
-        center_error_bound=bound,
-        iterations=iterations,
-        converged=bound <= eps,
-    )
+    return certified_result(center, pset, eps, iterations, radius=r_fin, lower=lb)

@@ -28,7 +28,6 @@ from .properties import run_geometry_suite
 from .representation import (
     check_representation,
     generate_instance,
-    permutation_base_rep,
     trivial_base_rep,
     unitarize,
     verify_similarity,
@@ -121,7 +120,7 @@ def cmd_unitarize(args) -> int:
     rep = load_representation(args.rep, validate=True)
     trace: dict | None = {} if args.trace else None
     witness, unitary, report = unitarize(
-        rep, eps=args.eps, max_iter=args.max_iter, jobs=args.jobs, trace=trace
+        rep, eps=args.eps, max_iter=args.max_iter, trace=trace
     )
     save_json(unitarization_to_json(rep, witness, unitary, report), args.output)
     if args.trace:
@@ -211,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("rep", help="representation (JSON)")
     s.add_argument("--eps", type=float, default=1e-7)
     s.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
-    s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--trace", default=None, help="per-iteration CSV trace path")
     s.add_argument("-o", "--output", required=True)
     s.set_defaults(func=cmd_unitarize)

@@ -14,19 +14,22 @@ representation into a unitary one:
 * with psi(x) = sigma(x)**1/2, the conjugates
   u(g) = psi(tgt) rho(g) psi(src)**-1 are unitary.
 
-``unitarize`` runs the certified circumcenter solver per unit and reports
-unitarity and equivariance residuals along with all certificates.
+``unitarize`` runs the certified circumcenter solver once per orbit of
+positive-mass units, at its first unit r, and transports the center to
+every other positive-mass unit x of the orbit along the first arrow
+g: x -> r, sigma(x) = rho(g)* sigma(r) rho(g).  Congruence is an isometry,
+so the transported center is certified against x's own Gram set with
+``iterations = 0``.  The report carries unitarity and equivariance
+residuals along with all certificates.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circumcenter import PointSet, point_set, solve
+from .circumcenter import PointSet, certified_result, point_set, solve
 from .errors import (
     DimensionMismatch,
     InvalidBaseRep,
@@ -37,6 +40,7 @@ from .errors import (
     SingularTransform,
     UnknownUnit,
 )
+from .geometry import congruence
 from .groupoid import ActionGroupoidSpec, FiniteMeasuredGroupoid, build_action_groupoid
 from .linalg import (
     PD_FLOOR,
@@ -47,6 +51,7 @@ from .linalg import (
     spd,
     spectral_decompose,
 )
+from .sampling import random_invertible
 
 # Relative tolerance for representation identities (functoriality, units,
 # inverses) at validation time.
@@ -238,7 +243,6 @@ def unitarize(
     rep: Representation,
     eps: float = 1e-7,
     max_iter: int = 100_000,
-    jobs: int = 1,
     trace: dict | None = None,
 ):
     """Conjugate a uniformly bounded representation to a unitary one.
@@ -247,11 +251,9 @@ def unitarize(
     ----------
     rep : Representation
     eps : float
-        Certificate target per circumcenter solve.
+        Certificate target per unit.
     max_iter : int
-        Iteration budget per solve.
-    jobs : int
-        Worker threads for the per-unit solves.
+        Iteration budget per circumcenter solve.
     trace : dict, optional
         When given, filled with unit -> list of per-iteration rows.
 
@@ -262,29 +264,36 @@ def unitarize(
         u(g) = psi(tgt) rho(g) psi(src)**-1; validated on return.
     report : UnitarizationReport
 
-    Per-unit solves that stall above ``eps`` are reported with
+    One circumcenter is solved per orbit, at the orbit's first
+    positive-mass unit r.  Every other positive-mass unit x of the orbit
+    gets sigma(x) = rho(g)* sigma(r) rho(g) along the first arrow g: x -> r
+    in id order, certified against x's own Gram set and reported with
+    ``iterations = 0``; its trace is the single row
+    ``(0, radius_at_center, center_error_bound)``.
+
+    Units whose certificates stall above ``eps`` are reported with
     ``converged = False`` in the witness certificates; the conjugated
     representation is still returned so callers can judge the residuals.
     """
-    if jobs < 1:
-        raise ParameterOutOfRange(f"jobs must be at least 1, got {jobs}")
     G = rep.groupoid
-    units = list(G.positive_units)
-
-    def solve_unit(x: str):
-        rows: list | None = [] if trace is not None else None
-        res = solve(gram_set(rep, x), eps, max_iter=max_iter, trace=rows)
-        return x, res, rows
-
-    if jobs == 1 or len(units) <= 1:
-        solved = [solve_unit(x) for x in units]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            solved = list(pool.map(solve_unit, units))
-    results = {x: res for x, res, _ in solved}
+    units = G.positive_units
+    found: dict = {}
+    rows: dict = {}
+    for r in units:
+        if r in found:
+            continue
+        rows[r] = [] if trace is not None else None
+        found[r] = solve(gram_set(rep, r), eps, max_iter=max_iter, trace=rows[r])
+        for g in G.target_fiber(r):
+            x = G.src(g)
+            if x in found or G.unit_weight(x) <= 0.0:
+                continue
+            center = congruence(rep.rho[g], found[r].center)
+            res = found[x] = certified_result(center, gram_set(rep, x), eps, iterations=0)
+            rows[x] = [(0, res.radius_at_center, res.center_error_bound)]
+    results = {x: found[x] for x in units}
     if trace is not None:
-        for x, _, rows in solved:
-            trace[x] = rows
+        trace.update((x, rows[x]) for x in units)
 
     sigma: dict[str, SpdMatrix] = {}
     psi: dict[str, np.ndarray] = {}
@@ -417,25 +426,6 @@ def check_base_rep(group, base_rep: dict, dim: int, tol: float = REP_TOL):
                 )
 
 
-def random_bounded_invertible(rng: np.random.Generator, dim: int, cond_bound: float):
-    """Random invertible matrix with singular values in [1/sqrt(c), sqrt(c)].
-
-    A complex Ginibre draw whose singular values are rescaled affinely
-    onto the target interval, so the condition number is at most
-    ``cond_bound`` and norms of the matrix and its inverse are at most
-    ``sqrt(cond_bound)``.
-    """
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    u, s, vh = np.linalg.svd(g)
-    lo, hi = 1.0 / math.sqrt(cond_bound), math.sqrt(cond_bound)
-    span = s[0] - s[-1]
-    if span <= 1e-12 * s[0]:
-        s_new = np.ones_like(s)
-    else:
-        s_new = lo + (s - s[-1]) * (hi - lo) / span
-    return (u * s_new) @ vh
-
-
 def generate_instance(
     spec: ActionGroupoidSpec,
     base_rep: dict,
@@ -464,7 +454,7 @@ def generate_instance(
     h = {}
     h_inv = {}
     for x in spec.units:
-        h[x] = random_bounded_invertible(rng, dim, float(cond_bound))
+        h[x] = random_invertible(rng, dim, float(cond_bound))
         h_inv[x] = np.linalg.inv(h[x])
     rho = {}
     for g in group.elements:

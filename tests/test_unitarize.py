@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+from unitarizer import representation
 from unitarizer.geometry import distance, midpoint
 from unitarizer.linalg import identity_spd, l2_norm, spd
 from unitarizer.groupoid import (
     build_action_groupoid,
     cyclic_group,
+    cyclic_shift_action,
+    left_translation_action,
     natural_permutation_action,
     symmetric_group,
     trivial_action,
 )
 from unitarizer.representation import (
+    cyclic_character_base_rep,
     generate_instance,
     gram_set,
     make_representation,
@@ -156,25 +160,101 @@ def test_scale_covariance_under_constant_unitary():
         assert err <= budget
 
 
-def test_jobs_parameter_gives_identical_results():
-    spec = natural_permutation_action(3)
-    base = permutation_base_rep(symmetric_group(3))
-    rep = generate_instance(spec, base, 10.0, seed=29)
-    wit1, uni1, rep1 = unitarize(rep, eps=1e-7, jobs=1)
-    wit2, uni2, rep2 = unitarize(rep, eps=1e-7, jobs=4)
-    for x in wit1.sigma:
-        assert np.array_equal(wit1.sigma[x].mat, wit2.sigma[x].mat)
-    for g in uni1.rho:
-        assert np.array_equal(uni1.rho[g], uni2.rho[g])
-    assert rep1.max_unitarity_residual == rep2.max_unitarity_residual
+def counting_solve(monkeypatch):
+    """Wrap the solver unitarize calls; returns the list of solved sets."""
+    calls = []
+    original = representation.solve
+
+    def wrapper(pset, *args, **kwargs):
+        calls.append(pset)
+        return original(pset, *args, **kwargs)
+
+    monkeypatch.setattr(representation, "solve", wrapper)
+    return calls
 
 
-def test_jobs_must_be_positive():
-    from unitarizer.errors import ParameterOutOfRange
+def s3_self_rep():
+    s3 = symmetric_group(3)
+    return generate_instance(
+        left_translation_action(s3), permutation_base_rep(s3), 10.0, seed=0
+    )
 
-    rep = z2_rep()
-    with pytest.raises(ParameterOutOfRange):
-        unitarize(rep, eps=1e-7, jobs=0)
+
+def z6_two_blocks_rep():
+    return generate_instance(
+        cyclic_shift_action(6, copies=2),
+        cyclic_character_base_rep(6, (0, 1, 2)),
+        5.0,
+        seed=0,
+    )
+
+
+@pytest.mark.parametrize(
+    "build, orbits",
+    [(z6_two_blocks_rep, 2), (s3_self_rep, 1)],
+    ids=["Z6-2blocks", "S3-self"],
+)
+def test_one_solve_per_orbit(monkeypatch, build, orbits):
+    rep = build()
+    calls = counting_solve(monkeypatch)
+    witness, _, report = unitarize(rep, eps=1e-7)
+    assert len(calls) == orbits
+    solved = [x for x, r in report.unit_results.items() if r.iterations > 0]
+    assert len(solved) == orbits
+    assert set(witness.sigma) == set(rep.groupoid.positive_units)
+    assert report.max_unitarity_residual < 1e-7
+
+
+def test_transported_certificate_is_sound_against_own_gram_set():
+    rep = s3_self_rep()
+    witness, _, report = unitarize(rep, eps=1e-7)
+    transported = [x for x, r in report.unit_results.items() if r.iterations == 0]
+    assert len(transported) == len(rep.groupoid.positive_units) - 1
+    for x in transported:
+        res = report.unit_results[x]
+        dists = [distance(witness.sigma[x], p) for p in gram_set(rep, x).points]
+        assert max(dists) <= res.radius_at_center
+        assert res.radius_lower_bound <= res.radius_at_center
+        assert res.converged == (res.center_error_bound <= 1e-7)
+
+
+def test_free_action_equivariance_at_roundoff():
+    # left translation is free: the transport arrow into the root is unique,
+    # so sigma is equivariant up to the functoriality roundoff
+    _, _, report = unitarize(s3_self_rep(), eps=1e-7)
+    assert report.max_equivariance_residual <= 1e-12
+
+
+def test_neither_measure_solves_only_the_positive_unit(monkeypatch):
+    # Z/2 swapping two units, all mass on the second: one orbit that
+    # mixes a null and a positive unit
+    G = build_action_groupoid(cyclic_shift_action(2, mu=(0.0, 1.0)))
+    # the arrow x0_0 -> x0_1 is wild; transporting along it would be wrong
+    rho = {
+        "r0@x0_0": np.eye(2), "r1@x0_0": np.diag([5.0, 0.2]),
+        "r0@x0_1": np.eye(2), "r1@x0_1": np.eye(2),
+    }
+    rep = make_representation(G, 2, rho)
+    calls = counting_solve(monkeypatch)
+    witness, unitary, _ = unitarize(rep, eps=1e-7)
+    assert len(calls) == 1
+    assert set(witness.sigma) == set(witness.psi) == {"x0_1"}
+    # arrows leaving the null unit are conjugated by the identity there
+    psi = witness.psi["x0_1"].mat
+    assert np.allclose(unitary.rho["r1@x0_0"], psi @ rho["r1@x0_0"])
+    assert np.allclose(unitary.rho["r0@x0_0"], np.eye(2))
+
+
+def test_transported_trace_is_one_row():
+    rep = s3_self_rep()
+    rows: dict = {}
+    _, _, report = unitarize(rep, eps=1e-7, trace=rows)
+    assert list(rows) == list(rep.groupoid.positive_units)
+    for x, res in report.unit_results.items():
+        if res.iterations == 0:
+            assert rows[x] == [(0, res.radius_at_center, res.center_error_bound)]
+        else:
+            assert len(rows[x]) == res.iterations
 
 
 def test_null_mass_units_are_skipped():
