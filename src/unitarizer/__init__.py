@@ -29,7 +29,6 @@ from .errors import (
     NumericalEscape,
     ParameterOutOfRange,
     ParseError,
-    SolverFailure,
     UnitarizerError,
     UnknownUnit,
 )
@@ -45,7 +44,6 @@ from .groupoid import (
     check_invariance,
     cyclic_group,
     cyclic_shift_action,
-    fibers,
     left_translation_action,
     natural_permutation_action,
     nu_of,

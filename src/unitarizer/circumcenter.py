@@ -21,6 +21,15 @@ squared radius.  A fixed point of that map satisfies the first-order
 condition of the minimax problem exactly, and geodesic convexity makes it
 the global circumcenter; plain farthest-point steps alone converge far
 too slowly for the center accuracies the unitarization pipeline needs.
+
+The chart ball is solved exactly by ``_meb``, the pivoting walk of
+Fischer, Gaertner & Kutz (ESA 2003), which handles the affinely dependent
+and cospherical supports that group symmetry produces.  In nonpositive
+curvature the chart underestimates how fast distances grow, so the full
+tangent step overshoots the center by a factor of one to two.  The line
+search therefore starts from the Barzilai-Borwein step length, measured
+from the last step and the change in the tangent direction, instead of
+from 1.
 """
 
 from __future__ import annotations
@@ -190,167 +199,120 @@ def _sym(stack: np.ndarray) -> np.ndarray:
     return 0.5 * (stack + _conj_t(stack))
 
 
-def _kkt_solve(K: np.ndarray, q: np.ndarray, S):
-    """Equality-constrained stationarity system on a trial support.
+def _meb(X: np.ndarray):
+    """Euclidean minimal enclosing ball of the rows of ``X``.
 
-    Solves [2 K_SS, 1; 1', 0] [lam; alpha] = [q_S; 1]; falls back to the
-    least-squares solution when the bordered matrix is (near) singular,
-    which happens for affinely dependent supports.
-    """
-    s = len(S)
-    A = np.zeros((s + 1, s + 1))
-    A[:s, :s] = 2.0 * np.real(K[np.ix_(S, S)])
-    A[:s, s] = 1.0
-    A[s, :s] = 1.0
-    rhs = np.concatenate([q[S], [1.0]])
-    try:
-        sol = np.linalg.solve(A, rhs)
-        bad = not np.all(np.isfinite(sol)) or np.linalg.norm(
-            A @ sol - rhs
-        ) > 1e-9 * (1.0 + np.linalg.norm(rhs))
-    except np.linalg.LinAlgError:
-        bad = True
-    if bad:
-        sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
-    return sol[:s], float(sol[s])
+    The pivoting walk of Fischer, Gaertner & Kutz ("Fast smallest-
+    enclosing-ball computation in high dimensions", ESA 2003).  The center
+    c starts at the origin, and the support T at the farthest point; every
+    point of T lies on the boundary of the ball about c, and every other
+    point inside it.  Each pivot walks c toward the circumcenter of T (the
+    point of aff(T) equidistant from T), which shrinks the ball.  The
+    first point that the shrinking boundary reaches stops the walk and
+    enters T.  Once c reaches aff(T), the point of T with the most
+    negative affine weight leaves.  When no weight is negative, c lies in
+    conv(T) and the ball is the smallest.
 
-
-def _fw_ascent(K: np.ndarray, q: np.ndarray, lam: np.ndarray, tol: float):
-    """Away-step Frank-Wolfe for max lam'q - lam'K lam over the simplex.
-
-    Guaranteed-progress fallback for supports where the active set loses
-    its footing; terminates on a stationarity gap below ``tol``.
-    """
-    m = K.shape[0]
-    lam = np.clip(lam, 0.0, None)
-    tot = lam.sum()
-    lam = lam / tot if tot > 0.0 else np.full(m, 1.0 / m)
-    Kl = K @ lam
-    for it in range(50_000):
-        grad = q - 2.0 * Kl
-        mean_grad = float(lam @ grad)
-        j_fw = int(np.argmax(grad))
-        gap_fw = grad[j_fw] - mean_grad
-        pos = np.flatnonzero(lam > 0.0)
-        j_aw = int(pos[np.argmin(grad[pos])])
-        gap_aw = mean_grad - grad[j_aw]
-        if gap_fw <= tol and gap_aw <= tol:
-            break
-        if gap_fw >= gap_aw:
-            j, away = j_fw, False
-            gap, gmax = gap_fw, 1.0
-        else:
-            j, away = j_aw, True
-            lj = lam[j]
-            if lj >= 1.0:
-                break
-            gap, gmax = gap_aw, lj / (1.0 - lj)
-        curv = float(np.real(K[j, j]) - 2.0 * np.real(Kl[j]) + lam @ Kl)
-        step = gmax if curv <= 0.0 else min(gmax, gap / (2.0 * curv))
-        if step <= 0.0:
-            break
-        if away:
-            # lam' = lam + step * (lam - e_j)
-            lam = (1.0 + step) * lam
-            lam[j] = max(lam[j] - step, 0.0)
-            Kl = (1.0 + step) * Kl - step * K[:, j]
-        else:
-            lam = (1.0 - step) * lam
-            lam[j] += step
-            Kl = (1.0 - step) * Kl + step * K[:, j]
-        if it % 512 == 511:  # counter drift
-            lam = np.clip(lam, 0.0, None)
-            lam /= lam.sum()
-            Kl = K @ lam
-    lam = np.clip(lam, 0.0, None)
-    lam /= lam.sum()
-    return lam
-
-
-def _dual_assemble(K: np.ndarray, q: np.ndarray, lam: np.ndarray):
-    Kl = K @ lam
-    vv = float(np.real(lam @ Kl))
-    f = q - 2.0 * np.real(Kl) + vv
-    return f, vv
-
-
-def _meb_dual(K: np.ndarray, support=None):
-    """Euclidean minimal enclosing ball in Gram form.
-
-    Maximizes sum(lam * diag(K)) - lam' K lam over the simplex; the primal
-    center is sum(lam_i w_i) and the optimum is the squared radius.  A
-    warm-startable active-set iteration handles the common case; its
-    result is verified against the KKT conditions, and any numerically
-    confused run (cycling or near-singular supports) is redone with an
-    away-step Frank-Wolfe ascent plus a final support polish.
+    A point enters T only when its distance from aff(T), measured through
+    an orthonormal basis of T, is at least ulp**(1/3) times the initial
+    radius: a point left out that way moves the ball by about that
+    fraction, and one let in costs about ulp / fraction**2 in the affine
+    weights, so the cube root balances the two.  A walk no longer than
+    roundoff counts as having reached aff(T), so cospherical supports
+    shed points instead of cycling.  Of the points that reach the boundary
+    together, the smallest index enters.  A walk that has not ended after
+    a fixed number of pivots raises :class:`NumericalEscape`.
 
     Returns
     -------
-    lam : (m,) weights on the simplex
-    r2 : squared radius of the tangent ball (an enclosing radius even
-        when the optimum is not met exactly)
-    support : list of active indices (for warm starts)
+    lam : (m,) simplex weights; the center is ``lam @ X``
+    r2 : squared radius, the dual objective at ``lam``
     """
-    m = K.shape[0]
-    q = np.real(np.diag(K)).copy()
-    scale = 1.0 + float(np.max(np.abs(q)))
-    S: list[int] = []
-    if support:
-        S = [i for i in dict.fromkeys(support) if 0 <= i < m]
-    if not S:
-        S = [int(np.argmax(q))]
+    m, dim = X.shape
+    sq = np.einsum("ij,ij->i", X, X)
+    far = int(np.argmax(sq))
     lam = np.zeros(m)
-    lam[S[0]] = 1.0
-    r2 = 0.0
-    clean = False
-    banned = -1
-    for _ in range(4 * m + 40):
-        lam_s, alpha = _kkt_solve(K, q, S)
-        if len(S) > 1 and lam_s.min() < -1e-12:
-            banned = S.pop(int(np.argmin(lam_s)))
+    r0 = math.sqrt(sq[far])
+    if r0 == 0.0:
+        lam[far] = 1.0
+        return lam, 0.0
+    ulp = float(np.finfo(float).eps)
+    tol = m * ulp * r0  # roundoff of a length
+    thin = ulp ** (1.0 / 3.0) * r0
+    # T = [t0, t1, ...] with (X[T[1:]] - t0).T = Q R; its circumcenter is
+    # cc = t0 + Q y.  gap holds r**2 - |c - x|**2 for every point x.
+    cap = min(m, dim + 1)
+    Q = np.zeros((dim, cap))
+    R = np.zeros((cap, cap))
+    y = np.zeros(cap)
+    T = [far]
+    c = np.zeros(dim)
+    cc = X[far].copy()
+    gap = sq[far] - sq
+    reached = False
+    for _ in range(10 * (m + dim)):
+        k = len(T) - 1
+        d = cc - c
+        if reached or d @ d <= tol * tol:  # c is the circumcenter of T
+            a = np.linalg.solve(R[:k, :k], y[:k])
+            w = np.concatenate(([1.0 - a.sum()], a))
+            j = int(np.argmin(w))
+            if w[j] >= 0.0:
+                lam[T] = w
+                v = lam @ X
+                return lam, float(lam @ sq - v @ v)
+            del T[j]
+            k -= 1
+            t0 = X[T[0]]
+            U = X[T[1:]] - t0
+            Q[:, :k], R[:k, :k] = np.linalg.qr(U.T)
+            y[:k] = np.linalg.solve(R[:k, :k].T, 0.5 * np.einsum("ij,ij->i", U, U))
+            cc = t0 + Q[:, :k] @ y[:k]
+            reached = False
             continue
-        lam = np.zeros(m)
-        lam[S] = np.clip(lam_s, 0.0, None)
-        tot = lam.sum()
-        if tot <= 0.0:
+        # Walk c + s d, s in [0, 1]: x reaches the boundary at s = gap / den.
+        Xd = X @ d
+        den = 2.0 * (Xd[T[0]] - Xd)
+        den[T] = 0.0
+        ratio = np.full(m, np.inf)  # gaps within roundoff tie at 0
+        np.divide(np.where(gap > tol * r0, gap, 0.0), den, out=ratio, where=den > 0.0)
+        step = 1.0
+        while True:
+            p = int(np.argmin(ratio))
+            if ratio[p] >= 1.0:
+                break
+            u = X[p] - X[T[0]]
+            h = Q[:, :k].T @ u
+            e = u - Q[:, :k] @ h
+            h2 = Q[:, :k].T @ e  # reorthogonalize once
+            e -= Q[:, :k] @ h2
+            rho = math.sqrt(e @ e)
+            if rho < thin:
+                ratio[p] = np.inf
+                continue
+            step = float(ratio[p])
+            Q[:, k] = e / rho
+            R[:k, k] = h + h2
+            R[k, k] = rho
+            y[k] = (0.5 * (u @ u) - R[:k, k] @ y[:k]) / rho
+            T.append(p)
             break
-        lam /= tot
-        f, vv = _dual_assemble(K, q, lam)
-        r2 = max(alpha + vv, 0.0)
-        j = int(np.argmax(f))
-        if f[j] - r2 <= 1e-12 * scale:
-            clean = True
-            break
-        if j in S or j == banned:
-            break  # active set is chasing its tail; use the fallback
-        banned = -1
-        S.append(j)
-    if clean:
-        return lam, r2, S
-
-    lam = _fw_ascent(K, q, lam, tol=1e-13 * scale)
-    f, vv = _dual_assemble(K, q, lam)
-    # identify the support and polish it with one stationarity solve
-    Ssup = [int(i) for i in np.flatnonzero(lam > 1e-10 * lam.max())]
-    lam_p = np.zeros(m)
-    lam_s, alpha = _kkt_solve(K, q, Ssup)
-    lam_p[Ssup] = lam_s
-    if lam_p.min() >= -1e-11:
-        lam_p = np.clip(lam_p, 0.0, None)
-        lam_p /= lam_p.sum()
-        f_p, vv_p = _dual_assemble(K, q, lam_p)
-        r2_p = max(alpha + vv_p, 0.0)
-        if float(f_p.max()) - r2_p <= 1e-10 * scale:
-            return lam_p, r2_p, Ssup
-    # keep the ascent iterate; report the radius that provably encloses
-    return lam, max(float(f.max()), 0.0), Ssup
+        c += step * d
+        gap -= step * den
+        reached = step == 1.0
+        if reached:
+            c = cc.copy()
+        else:
+            gap[p] = 0.0
+            cc += y[k] * Q[:, k]
+    raise NumericalEscape("minimal enclosing ball walk exceeded its pivot budget")
 
 
 def _chart(x: SpdMatrix, P: np.ndarray):
     """Pull the point stack ``P`` to the chart at ``x``.
 
     Returns the translated points M = x**-1/2 P x**-1/2, their logs W,
-    the squared distances q_i = d(x, P_i)**2, and x**1/2.
+    the squared distances q_i = d(x, P_i)**2, x**1/2 and x**-1/2.
     """
     w, v = np.linalg.eigh(x.mat)
     if w[0] <= 0.0:
@@ -364,7 +326,7 @@ def _chart(x: SpdMatrix, P: np.ndarray):
     logs = np.log(lam)
     W = _sym((U * logs[:, None, :]) @ _conj_t(U))
     q = np.mean(logs**2, axis=1)
-    return M, W, q, sq
+    return M, W, q, sq, isq
 
 
 def _max_sq_dist(E_half: np.ndarray, M: np.ndarray) -> float:
@@ -422,12 +384,12 @@ def solve(
 
     x = pts[0]
     best_x, best_r = x, math.inf
-    support = None
     stall = 0
     iterations = 0
+    last = None
     for k in range(max_iter):
         iterations = k + 1
-        M, W, q, sq = _chart(x, P)
+        M, W, q, sq, isq = _chart(x, P)
         r2 = float(q.max())
         r_k = math.sqrt(r2)
         if trace is not None:
@@ -449,17 +411,28 @@ def solve(
             continue
 
         # Tangent minimal-enclosing-ball direction.
-        K = np.real(np.einsum("aij,bij->ab", np.conj(W), W)) / n
-        lam, r2_tan, support = _meb_dual(K, support)
+        X = np.concatenate([W.real, W.imag], axis=1).reshape(len(pts), -1)
+        lam, r2_tan = _meb(X / math.sqrt(n))
         v = _sym(np.einsum("a,aij->ij", lam, W))
         vnorm = float(np.sqrt(np.sum(np.abs(v) ** 2) / n))
         if vnorm <= _STALL_RTOL * (1.0 + r_k):
             break  # first-order condition met to roundoff
         delta = max(r2 - r2_tan, 0.0)
+        t = 1.0
+        if last is not None:
+            # Barzilai-Borwein: t_last |s|**2 / <s, s - v>, where s is the
+            # last direction carried to this chart by the unitary
+            # x**-1/2 x_last**1/2 exp(t_last v_last / 2).
+            half, v_last, t_last = last
+            U = isq @ half
+            s = U @ v_last @ U.conj().T
+            ss = float(np.real(np.vdot(s, s)))
+            sy = ss - float(np.real(np.vdot(v, s)))
+            if sy > 0.0:
+                t = min(1.0, t_last * ss / sy)
 
         wv, uv = np.linalg.eigh(v)
         uvh = uv.conj().T
-        t = 1.0
         accepted = None
         for _ in range(_MAX_BACKTRACK):
             E_half = (uv * np.exp(-0.5 * t * wv)) @ uvh
@@ -479,6 +452,7 @@ def solve(
         if accepted is None:
             break  # line search exhausted: iterate is stationary
         x = accepted
+        last = (sq @ (uv * np.exp(0.5 * t * wv)) @ uvh, v, t)
         if t * vnorm <= _STALL_RTOL * (1.0 + r_k):
             stall += 1
             if stall >= _STALL_STEPS:

@@ -80,19 +80,13 @@ class NonConvergence(UnitarizerError):
 
 
 class NumericalEscape(UnitarizerError):
-    """Solver iterates left the spectral ball they are confined to."""
+    """Solver iterates left their spectral ball, or a subsolver its budget."""
 
     category = "numerical"
 
 
 class NotUniformlyBounded(UnitarizerError):
     """No finite uniform bound exists for a representation."""
-
-    category = "numerical"
-
-
-class SolverFailure(UnitarizerError):
-    """A circumcenter solve failed to certify within its budget."""
 
     category = "numerical"
 

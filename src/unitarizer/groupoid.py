@@ -324,11 +324,6 @@ def restrict(G: FiniteMeasuredGroupoid, units) -> FiniteMeasuredGroupoid:
     return FiniteMeasuredGroupoid(order, mu, arrows, inverse, composition, unit_arrows)
 
 
-def fibers(G: FiniteMeasuredGroupoid, x: str):
-    """Source fiber and target fiber at ``x``, each sorted by arrow id."""
-    return G.source_fiber(x), G.target_fiber(x)
-
-
 # -- groups, actions and the groupoids they generate ----------------------
 
 

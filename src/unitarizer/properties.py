@@ -96,22 +96,3 @@ def run_geometry_suite(
                     f"geodesic speed drift {drift:.3e} at trial {k}, t={t}"
                 )
     return GeometryReport(trials, dim, worst_sp, worst_cong, worst_tri, worst_speed)
-
-
-def norm_equivalence_ratio(points) -> float:
-    """Max ratio of metric distance to normalized log-Euclidean distance.
-
-    Purely diagnostic: on a bounded ball the two are equivalent, and this
-    reports the observed constant for a finite sample.
-    """
-    from .linalg import l2_norm, matrix_log
-
-    worst = 1.0
-    pts = list(points)
-    for i, a in enumerate(pts):
-        la = matrix_log(a)
-        for b in pts[i + 1 :]:
-            flat = l2_norm(la - matrix_log(b))
-            if flat > 1e-14:
-                worst = max(worst, distance(a, b) / flat)
-    return worst

@@ -190,10 +190,11 @@ def make_representation(
 
 
 def gram_set(rep: Representation, x: str) -> PointSet:
-    """Gram set of a positive-mass unit: rho(g)* rho(g) over its source fiber.
+    """Gram set of a positive-mass unit: rho(g)* rho(g) over the arrows g out of it.
 
-    Duplicates within relative ``DEDUP_TOL`` collapse to the first
-    occurrence in arrow-id order; the enclosing ball has c = C**2.
+    Only arrows into positive-mass units count, as in the uniform bound C,
+    so the enclosing ball has c = C**2.  Duplicates within relative
+    ``DEDUP_TOL`` collapse to the first occurrence in arrow-id order.
     """
     G = rep.groupoid
     if G.unit_weight(x) <= 0.0:
@@ -201,6 +202,8 @@ def gram_set(rep: Representation, x: str) -> PointSet:
     pts = []
     kept_raw = []
     for g in G.source_fiber(x):
+        if G.unit_weight(G.tgt(g)) <= 0.0:
+            continue
         m = rep.rho[g]
         b = m.conj().T @ m
         if any(

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from oracles import welzl_center
 from unitarizer.circumcenter import (
     CircumcenterResult,
+    _meb,
     certify,
     point_set,
     radius_at,
@@ -74,12 +77,46 @@ def test_three_point_diagonal_frozen_value():
     assert res.converged  # two farthest points realize the diameter here
 
 
+def degenerate_families():
+    """Point sets whose smallest enclosing ball has a degenerate support."""
+    rng = rng_from_seed(31)
+    fams = []
+    for k in (3, 4, 6, 8):  # regular polygons, also tilted into 3-space
+        a = 2.0 * np.pi * np.arange(k) / k
+        ring = np.c_[np.cos(a), np.sin(a)]
+        fams += [ring + 0.2, np.c_[ring, 0.5 * ring[:, :1]] - 0.3]
+    for d in (2, 3, 4, 5):  # hypercube vertices, with and without duplicates
+        cube = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+        fams += [0.7 * cube + 0.1, np.vstack([cube, cube[::3]])]
+    for d in (1, 2, 4):  # collinear points
+        fams.append(np.outer(rng.uniform(-1.0, 1.0, 7), rng.normal(size=d)) + 0.3)
+    for d, k in ((3, 1), (4, 2), (6, 3)):  # many points in a k-flat
+        flat = rng.normal(size=(k, d)) / np.sqrt(d)
+        fams.append(rng.uniform(-1.0, 1.0, (3 * d, k)) @ flat + 0.2)
+    pts = rng.uniform(-1.0, 1.0, (4, 3))
+    fams.append(np.vstack([pts, pts, pts[:2]]))  # duplicated points
+    return fams
+
+
+def test_meb_matches_welzl_on_degenerate_families():
+    for trial, X in enumerate(degenerate_families()):
+        # _meb raises NumericalEscape when it runs out of pivots
+        lam, r2 = _meb(X)
+        c_oracle, r_oracle = welzl_center(X, seed=trial)
+        assert lam.min() >= 0.0 and lam.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(lam @ X - c_oracle) <= 1e-9
+        assert np.sqrt(r2) == pytest.approx(r_oracle, abs=1e-9)
+
+
 def test_commuting_families_match_welzl_oracle():
     rng = rng_from_seed(99)
-    for trial in range(60):
+    families = []
+    for _ in range(60):
         dim = int(rng.integers(1, 7))
         m = int(rng.integers(2, 17))
-        logs = rng.uniform(-1.5, 1.5, size=(m, dim))
+        families.append(rng.uniform(-1.5, 1.5, size=(m, dim)))
+    for trial, logs in enumerate(families + degenerate_families()):
+        dim = logs.shape[1]
         res = solve(point_set(diag_points(logs)), 1e-7)
         c_log, r_eucl = welzl_center(logs, seed=trial)
         oracle = spd(np.diag(np.exp(c_log)))

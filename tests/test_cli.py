@@ -1,11 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import unitarizer
 from unitarizer.cli import main
 from unitarizer.groupoid import ActionGroupoidSpec, cyclic_group
 from unitarizer.serialization import action_spec_to_json, load_json, save_json
@@ -158,19 +160,22 @@ def test_env_seed_fallback(spec_file, tmp_path, monkeypatch):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
-def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "unitarizer.cli"],
-        capture_output=True, text=True,
+def run_module(*args):
+    """``python -m unitarizer.cli`` in a child that imports this same package."""
+    root = os.path.dirname(os.path.dirname(unitarizer.__file__))
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "unitarizer.cli", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point_runs():
+    proc = run_module()
     assert proc.returncode == 2  # argparse usage error for missing subcommand
 
 
 def test_cli_module_selftest_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "unitarizer.cli", "selftest", "--dim", "2",
-         "--trials", "20", "--seed", "1"],
-        capture_output=True, text=True,
-    )
+    proc = run_module("selftest", "--dim", "2", "--trials", "20", "--seed", "1")
     assert proc.returncode == 0, proc.stderr
     assert "all properties passed" in proc.stdout

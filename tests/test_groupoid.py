@@ -21,7 +21,6 @@ from unitarizer.groupoid import (
     check_invariance,
     cyclic_group,
     cyclic_shift_action,
-    fibers,
     left_translation_action,
     natural_permutation_action,
     nu_by_fiber_count,
@@ -71,7 +70,7 @@ def test_action_groupoid_shape():
     assert len(G.arrows) == 4
     assert check_axioms(G)
     # fibers have group size
-    src, tgt = fibers(G, "a")
+    src, tgt = G.source_fiber("a"), G.target_fiber("a")
     assert len(src) == len(tgt) == 2
     assert G.compose("r1@b", "r1@a") == "r0@a"
     assert G.inv("r1@a") == "r1@b"

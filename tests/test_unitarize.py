@@ -245,6 +245,24 @@ def test_neither_measure_solves_only_the_positive_unit(monkeypatch):
     assert np.allclose(unitary.rho["r0@x0_0"], np.eye(2))
 
 
+def test_wild_arrow_into_a_null_unit_stays_out_of_the_gram_set():
+    # the mirror of the test above: here the wild arrow enters the null unit,
+    # which the uniform bound (and so the GL_c ball) does not count
+    G = build_action_groupoid(cyclic_shift_action(2, mu=(0.0, 1.0)))
+    wild = np.diag([5.0, 0.2])
+    rho = {
+        "r0@x0_0": np.eye(2), "r1@x0_0": wild,
+        "r0@x0_1": np.eye(2), "r1@x0_1": np.linalg.inv(wild),
+    }
+    rep = make_representation(G, 2, rho)
+    assert len(gram_set(rep, "x0_1").points) == 1
+    witness, unitary, report = unitarize(rep, eps=1e-7)
+    assert set(witness.sigma) == {"x0_1"}
+    assert np.allclose(witness.sigma["x0_1"].mat, np.eye(2))
+    assert report.all_converged
+    assert np.allclose(unitary.rho["r1@x0_1"], rho["r1@x0_1"])
+
+
 def test_transported_trace_is_one_row():
     rep = s3_self_rep()
     rows: dict = {}
