@@ -12,15 +12,17 @@ the certificate can stall at a positive value even when the iterate has
 converged; the result then reports ``converged = False`` with the stalled
 bound, which stays sound.
 
-The iteration starts with farthest-point geodesic steps x_{k+1} =
-geodesic(x_k, farthest point, 1/(k+2)) and then switches to a
-tangent-space fixed point: pull the points to the chart at the current
-iterate, take the Euclidean minimal-enclosing-ball center there, and map
-it back through the exponential, damped by an Armijo line search on the
-squared radius.  A fixed point of that map satisfies the first-order
-condition of the minimax problem exactly, and geodesic convexity makes it
-the global circumcenter; plain farthest-point steps alone converge far
-too slowly for the center accuracies the unitarization pipeline needs.
+The iteration is a tangent-space fixed point started at the first point:
+pull the points to the chart at the current iterate, take the Euclidean
+minimal-enclosing-ball center there, and map it back through the
+exponential, damped by an Armijo line search on the squared radius.  A
+fixed point of that map satisfies the first-order condition of the
+minimax problem exactly, and geodesic convexity makes it the global
+circumcenter.  Every accepted step lowers the radius, so the last iterate
+is the one certified.  Farthest-point geodesic steps (the Riemannian
+1-center iteration of Arnaudon & Nielsen, Comput. Geom. 2013) converge far
+too slowly for the center accuracies the unitarization pipeline needs,
+and ahead of the exact chart step they only add iterations.
 
 The chart ball is solved exactly by ``_meb``, the pivoting walk of
 Fischer, Gaertner & Kutz (ESA 2003), which handles the affinely dependent
@@ -46,15 +48,12 @@ from .errors import (
     NumericalEscape,
     ParameterOutOfRange,
 )
-from .geometry import GLcBall, distance, geodesic, in_ball
-from .linalg import SpdMatrix
+from .geometry import GLcBall, distance, in_ball
+from .linalg import SpdMatrix, spectral_calculus
 
 # Distances within this relative band of the maximum count as ties; the
 # farthest index is the smallest one in the band.
 TIE_RTOL = 1e-12
-
-# Farthest-point warmup iterations before the tangent fixed point starts.
-_BC_WARMUP = 4
 
 # Iterates must stay inside the declared ball up to this slack.
 _ITERATE_SLACK = 1e-6
@@ -191,12 +190,8 @@ def certified_result(
     )
 
 
-def _conj_t(stack: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(stack, -1, -2))
-
-
 def _sym(stack: np.ndarray) -> np.ndarray:
-    return 0.5 * (stack + _conj_t(stack))
+    return 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
 
 
 def _meb(X: np.ndarray):
@@ -314,18 +309,12 @@ def _chart(x: SpdMatrix, P: np.ndarray):
     Returns the translated points M = x**-1/2 P x**-1/2, their logs W,
     the squared distances q_i = d(x, P_i)**2, x**1/2 and x**-1/2.
     """
-    w, v = np.linalg.eigh(x.mat)
-    if w[0] <= 0.0:
-        raise NotPositiveDefinite("iterate lost positive definiteness")
-    sq = (v * np.sqrt(w)) @ v.conj().T
-    isq = (v / np.sqrt(w)) @ v.conj().T
+    _, sq, isq = spectral_calculus(
+        x.mat, np.sqrt, lambda w: 1.0 / np.sqrt(w), floor=0.0, name="iterate"
+    )
     M = _sym(isq @ P @ isq)
-    lam, U = np.linalg.eigh(M)
-    if lam[:, 0].min() <= 0.0:
-        raise NotPositiveDefinite("relative spectrum lost positivity")
-    logs = np.log(lam)
-    W = _sym((U * logs[:, None, :]) @ _conj_t(U))
-    q = np.mean(logs**2, axis=1)
+    lam, W = spectral_calculus(M, np.log, floor=0.0, name="relative spectrum")
+    q = np.mean(np.log(lam) ** 2, axis=1)
     return M, W, q, sq, isq
 
 
@@ -383,7 +372,6 @@ def solve(
     hi = pset.ball.c * (1.0 + _ITERATE_SLACK)
 
     x = pts[0]
-    best_x, best_r = x, math.inf
     stall = 0
     iterations = 0
     last = None
@@ -394,21 +382,8 @@ def solve(
         r_k = math.sqrt(r2)
         if trace is not None:
             trace.append((k, r_k, _error_bound(r2, lb_sq)))
-        if r_k < best_r:
-            best_r, best_x = r_k, x
         if r_k <= eps / _SQRT2:
             break  # whole set within eps of the iterate; nothing to gain
-
-        if k < _BC_WARMUP:
-            cut = r2 * (1.0 - 2.0 * TIE_RTOL)
-            far = int(np.flatnonzero(q >= cut)[0])
-            x_new = geodesic(x, pts[far], 1.0 / (k + 2))
-            if not in_ball(x_new, pset.ball, _ITERATE_SLACK):
-                raise NumericalEscape(
-                    f"iterate escaped GL_c with c = {pset.ball.c:g}"
-                )
-            x = x_new
-            continue
 
         # Tangent minimal-enclosing-ball direction.
         X = np.concatenate([W.real, W.imag], axis=1).reshape(len(pts), -1)
@@ -431,19 +406,21 @@ def solve(
             if sy > 0.0:
                 t = min(1.0, t_last * ss / sy)
 
-        wv, uv = np.linalg.eigh(v)
-        uvh = uv.conj().T
         accepted = None
         for _ in range(_MAX_BACKTRACK):
-            E_half = (uv * np.exp(-0.5 * t * wv)) @ uvh
+            # exp(-tv/2) pulls the trial point to the chart origin, and with
+            # half = x**1/2 exp(tv/2) the trial point is half half*.
+            _, E_half, E_root = spectral_calculus(
+                v, lambda w: np.exp(-0.5 * t * w), lambda w: np.exp(0.5 * t * w)
+            )
             try:
                 F_y = _max_sq_dist(E_half, M)
             except NotPositiveDefinite:
                 t *= 0.5
                 continue
             if F_y <= r2 - _ARMIJO_SIGMA * t * delta:
-                E = (uv * np.exp(t * wv)) @ uvh
-                y = _sym(sq @ E @ sq)
+                half = sq @ E_root
+                y = _sym(half @ half.conj().T)
                 wy = np.linalg.eigvalsh(y)
                 if wy[0] >= 1.0 / hi and wy[-1] <= hi:
                     accepted = SpdMatrix(y, float(wy[0]), float(wy[-1]))
@@ -452,7 +429,7 @@ def solve(
         if accepted is None:
             break  # line search exhausted: iterate is stationary
         x = accepted
-        last = (sq @ (uv * np.exp(0.5 * t * wv)) @ uvh, v, t)
+        last = (half, v, t)
         if t * vnorm <= _STALL_RTOL * (1.0 + r_k):
             stall += 1
             if stall >= _STALL_STEPS:
@@ -460,10 +437,5 @@ def solve(
         else:
             stall = 0
 
-    # Report at whichever iterate achieved the smallest radius.
-    r_last, _ = radius_at(x, pset)
-    if r_last <= best_r:
-        center, r_fin = x, r_last
-    else:
-        center, r_fin = best_x, radius_at(best_x, pset)[0]
-    return certified_result(center, pset, eps, iterations, radius=r_fin, lower=lb)
+    # Every accepted step lowers the radius, so the last iterate is the best.
+    return certified_result(x, pset, eps, iterations, lower=lb)

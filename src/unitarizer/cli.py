@@ -104,7 +104,7 @@ def permutation_rep_of_action(spec):
 
 
 def cmd_check(args) -> int:
-    rep = load_representation(args.rep, validate=True)
+    rep = load_representation(args.rep)
     violations = check_representation(rep, tol=args.tol)
     print(f"arrows {len(rep.rho)} dim {rep.dim} uniform_bound {_fmt(rep.uniform_bound_C)}")
     for (h, g), r in violations:
@@ -117,7 +117,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_unitarize(args) -> int:
-    rep = load_representation(args.rep, validate=True)
+    rep = load_representation(args.rep)
     trace: dict | None = {} if args.trace else None
     witness, unitary, report = unitarize(
         rep, eps=args.eps, max_iter=args.max_iter, trace=trace
@@ -149,13 +149,12 @@ def cmd_unitarize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rep1 = load_representation(args.rep1, validate=True)
+    rep1 = load_representation(args.rep1)
     obj2 = load_json(args.rep2)
     from .serialization import representation_from_json
 
     rep2 = representation_from_json(
-        obj2, base_dir=os.path.dirname(os.path.abspath(args.rep2)), validate=True,
-        where=args.rep2,
+        obj2, base_dir=os.path.dirname(os.path.abspath(args.rep2)), where=args.rep2
     )
     if args.witness:
         wobj = load_json(args.witness)

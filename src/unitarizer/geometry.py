@@ -20,7 +20,7 @@ from .errors import (
     ParameterOutOfRange,
     SingularTransform,
 )
-from .linalg import PD_FLOOR, SpdMatrix, as_square_matrix, spd, spectral_decompose
+from .linalg import PD_FLOOR, SpdMatrix, as_square_matrix, spd, spectral_calculus
 
 # Relative tolerance for geodesic identities such as constant speed.
 GEO_TOL = 1e-7
@@ -83,14 +83,13 @@ def geodesic(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
         return a
     if t == 1.0:
         return b
-    w, v = spectral_decompose(a.mat)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    iroot = (v / np.sqrt(w)) @ v.conj().T
-    inner = iroot @ b.mat @ iroot
-    wi, vi = spectral_decompose(inner)
-    if wi[0] <= 0.0:
-        raise NotPositiveDefinite("relative spectrum lost positivity")
-    core = (vi * np.power(wi, t)) @ vi.conj().T
+    _, root, iroot = spectral_calculus(
+        a.mat, np.sqrt, lambda w: 1.0 / np.sqrt(w), floor=0.0, name="geodesic start"
+    )
+    _, core = spectral_calculus(
+        iroot @ b.mat @ iroot, lambda w: np.power(w, t), floor=0.0,
+        name="relative spectrum",
+    )
     return spd(root @ core @ root)
 
 

@@ -2,8 +2,9 @@
 
 Every norm in this package derives from the scalar product tau(x* y) with
 tau = trace / dim, so the identity has L2 norm one in every dimension and
-norms of different dimensions are directly comparable.  All matrix
-functions go through one eigendecomposition of the (symmetrized) input.
+norms of different dimensions are directly comparable.  Every matrix
+function in the package goes through ``spectral_calculus``: one
+eigendecomposition of the (symmetrized) input, on one matrix or a stack.
 """
 
 from __future__ import annotations
@@ -96,67 +97,63 @@ def hermitian_part(a, name: str = "matrix") -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def spectral_decompose(a, name: str = "matrix"):
-    """Eigenvalues (ascending) and a unitary eigenbasis of a Hermitian matrix.
+def spectral_calculus(a, *fs, floor: float | None = None, name: str = "matrix"):
+    """Functions of a Hermitian matrix, or of a stack, from one eigendecomposition.
 
-    Returns
-    -------
-    w : (n,) float array
-    v : (n, n) complex array with a = v @ diag(w) @ v.conj().T
+    ``a`` has shape ``(..., n, n)`` and is symmetrized first.  Returns the
+    ascending eigenvalues, shape ``(..., n)``, followed by
+    ``v @ diag(f(w)) @ v*`` (re-symmetrized, so exactly Hermitian) for
+    each f in ``fs``.  With ``floor`` given, a matrix whose eigenvalues
+    satisfy ``eig_min <= floor * eig_max`` raises
+    :class:`NotPositiveDefinite` before any f is applied.
     """
-    h = hermitian_part(a, name)
+    h = np.asarray(a)
+    h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"{name}: eigendecomposition failed: {exc}") from exc
-    return w, v
-
-
-def _pd_spectral(a, name: str = "matrix"):
-    """Eigendecomposition plus positivity check (floor PD_FLOOR * eig_max)."""
-    w, v = spectral_decompose(a, name)
-    if w[-1] <= 0.0 or w[0] <= PD_FLOOR * w[-1]:
+    if floor is not None and np.any(w[..., 0] <= floor * w[..., -1]):
+        lo, hi = np.min(w[..., 0]), np.max(w[..., -1])
         raise NotPositiveDefinite(
-            f"{name}: eigenvalue range [{w[0]:.6e}, {w[-1]:.6e}]"
-            " is not positive definite"
+            f"{name}: eigenvalue range [{lo:.6e}, {hi:.6e}] is not positive definite"
         )
-    return w, v
-
-
-def _rebuild(w, v) -> np.ndarray:
-    """Assemble v @ diag(w) @ v* and re-symmetrize against roundoff."""
-    m = (v * w) @ v.conj().T
-    return 0.5 * (m + m.conj().T)
+    vh = np.conj(np.swapaxes(v, -1, -2))
+    out = [w]
+    for f in fs:
+        m = (v * f(w)[..., None, :]) @ vh
+        out.append(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
+    return tuple(out)
 
 
 def matrix_sqrt(a) -> np.ndarray:
     """Principal square root of a positive definite matrix."""
-    w, v = _pd_spectral(a)
-    return _rebuild(np.sqrt(w), v)
+    return spectral_calculus(hermitian_part(a), np.sqrt, floor=PD_FLOOR)[1]
 
 
 def matrix_inv_sqrt(a) -> np.ndarray:
     """Inverse principal square root of a positive definite matrix."""
-    w, v = _pd_spectral(a)
-    return _rebuild(1.0 / np.sqrt(w), v)
+    return spectral_calculus(
+        hermitian_part(a), lambda w: 1.0 / np.sqrt(w), floor=PD_FLOOR
+    )[1]
 
 
 def matrix_log(a) -> np.ndarray:
     """Logarithm of a positive definite matrix (Hermitian result)."""
-    w, v = _pd_spectral(a)
-    return _rebuild(np.log(w), v)
+    return spectral_calculus(hermitian_part(a), np.log, floor=PD_FLOOR)[1]
 
 
 def matrix_power(a, t: float) -> np.ndarray:
     """Real matrix power a**t of a positive definite matrix."""
-    w, v = _pd_spectral(a)
-    return _rebuild(np.power(w, float(t)), v)
+    t = float(t)
+    return spectral_calculus(
+        hermitian_part(a), lambda w: np.power(w, t), floor=PD_FLOOR
+    )[1]
 
 
 def matrix_exp(a) -> np.ndarray:
     """Exponential of a Hermitian matrix (positive definite result)."""
-    w, v = spectral_decompose(a)
-    return _rebuild(np.exp(w), v)
+    return spectral_calculus(hermitian_part(a), np.exp)[1]
 
 
 @dataclass(frozen=True, eq=False)

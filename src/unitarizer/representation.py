@@ -49,7 +49,7 @@ from .linalg import (
     l2_norm,
     operator_norm,
     spd,
-    spectral_decompose,
+    spectral_calculus,
 )
 from .sampling import random_invertible
 
@@ -156,7 +156,6 @@ def make_representation(
         raise InvalidRepresentation(f"matrices for unknown arrows {sorted(extra)[:5]}")
     ids, idx, mats = _stacked(G, dim, rho)
     table = {g: mats[idx[g]] for g in ids}
-    pos = set(G.positive_units)
 
     eye = np.eye(dim)
     for x in G.positive_units:
@@ -193,7 +192,9 @@ def gram_set(rep: Representation, x: str) -> PointSet:
     """Gram set of a positive-mass unit: rho(g)* rho(g) over the arrows g out of it.
 
     Only arrows into positive-mass units count, as in the uniform bound C,
-    so the enclosing ball has c = C**2.  Duplicates within relative
+    so the enclosing ball has c = C**2, widened to the points' own spectra
+    where roundoff puts them past it (GL_c balls are geodesically convex,
+    so the circumcenter stays inside).  Duplicates within relative
     ``DEDUP_TOL`` collapse to the first occurrence in arrow-id order.
     """
     G = rep.groupoid
@@ -213,8 +214,8 @@ def gram_set(rep: Representation, x: str) -> PointSet:
         kept_raw.append(b)
         pts.append(spd(b, f"gram[{g}]"))
     C = rep.uniform_bound_C
-    c = max(C * C, 1.0) * (1.0 + 1e-9)
-    return point_set(pts, c=c)
+    spread = max(max(p.eig_max, 1.0 / p.eig_min) for p in pts)
+    return point_set(pts, c=max(C * C, spread) * (1.0 + 1e-9))
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,12 +306,10 @@ def unitarize(
     for x in G.units:
         if x in results:
             center = results[x].center
-            w, v = spectral_decompose(center.mat)
-            root = np.sqrt(w)
-            psi[x] = 0.5 * ((v * root) @ v.conj().T)
-            psi[x] = psi[x] + psi[x].conj().T
-            psi_inv[x] = 0.5 * ((v / root) @ v.conj().T)
-            psi_inv[x] = psi_inv[x] + psi_inv[x].conj().T
+            _, psi[x], psi_inv[x] = spectral_calculus(
+                center.mat, np.sqrt, lambda w: 1.0 / np.sqrt(w), floor=0.0,
+                name=f"sigma[{x}]",
+            )
             sigma[x] = center
         else:  # null-mass unit: conjugate by the identity
             psi[x] = eye

@@ -243,9 +243,7 @@ def representation_to_json(rep: Representation) -> dict:
     }
 
 
-def representation_from_json(
-    obj, base_dir: str = ".", validate: bool = True, where: str = "representation"
-):
+def representation_from_json(obj, base_dir: str = ".", where: str = "representation"):
     gobj = _get(obj, "groupoid", where)
     _require(isinstance(gobj, dict), f"{where}.groupoid: expected an object")
     if "file" in gobj and "kind" not in gobj:
@@ -261,11 +259,7 @@ def representation_from_json(
     rho = {
         g: matrix_from_json(m, f"{where}.arrows[{g!r}]") for g, m in raw.items()
     }
-    if validate:
-        return make_representation(G, dim, rho)
-    from .representation import uniform_bound
-
-    return Representation(G, dim, rho, uniform_bound(G, rho))
+    return make_representation(G, dim, rho)
 
 
 def unitarization_to_json(rep, witness, unitary, report) -> dict:
@@ -334,8 +328,7 @@ def load_action_spec(path: str) -> ActionGroupoidSpec:
     return action_spec_from_json(obj, where=path)
 
 
-def load_representation(path: str, validate: bool = True):
+def load_representation(path: str):
     return representation_from_json(
-        load_json(path), base_dir=os.path.dirname(os.path.abspath(path)),
-        validate=validate, where=path,
+        load_json(path), base_dir=os.path.dirname(os.path.abspath(path)), where=path
     )

@@ -21,7 +21,9 @@ from unitarizer.linalg import (
     ntrace,
     operator_norm,
     spd,
+    spectral_calculus,
 )
+from unitarizer.sampling import random_spd, rng_from_seed
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -123,3 +125,21 @@ def test_matrix_power_interpolates():
 def test_matrix_log_commutes_with_diagonal():
     w = np.array([0.5, 1.0, 7.5])
     assert np.allclose(matrix_log(spd(np.diag(w))), np.diag(np.log(w)), atol=1e-14)
+
+
+def test_spectral_calculus_on_a_stack_matches_each_slice():
+    rng = rng_from_seed(23)
+    for n in (1, 2, 3, 4):
+        stack = np.stack([random_spd(rng, n, 30.0).mat for _ in range(6)])
+        w, s, si, lg = spectral_calculus(
+            stack, np.sqrt, lambda x: 1.0 / np.sqrt(x), np.log, floor=0.0
+        )
+        assert np.allclose(w, np.linalg.eigvalsh(stack), rtol=1e-12, atol=0.0)
+        for i, a in enumerate(stack):
+            for got, f in ((s, matrix_sqrt), (si, matrix_inv_sqrt), (lg, matrix_log)):
+                want = f(a)
+                assert l2_norm(got[i] - want) <= 1e-12 * l2_norm(want)
+        # one indefinite slice fails the whole stack before any log is taken
+        stack[3] = -stack[3]
+        with pytest.raises(NotPositiveDefinite):
+            spectral_calculus(stack, np.log, floor=0.0)

@@ -263,6 +263,19 @@ def test_wild_arrow_into_a_null_unit_stays_out_of_the_gram_set():
     assert np.allclose(unitary.rho["r1@x0_1"], rho["r1@x0_1"])
 
 
+def test_gram_points_past_c_squared_by_roundoff_stay_in_the_ball():
+    # at cond 1e2 one Gram point of x0 overshoots C**2 by a relative 1.2e-8,
+    # more than the 1e-9 headroom a ball of exactly c = C**2 leaves
+    rep = generate_instance(
+        natural_permutation_action(3), permutation_base_rep(symmetric_group(3)), 100.0, 1
+    )
+    C2 = rep.uniform_bound_C**2
+    ps = gram_set(rep, "x0")
+    assert max(max(p.eig_max, 1.0 / p.eig_min) for p in ps.points) > C2 * (1.0 + 1e-9)
+    _, _, report = unitarize(rep, eps=1e-7)
+    assert report.max_unitarity_residual <= 1e-7
+
+
 def test_transported_trace_is_one_row():
     rep = s3_self_rep()
     rows: dict = {}
