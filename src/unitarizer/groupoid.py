@@ -5,7 +5,14 @@ a finite set of arrows with source and target, a composition defined
 exactly on the composable pairs (src of the left factor equals tgt of the
 right factor; ``compose(h, g)`` means "g then h"), an involutive inverse,
 and one identity arrow per unit.  Construction validates every axiom
-exhaustively and reports the first failing triple.
+exhaustively and reports the first failing arrow or triple.
+
+The checks run over integer tables built once per groupoid.  Arrows are
+numbered in sorted-id order; the composites sit in one flat table with a
+block per unit y, whose rows are y's source fiber and whose columns are its
+target fiber, so the table holds exactly the composable pairs.  Each
+identity and inverse law is one numpy gather over it, and associativity is
+one gathered block of triples per middle arrow.
 """
 
 from __future__ import annotations
@@ -87,6 +94,30 @@ class FiniteMeasuredGroupoid:
         for x in self.units:
             self._by_src[x].sort()
             self._by_tgt[x].sort()
+
+        # Arrows are numbered in sorted-id order, so a fiber lists its arrows
+        # in index order.  The composite of a composable pair (h, g) through
+        # unit y sits in row rank(h in source_fiber(y)), column
+        # rank(g in target_fiber(y)) of y's block of the flat table, at
+        # ``_base[h] + _trank[g]``; the blocks hold exactly the composable
+        # pairs.  ``_validate`` fills the table from ``composition``.
+        self._ids = tuple(sorted(self._by_id))
+        self._index = {g: i for i, g in enumerate(self._ids)}
+        ui = self._unit_index
+        self._arrow_src = np.array([ui[self._by_id[g].src] for g in self._ids], dtype=np.intp)
+        self._arrow_tgt = np.array([ui[self._by_id[g].tgt] for g in self._ids], dtype=np.intp)
+        self._out = [np.flatnonzero(self._arrow_src == y) for y in range(len(self.units))]
+        self._into = [np.flatnonzero(self._arrow_tgt == y) for y in range(len(self.units))]
+        self._srank = np.empty(len(self._ids), dtype=np.intp)
+        self._trank = np.empty(len(self._ids), dtype=np.intp)
+        for y in range(len(self.units)):
+            self._srank[self._out[y]] = np.arange(self._out[y].size)
+            self._trank[self._into[y]] = np.arange(self._into[y].size)
+        ntgt = np.array([f.size for f in self._into], dtype=np.intp)
+        sizes = np.array([f.size for f in self._out], dtype=np.intp) * ntgt
+        self._offset = np.concatenate(([0], np.cumsum(sizes)))
+        s = self._arrow_src
+        self._base = self._offset[s] + self._srank * ntgt[s]
 
         if unit_arrows is None:
             unit_arrows = self._derive_unit_arrows()
@@ -192,31 +223,75 @@ class FiniteMeasuredGroupoid:
                 raise InvalidGroupoid(
                     f"composite {c!r} of ({h!r}, {g!r}) has wrong endpoints"
                 )
-        for g, a in by_id.items():
-            for h in self._by_src[a.tgt]:
-                if (h, g) not in comp:
-                    raise InvalidGroupoid(f"composable pair ({h!r}, {g!r}) is missing")
+        idx = self._index
+        ih = np.fromiter((idx[h] for h, _ in comp), np.intp, len(comp))
+        ig = np.fromiter((idx[g] for _, g in comp), np.intp, len(comp))
+        ic = np.fromiter((idx[c] for c in comp.values()), np.intp, len(comp))
+        # Every entry is a distinct composable pair, so the table is complete
+        # exactly when the counts agree; the loop only names a missing pair.
+        if len(comp) != self._offset[-1]:
+            for g, a in by_id.items():
+                for h in self._by_src[a.tgt]:
+                    if (h, g) not in comp:
+                        raise InvalidGroupoid(f"composable pair ({h!r}, {g!r}) is missing")
+        table = np.empty(len(comp), dtype=np.intp)
+        table[self._base[ih] + self._trank[ig]] = ic
+        self._pairs = (ih, ig, ic)
+        self._table = table
 
-        for g, a in by_id.items():
-            if comp[(g, self.unit_arrows[a.src])] != g:
-                raise InvalidGroupoid(f"right identity fails at {g!r}")
-            if comp[(self.unit_arrows[a.tgt], g)] != g:
-                raise InvalidGroupoid(f"left identity fails at {g!r}")
-            if comp[(inv[g], g)] != self.unit_arrows[a.src]:
-                raise InvalidGroupoid(f"inverse law fails at {g!r}: inv(g) . g != 1_src")
-            if comp[(g, inv[g])] != self.unit_arrows[a.tgt]:
-                raise InvalidGroupoid(f"inverse law fails at {g!r}: g . inv(g) != 1_tgt")
+        n = len(self._ids)
+        ids = np.arange(n)
+        s, t = self._arrow_src, self._arrow_tgt
+        unit = np.array([idx[self.unit_arrows[x]] for x in self.units], dtype=np.intp)
+        gi = np.array([idx[inv[g]] for g in self._ids], dtype=np.intp)
+        _raise_first(InvalidGroupoid, self._ids, [
+            (self._compose_ix(ids, unit[s]) != ids, "right identity fails at {!r}"),
+            (self._compose_ix(unit[t], ids) != ids, "left identity fails at {!r}"),
+            (
+                self._compose_ix(gi, ids) != unit[s],
+                "inverse law fails at {!r}: inv(g) . g != 1_src",
+            ),
+            (
+                self._compose_ix(ids, gi) != unit[t],
+                "inverse law fails at {!r}: g . inv(g) != 1_tgt",
+            ),
+        ])
 
-        by_src = self._by_src
-        for b, ab in by_id.items():
-            lefts = by_src[ab.tgt]
-            for c in self._by_tgt[ab.src]:
-                bc = comp[(b, c)]
-                for a in lefts:
-                    if comp[(comp[(a, b)], c)] != comp[(a, bc)]:
-                        raise InvalidGroupoid(
-                            f"associativity fails on triple ({a!r}, {b!r}, {c!r})"
-                        )
+        # (ab)c == a(bc), one block per arrow b: a runs over the source fiber
+        # of y = tgt(b) and c over the target fiber of z = src(b).  In y's
+        # block the products ab are column rank(b); in z's block the
+        # products bc are row rank(b).
+        srank, trank = self._srank, self._trank
+        blocks = [
+            table[self._offset[y]:self._offset[y + 1]].reshape(-1, self._into[y].size)
+            for y in range(len(self.units))
+        ]
+        for b in range(n):
+            Ty, Tz = blocks[t[b]], blocks[s[b]]
+            bad = Tz[srank[Ty[:, trank[b]]]] != Ty[:, trank[Tz[srank[b]]]]
+            if bad.any():
+                ci, ai = np.argwhere(bad.T)[0]
+                a, c = self._out[t[b]][ai], self._into[s[b]][ci]
+                raise InvalidGroupoid(
+                    f"associativity fails on triple"
+                    f" ({self._ids[a]!r}, {self._ids[b]!r}, {self._ids[c]!r})"
+                )
+
+    def _compose_ix(self, h, g):
+        """Composite indices of composable arrow index arrays ``h`` after ``g``."""
+        return self._table[self._base[h] + self._trank[g]]
+
+
+def _raise_first(error, names, checks):
+    """Raise ``error`` at the first index failing any ``(mask, message)`` check.
+
+    The message is that of the first check the index fails, formatted with
+    its name.
+    """
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise error(next(msg for mask, msg in checks if mask[i]).format(names[i]))
 
 
 def check_axioms(G: FiniteMeasuredGroupoid) -> bool:
@@ -337,36 +412,39 @@ class FiniteGroup:
     inverses: dict
 
 
-def _validate_group(group: FiniteGroup):
+def _validate_group(group: FiniteGroup) -> np.ndarray:
+    """Check the group axioms; return the multiplication table on element indices."""
     elems = group.elements
     eset = set(elems)
     if len(eset) != len(elems):
         raise InvalidAction("duplicate group elements")
     if group.identity not in eset:
         raise InvalidAction("group identity is not an element")
-    for a in elems:
-        for b in elems:
-            if group.mult.get((a, b)) not in eset:
-                raise InvalidAction(f"multiplication table incomplete at ({a!r}, {b!r})")
-    for a in elems:
-        if group.mult[(group.identity, a)] != a or group.mult[(a, group.identity)] != a:
-            raise InvalidAction(f"identity law fails at {a!r}")
-        ai = group.inverses.get(a)
-        if ai not in eset:
-            raise InvalidAction(f"missing inverse for {a!r}")
-        if (
-            group.mult[(a, ai)] != group.identity
-            or group.mult[(ai, a)] != group.identity
-        ):
-            raise InvalidAction(f"inverse law fails at {a!r}")
-    for a in elems:
-        for b in elems:
-            ab = group.mult[(a, b)]
-            for c in elems:
-                if group.mult[(ab, c)] != group.mult[(a, group.mult[(b, c)])]:
-                    raise InvalidAction(
-                        f"associativity fails on triple ({a!r}, {b!r}, {c!r})"
-                    )
+    n = len(elems)
+    eidx = {a: i for i, a in enumerate(elems)}
+    mult = np.fromiter(
+        (eidx.get(group.mult.get((a, b)), -1) for a in elems for b in elems), np.intp, n * n
+    ).reshape(n, n)
+    if (mult < 0).any():
+        a, b = np.argwhere(mult < 0)[0]
+        raise InvalidAction(f"multiplication table incomplete at ({elems[a]!r}, {elems[b]!r})")
+    e = eidx[group.identity]
+    r = np.arange(n)
+    inv = np.fromiter((eidx.get(group.inverses.get(a), -1) for a in elems), np.intp, n)
+    _raise_first(InvalidAction, elems, [
+        ((mult[e] != r) | (mult[:, e] != r), "identity law fails at {!r}"),
+        (inv < 0, "missing inverse for {!r}"),
+        ((mult[r, inv] != e) | (mult[inv, r] != e), "inverse law fails at {!r}"),
+    ])
+    # (ab)c == a(bc), one row a at a time: entry [b, c] of each side.
+    for a in range(n):
+        bad = mult[mult[a]] != mult[a][mult]
+        if bad.any():
+            b, c = np.argwhere(bad)[0]
+            raise InvalidAction(
+                f"associativity fails on triple ({elems[a]!r}, {elems[b]!r}, {elems[c]!r})"
+            )
+    return mult
 
 
 @dataclass(frozen=True)
@@ -385,28 +463,33 @@ def build_action_groupoid(spec: ActionGroupoidSpec) -> FiniteMeasuredGroupoid:
     Composition follows (delta, gamma . x) after (gamma, x) =
     (delta gamma, x); arrow ids are rendered as ``"gamma@x"``.
     """
-    _validate_group(spec.group)
+    mult = _validate_group(spec.group)
     group = spec.group
     units = tuple(spec.units)
     if any("@" in str(s) for s in list(group.elements) + list(units)):
         raise InvalidAction("element and unit names must not contain '@'")
     act = spec.action
-    uset = set(units)
-    for g in group.elements:
-        for x in units:
-            if act.get((g, x)) not in uset:
-                raise InvalidAction(f"action incomplete at ({g!r}, {x!r})")
+    elems = group.elements
+    uidx = {x: i for i, x in enumerate(units)}
+    table = np.fromiter(
+        (uidx.get(act.get((g, x)), -1) for g in elems for x in units),
+        np.intp,
+        len(elems) * len(units),
+    ).reshape(len(elems), len(units))
+    if (table < 0).any():
+        g, x = np.argwhere(table < 0)[0]
+        raise InvalidAction(f"action incomplete at ({elems[g]!r}, {units[x]!r})")
     for x in units:
         if act[(group.identity, x)] != x:
             raise InvalidAction(f"identity does not fix unit {x!r}")
-    for a in group.elements:
-        for b in group.elements:
-            ab = group.mult[(a, b)]
-            for x in units:
-                if act[(ab, x)] != act[(a, act[(b, x)])]:
-                    raise InvalidAction(
-                        f"action is not compatible on ({a!r}, {b!r}, {x!r})"
-                    )
+    # (ab).x == a.(b.x), one row a at a time: entry [b, x] of each side.
+    for a in range(len(elems)):
+        bad = table[mult[a]] != table[a][table]
+        if bad.any():
+            b, x = np.argwhere(bad)[0]
+            raise InvalidAction(
+                f"action is not compatible on ({elems[a]!r}, {elems[b]!r}, {units[x]!r})"
+            )
 
     def aid(g, x):
         return f"{g}@{x}"

@@ -98,16 +98,14 @@ def uniform_bound(G: FiniteMeasuredGroupoid, rho: dict) -> float:
 
 
 def _stacked(G: FiniteMeasuredGroupoid, dim: int, rho: dict):
-    """Canonically ordered arrow list, index map, and stacked matrices."""
-    ids = sorted(G._by_id)
-    idx = {g: i for i, g in enumerate(ids)}
-    mats = np.stack([as_square_matrix(rho[g], f"rho[{g}]") for g in ids])
+    """The arrow matrices stacked in the groupoid's arrow index order."""
+    mats = np.stack([as_square_matrix(rho[g], f"rho[{g}]") for g in G._ids])
     if mats.shape[1] != dim:
         raise DimensionMismatch(
             f"representation matrices are {mats.shape[1]}x{mats.shape[2]},"
             f" expected dimension {dim}"
         )
-    return ids, idx, mats
+    return mats
 
 
 def check_representation(rep: Representation, tol: float = REP_TOL):
@@ -118,24 +116,17 @@ def check_representation(rep: Representation, tol: float = REP_TOL):
     ``residual = l2_norm(rho(hg) - rho(h) rho(g))``, worst first.
     """
     G = rep.groupoid
-    ids, idx, mats = _stacked(G, rep.dim, rep.rho)
-    pos = set(G.positive_units)
-    pairs = [
-        (h, g, c)
-        for (h, g), c in G.composition.items()
-        if G.src(g) in pos and G.tgt(g) in pos and G.tgt(h) in pos
-    ]
-    if not pairs:
+    mats = _stacked(G, rep.dim, rep.rho)
+    ih, ig, ic = G._pairs
+    pos = G.mu > 0.0
+    keep = pos[G._arrow_src[ig]] & pos[G._arrow_tgt[ig]] & pos[G._arrow_tgt[ih]]
+    ih, ig, ic = ih[keep], ig[keep], ic[keep]
+    if not ih.size:
         return []
-    ih = np.array([idx[h] for h, _, _ in pairs])
-    ig = np.array([idx[g] for _, g, _ in pairs])
-    ic = np.array([idx[c] for _, _, c in pairs])
     resid = mats[ih] @ mats[ig] - mats[ic]
     norms = np.sqrt(np.sum(np.abs(resid) ** 2, axis=(1, 2)) / rep.dim)
-    out = [
-        ((pairs[i][0], pairs[i][1]), float(norms[i]))
-        for i in np.flatnonzero(norms > tol)
-    ]
+    ids = G._ids
+    out = [((ids[ih[i]], ids[ig[i]]), float(norms[i])) for i in np.flatnonzero(norms > tol)]
     out.sort(key=lambda item: (-item[1], item[0]))
     return out
 
@@ -154,8 +145,7 @@ def make_representation(
     extra = [g for g in rho if g not in G._by_id]
     if extra:
         raise InvalidRepresentation(f"matrices for unknown arrows {sorted(extra)[:5]}")
-    ids, idx, mats = _stacked(G, dim, rho)
-    table = {g: mats[idx[g]] for g in ids}
+    table = dict(zip(G._ids, _stacked(G, dim, rho)))
 
     eye = np.eye(dim)
     for x in G.positive_units:
@@ -351,12 +341,16 @@ def unitarize(
 
 
 def _same_groupoid(A: FiniteMeasuredGroupoid, B: FiniteMeasuredGroupoid) -> bool:
+    # Equal units, ids and endpoints lay out the composite tables alike, and
+    # a groupoid's composition determines its inverses.
+    if A is B:
+        return True
     return (
         A.units == B.units
-        and set(A._by_id) == set(B._by_id)
-        and all(A.src(g) == B.src(g) and A.tgt(g) == B.tgt(g) for g in A._by_id)
-        and A.composition == B.composition
-        and A.inverse == B.inverse
+        and A._ids == B._ids
+        and np.array_equal(A._arrow_src, B._arrow_src)
+        and np.array_equal(A._arrow_tgt, B._arrow_tgt)
+        and np.array_equal(A._table, B._table)
     )
 
 

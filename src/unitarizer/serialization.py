@@ -222,7 +222,9 @@ def groupoid_from_json(obj, where: str = "groupoid") -> FiniteMeasuredGroupoid:
             and all(isinstance(s, str) for s in triple),
             f"{where}.composition[{k}]: expected [h, g, hg] strings",
         )
-        comp[(triple[0], triple[1])] = triple[2]
+        pair = (triple[0], triple[1])
+        _require(pair not in comp, f"{where}.composition[{k}]: duplicate entry for pair {pair!r}")
+        comp[pair] = triple[2]
     return FiniteMeasuredGroupoid(
         units=tuple(units),
         mu=tuple(mu),

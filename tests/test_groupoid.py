@@ -14,6 +14,7 @@ from unitarizer.errors import (
 from unitarizer.groupoid import (
     ActionGroupoidSpec,
     Arrow,
+    FiniteGroup,
     FiniteMeasuredGroupoid,
     build_action_groupoid,
     check_axioms,
@@ -31,6 +32,7 @@ from unitarizer.groupoid import (
     trivial_action,
     uniform_mu,
 )
+from unitarizer.serialization import groupoid_from_json, groupoid_to_json
 
 SWAP = {
     ("r0", "a"): "a",
@@ -236,3 +238,81 @@ def test_cyclic_shift_action_copies():
 def test_uniform_mu():
     assert uniform_mu(4) == (0.25, 0.25, 0.25, 0.25)
     assert math.fsum(uniform_mu(7)) == pytest.approx(1.0, abs=0)
+
+
+def _with_composition(G, composition):
+    return FiniteMeasuredGroupoid(
+        G.units, G.mu, G.arrows, G.inverse, composition, G.unit_arrows
+    )
+
+
+def test_every_corrupted_composition_entry_is_rejected():
+    G = build_action_groupoid(natural_permutation_action(3))
+    assert len(G.composition) == 108
+    for (h, g), c in G.composition.items():
+        # S3 has exactly two permutations sending a given point to a given point
+        (other,) = [
+            a.id for a in G.arrows
+            if a.id != c and (a.src, a.tgt) == (G.src(c), G.tgt(c))
+        ]
+        comp = dict(G.composition)
+        comp[(h, g)] = other
+        with pytest.raises(InvalidGroupoid):
+            _with_composition(G, comp)
+
+
+def test_every_corrupted_group_table_cell_is_rejected():
+    group = symmetric_group(3)
+    for cell, ab in group.mult.items():
+        for other in group.elements:
+            if other == ab:
+                continue
+            mult = dict(group.mult)
+            mult[cell] = other
+            bad = FiniteGroup(group.elements, mult, group.identity, group.inverses)
+            # a trivial action is compatible with any table, so only the
+            # group check can reject it
+            with pytest.raises(InvalidAction):
+                build_action_groupoid(trivial_action(bad, ("x",), (1.0,)))
+
+
+def test_s5_natural_action_at_benchmark_scale():
+    G = build_action_groupoid(natural_permutation_action(5))
+    assert len(G.arrows) == 600
+    assert len(G.composition) == 72_000
+    assert check_axioms(G)
+    G2 = groupoid_from_json(groupoid_to_json(G))
+    assert G2.composition == G.composition
+    assert G2.inverse == G.inverse
+    assert G2.unit_arrows == G.unit_arrows
+
+    # Corrupt (h, z) for the last arrow z in id order; h is neither a unit
+    # nor inverse to z, so only associativity can catch it.
+    z = max(G.inverse)
+    h = next(
+        a for a in G.source_fiber(G.tgt(z))
+        if a not in G.unit_arrows.values() and a != G.inv(z)
+    )
+    right = G.compose(h, z)
+    wrong = next(
+        a.id for a in G.arrows
+        if a.id != right and (a.src, a.tgt) == (G.src(right), G.tgt(right))
+    )
+    comp = dict(G.composition)
+    comp[(h, z)] = wrong
+
+    # Only triples that use the entry can fail.  The validator names the
+    # first failing one, ordered by b, then c, then a, each by id.
+    def fails(a, b, c):
+        return comp[(comp[(a, b)], c)] != comp[(a, comp[(b, c)])]
+
+    touching = (
+        [(h, z, c) for c in G.target_fiber(G.src(z))]
+        + [(a, h, z) for a in G.source_fiber(G.tgt(h))]
+        + [(h, b, G.compose(G.inv(b), z)) for b in G.target_fiber(G.src(h))]
+        + [(G.compose(h, G.inv(b)), b, z) for b in G.source_fiber(G.src(h))]
+    )
+    a, b, c = min((t for t in touching if fails(*t)), key=lambda t: (t[1], t[2], t[0]))
+    with pytest.raises(InvalidGroupoid) as exc:
+        _with_composition(G, comp)
+    assert str(exc.value) == f"associativity fails on triple ({a!r}, {b!r}, {c!r})"

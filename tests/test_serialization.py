@@ -8,6 +8,7 @@ from unitarizer.groupoid import (
     ActionGroupoidSpec,
     build_action_groupoid,
     cyclic_group,
+    left_translation_action,
     natural_permutation_action,
     symmetric_group,
 )
@@ -107,6 +108,20 @@ def test_loader_rejects_axiom_violation_with_triple_in_message():
     with pytest.raises(InvalidGroupoid) as exc:
         groupoid_from_json(broken)
     assert "r1@" in str(exc.value)
+
+
+@pytest.mark.parametrize("conflicting", [True, False])
+def test_loader_rejects_duplicate_composition_entries(conflicting):
+    obj = groupoid_to_json(build_action_groupoid(left_translation_action(cyclic_group(2))))
+    assert len(obj["composition"]) == 8
+    h, g, c = obj["composition"][3]
+    wrong = next(a["id"] for a in obj["arrows"] if a["id"] != c)
+    # the extra entry comes first, so a last-one-wins parse would keep the correct one
+    obj["composition"].insert(3, [h, g, wrong if conflicting else c])
+    with pytest.raises(ParseError) as exc:
+        groupoid_from_json(obj)
+    assert "duplicate" in str(exc.value)
+    assert repr((h, g)) in str(exc.value)
 
 
 def test_loader_rejects_unknown_kind():
