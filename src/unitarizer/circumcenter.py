@@ -3,14 +3,17 @@
 ``solve`` approximates the minimizer of max_i d(x, b_i) (the center of the
 minimal enclosing ball) and returns a computable error certificate.  The
 certificate combines the semi-parallelogram law of nonpositive curvature
-with the pairwise lower bound r >= max_ij d(b_i, b_j) / 2:
+with a lower bound r_lb on the circumradius r*:
 
     d(candidate, center)**2 <= 2 * (radius_at(candidate)**2 - r_lb**2)
 
-The lower bound is not tight for generic sets of three or more points, so
-the certificate can stall at a positive value even when the iterate has
-converged; the result then reports ``converged = False`` with the stalled
-bound, which stays sound.
+r_lb is the chart dual at the candidate x.  With W_i = log(x**-1/2 b_i
+x**-1/2), every simplex weight lam gives r*^2 >= sum_i lam_i ||W_i||**2 -
+||sum_i lam_i W_i||**2, because the exponential map is metric-increasing
+in nonpositive curvature (Bhatia, *Positive Definite Matrices*, 2007,
+ch. 6).  ``_meb`` returns this dual at its optimal weights, so the bound
+costs one chart and one subsolve, and it is tight at the circumcenter.
+The pairwise bound ``radius_lower_bound`` is kept as an oracle.
 
 The iteration is a tangent-space fixed point started at the first point:
 pull the points to the chart at the current iterate, take the Euclidean
@@ -19,10 +22,7 @@ exponential, damped by an Armijo line search on the squared radius.  A
 fixed point of that map satisfies the first-order condition of the
 minimax problem exactly, and geodesic convexity makes it the global
 circumcenter.  Every accepted step lowers the radius, so the last iterate
-is the one certified.  Farthest-point geodesic steps (the Riemannian
-1-center iteration of Arnaudon & Nielsen, Comput. Geom. 2013) converge far
-too slowly for the center accuracies the unitarization pipeline needs,
-and ahead of the exact chart step they only add iterations.
+is the one certified.
 
 The chart ball is solved exactly by ``_meb``, the pivoting walk of
 Fischer, Gaertner & Kutz (ESA 2003), which handles the affinely dependent
@@ -62,7 +62,6 @@ _ARMIJO_SIGMA = 0.1
 _MAX_BACKTRACK = 45
 _STALL_RTOL = 1e-13
 _STALL_STEPS = 2
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def radius_at(theta: SpdMatrix, pset: PointSet):
 
 
 def radius_lower_bound(pset: PointSet) -> float:
-    """Half the diameter: max pairwise distance / 2 <= true circumradius."""
+    """Half the diameter, max pairwise distance / 2 <= r*: an O(m**2) oracle."""
     pts = pset.points
     best = 0.0
     for i in range(len(pts)):
@@ -140,54 +139,53 @@ def radius_lower_bound(pset: PointSet) -> float:
     return 0.5 * best
 
 
-def _error_bound(radius_sq: float, lb_sq: float) -> float:
-    return math.sqrt(2.0 * max(0.0, radius_sq - lb_sq))
+def _dual_gap(r2: float, lam: np.ndarray, X: np.ndarray) -> float:
+    """r2 - r_lb**2 for the chart dual r_lb**2 = lam @ |X|**2 - |v|**2, v = lam @ X.
+
+    Formed as (r2 - lam @ |X|**2) + |v|**2.  The first part is nonnegative
+    in exact arithmetic (r2 is the largest squared distance), so roundoff
+    below zero is clamped; the second keeps its relative accuracy, so a
+    candidate displaced by delta keeps a gap of about delta**2 << ulp * r2.
+    """
+    v = lam @ X
+    return max(r2 - float(lam @ np.einsum("ij,ij->i", X, X)), 0.0) + float(v @ v)
+
+
+def _certificate(x: SpdMatrix, pset: PointSet):
+    """Radius at ``x``, the lower bound and the error bound, as in ``certify``."""
+    r = radius_at(x, pset)[0]
+    X = _tangent(_chart(x, np.stack([p.mat for p in pset.points]))[1])
+    gap = _dual_gap(r * r, _meb(X)[0], X)
+    return r, math.sqrt(max(r * r - gap, 0.0)), math.sqrt(2.0 * gap)
 
 
 def certify(candidate: SpdMatrix, pset: PointSet):
     """Certificate for an arbitrary candidate center.
 
-    Returns ``(error_bound, radius_gap)`` with
-    ``error_bound = sqrt(2 * max(0, radius_at(candidate)**2 - r_lb**2))``;
-    the true circumcenter lies within ``error_bound`` of the candidate.
+    Returns ``(error_bound, radius_gap)`` with ``radius_gap =
+    radius_at(candidate)**2 - r_lb**2`` and ``error_bound = sqrt(2 *
+    radius_gap)``; the true circumcenter lies within ``error_bound`` of
+    the candidate.  r_lb is the chart dual at the candidate: the radius of
+    the Euclidean minimal enclosing ball of the logs
+    log(candidate**-1/2 b candidate**-1/2), formed as in ``_dual_gap`` and
+    at most the radius (lowering a lower bound keeps it sound).
     """
-    r, _ = radius_at(candidate, pset)
-    lb = radius_lower_bound(pset)
-    gap = r * r - lb * lb
-    return _error_bound(r * r, lb * lb), gap
+    r, lb, bound = _certificate(candidate, pset)
+    return bound, r * r - lb * lb
 
 
 def certified_result(
-    center: SpdMatrix,
-    pset: PointSet,
-    eps: float,
-    iterations: int,
-    radius: float | None = None,
-    lower: float | None = None,
+    center: SpdMatrix, pset: PointSet, eps: float, iterations: int
 ) -> CircumcenterResult:
-    """Certify ``center`` against ``pset`` and wrap it as a result.
+    """Certify ``center`` against ``pset`` as :func:`certify` does.
 
-    ``radius`` and ``lower`` default to ``radius_at(center, pset)`` and
-    ``radius_lower_bound(pset)``; callers that already hold them pass them
-    in.  Raises :class:`NumericalEscape` when the center lies outside the
-    set's ball; ``converged`` is True exactly when the bound is at most
-    ``eps``.
+    Raises :class:`NumericalEscape` when the center lies outside the set's
+    ball; ``converged`` is True exactly when the bound is at most ``eps``.
     """
     if not in_ball(center, pset.ball, _ITERATE_SLACK):
         raise NumericalEscape(f"center escaped GL_c with c = {pset.ball.c:g}")
-    if radius is None:
-        radius = radius_at(center, pset)[0]
-    if lower is None:
-        lower = radius_lower_bound(pset)
-    bound = _error_bound(radius * radius, lower * lower)
-    return CircumcenterResult(
-        center=center,
-        radius_at_center=radius,
-        radius_lower_bound=lower,
-        center_error_bound=bound,
-        iterations=iterations,
-        converged=bound <= eps,
-    )
+    radius, lower, bound = _certificate(center, pset)
+    return CircumcenterResult(center, radius, lower, bound, iterations, bound <= eps)
 
 
 def _sym(stack: np.ndarray) -> np.ndarray:
@@ -318,6 +316,12 @@ def _chart(x: SpdMatrix, P: np.ndarray):
     return M, W, q, sq, isq
 
 
+def _tangent(W: np.ndarray) -> np.ndarray:
+    """Chart logs as real rows, over sqrt(n), so ``X @ X.T`` is Re tau(W_i* W_j)."""
+    n = W.shape[-1]
+    return np.concatenate([W.real, W.imag], axis=1).reshape(len(W), -1) / math.sqrt(n)
+
+
 def _max_sq_dist(E_half: np.ndarray, M: np.ndarray) -> float:
     """max_i d(exp(v), M_i)**2 for E_half = exp(-v/2), one batched eigh."""
     lam = np.linalg.eigvalsh(_sym(E_half @ M @ E_half))
@@ -345,7 +349,8 @@ def solve(
         are exhausted.
     trace : list, optional
         When given, one ``(iteration, radius_at_iterate, error_bound)``
-        row is appended per iteration.
+        row is appended per iteration, with the bound taken from the
+        chart radius and the chart dual of that iteration.
 
     Notes
     -----
@@ -367,8 +372,6 @@ def solve(
 
     n = pts[0].dim
     P = np.stack([p.mat for p in pts])
-    lb = radius_lower_bound(pset)
-    lb_sq = lb * lb
     hi = pset.ball.c * (1.0 + _ITERATE_SLACK)
 
     x = pts[0]
@@ -380,14 +383,13 @@ def solve(
         M, W, q, sq, isq = _chart(x, P)
         r2 = float(q.max())
         r_k = math.sqrt(r2)
+        # Tangent minimal-enclosing-ball direction; r2_tan is the chart dual.
+        X = _tangent(W)
+        lam, r2_tan = _meb(X)
         if trace is not None:
-            trace.append((k, r_k, _error_bound(r2, lb_sq)))
-        if r_k <= eps / _SQRT2:
+            trace.append((k, r_k, math.sqrt(2.0 * _dual_gap(r2, lam, X))))
+        if r_k <= eps / math.sqrt(2.0):
             break  # whole set within eps of the iterate; nothing to gain
-
-        # Tangent minimal-enclosing-ball direction.
-        X = np.concatenate([W.real, W.imag], axis=1).reshape(len(pts), -1)
-        lam, r2_tan = _meb(X / math.sqrt(n))
         v = _sym(np.einsum("a,aij->ij", lam, W))
         vnorm = float(np.sqrt(np.sum(np.abs(v) ** 2) / n))
         if vnorm <= _STALL_RTOL * (1.0 + r_k):
@@ -438,4 +440,4 @@ def solve(
             stall = 0
 
     # Every accepted step lowers the radius, so the last iterate is the best.
-    return certified_result(x, pset, eps, iterations, lower=lb)
+    return certified_result(x, pset, eps, iterations)

@@ -242,8 +242,11 @@ class FiniteMeasuredGroupoid:
         n = len(self._ids)
         ids = np.arange(n)
         s, t = self._arrow_src, self._arrow_tgt
-        unit = np.array([idx[self.unit_arrows[x]] for x in self.units], dtype=np.intp)
-        gi = np.array([idx[inv[g]] for g in self._ids], dtype=np.intp)
+        # Per unit, the index of its identity arrow; per arrow, of its inverse.
+        self._unit = unit = np.array(
+            [idx[self.unit_arrows[x]] for x in self.units], dtype=np.intp
+        )
+        self._inv = gi = np.array([idx[inv[g]] for g in self._ids], dtype=np.intp)
         _raise_first(InvalidGroupoid, self._ids, [
             (self._compose_ix(ids, unit[s]) != ids, "right identity fails at {!r}"),
             (self._compose_ix(unit[t], ids) != ids, "left identity fails at {!r}"),
@@ -301,11 +304,6 @@ def check_axioms(G: FiniteMeasuredGroupoid) -> bool:
 
 
 # -- measures ------------------------------------------------------------
-
-
-def arrow_measure(G: FiniteMeasuredGroupoid) -> dict:
-    """The measure nu(g) = mu(tgt(g)) on arrows, as a dict."""
-    return {a.id: G.unit_weight(a.tgt) for a in G.arrows}
 
 
 def nu_of(G: FiniteMeasuredGroupoid, arrow_ids) -> float:

@@ -35,6 +35,7 @@ from .errors import (
     InvalidBaseRep,
     InvalidRepresentation,
     MissingArrow,
+    NotPositiveDefinite,
     NotUniformlyBounded,
     ParameterOutOfRange,
     SingularTransform,
@@ -44,10 +45,8 @@ from .geometry import congruence
 from .groupoid import ActionGroupoidSpec, FiniteMeasuredGroupoid, build_action_groupoid
 from .linalg import (
     PD_FLOOR,
-    SpdMatrix,
     as_square_matrix,
     l2_norm,
-    operator_norm,
     spd,
     spectral_calculus,
 )
@@ -70,17 +69,27 @@ class Representation:
     rho: dict
     uniform_bound_C: float
 
-    def arrow_matrix(self, g: str) -> np.ndarray:
-        try:
-            return self.rho[g]
-        except KeyError:
-            raise MissingArrow(f"no matrix for arrow {g!r}") from None
+
+def _positive_ix(G: FiniteMeasuredGroupoid) -> np.ndarray:
+    """Indices, in id order, of the arrows between positive-mass units."""
+    pos = G.mu > 0.0
+    return np.flatnonzero(pos[G._arrow_src] & pos[G._arrow_tgt])
 
 
-def _positive_arrows(G: FiniteMeasuredGroupoid):
-    """Arrows whose source and target both carry positive mass, sorted."""
-    pos = set(G.positive_units)
-    return [a for a in sorted(G._by_id) if G.src(a) in pos and G.tgt(a) in pos]
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Normalized L2 norm of every matrix of a stack."""
+    return np.sqrt(np.sum(np.abs(stack) ** 2, axis=(-2, -1)) / stack.shape[-1])
+
+
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(stack, -1, -2))
+
+
+def _finite_bound(sv_max: np.ndarray) -> float:
+    C = float(np.max(sv_max))
+    if not np.isfinite(C):
+        raise NotUniformlyBounded("representation has no finite uniform bound")
+    return C
 
 
 def uniform_bound(G: FiniteMeasuredGroupoid, rho: dict) -> float:
@@ -89,12 +98,8 @@ def uniform_bound(G: FiniteMeasuredGroupoid, rho: dict) -> float:
     Because inverses are arrows too, this simultaneously bounds all
     inverse matrices of a valid representation.
     """
-    C = 0.0
-    for g in _positive_arrows(G):
-        C = max(C, operator_norm(rho[g]))
-    if not np.isfinite(C):
-        raise NotUniformlyBounded("representation has no finite uniform bound")
-    return C
+    mats = np.stack([as_square_matrix(rho[G._ids[i]]) for i in _positive_ix(G)])
+    return _finite_bound(np.linalg.svd(mats, compute_uv=False)[:, 0])
 
 
 def _stacked(G: FiniteMeasuredGroupoid, dim: int, rho: dict):
@@ -115,16 +120,15 @@ def check_representation(rep: Representation, tol: float = REP_TOL):
     list of ``((left, right), residual)`` with
     ``residual = l2_norm(rho(hg) - rho(h) rho(g))``, worst first.
     """
-    G = rep.groupoid
-    mats = _stacked(G, rep.dim, rep.rho)
+    return _bad_pairs(rep.groupoid, _stacked(rep.groupoid, rep.dim, rep.rho), tol)
+
+
+def _bad_pairs(G: FiniteMeasuredGroupoid, mats: np.ndarray, tol: float):
     ih, ig, ic = G._pairs
     pos = G.mu > 0.0
     keep = pos[G._arrow_src[ig]] & pos[G._arrow_tgt[ig]] & pos[G._arrow_tgt[ih]]
     ih, ig, ic = ih[keep], ig[keep], ic[keep]
-    if not ih.size:
-        return []
-    resid = mats[ih] @ mats[ig] - mats[ic]
-    norms = np.sqrt(np.sum(np.abs(resid) ** 2, axis=(1, 2)) / rep.dim)
+    norms = _norms(mats[ih] @ mats[ig] - mats[ic])
     ids = G._ids
     out = [((ids[ih[i]], ids[ig[i]]), float(norms[i])) for i in np.flatnonzero(norms > tol)]
     out.sort(key=lambda item: (-item[1], item[0]))
@@ -145,37 +149,44 @@ def make_representation(
     extra = [g for g in rho if g not in G._by_id]
     if extra:
         raise InvalidRepresentation(f"matrices for unknown arrows {sorted(extra)[:5]}")
-    table = dict(zip(G._ids, _stacked(G, dim, rho)))
+    ids = G._ids
+    mats = _stacked(G, dim, rho)
 
+    # Identity arrows in unit order, then per positive arrow in id order
+    # the singular check before the inverse check, then functoriality.
     eye = np.eye(dim)
-    for x in G.positive_units:
-        e = G.unit_arrows[x]
-        r = l2_norm(table[e] - eye)
-        if r > tol:
-            raise InvalidRepresentation(
-                f"identity arrow {e!r} has residual {r:.3e} above {tol:g}"
-            )
-    for g in _positive_arrows(G):
-        gm = table[g]
-        sv = np.linalg.svd(gm, compute_uv=False)
-        if sv[-1] <= PD_FLOOR * sv[0]:
+    e = G._unit[G.mu > 0.0]
+    r = _norms(mats[e] - eye)
+    bad = np.flatnonzero(r > tol)
+    if bad.size:
+        i = bad[0]
+        raise InvalidRepresentation(
+            f"identity arrow {ids[e[i]]!r} has residual {r[i]:.3e} above {tol:g}"
+        )
+    ix = _positive_ix(G)
+    A, Ai = mats[ix], mats[G._inv[ix]]
+    sv = np.linalg.svd(A, compute_uv=False)
+    singular = sv[:, -1] <= PD_FLOOR * sv[:, 0]
+    r = _norms(Ai @ A - eye)
+    deviates = r > tol * (1.0 + _norms(Ai) * _norms(A))
+    bad = np.flatnonzero(singular | deviates)
+    if bad.size:
+        k = bad[0]
+        g = ids[ix[k]]
+        if singular[k]:
             raise InvalidRepresentation(f"matrix for arrow {g!r} is singular")
-        gi = G.inv(g)
-        r = l2_norm(table[gi] @ gm - eye)
-        if r > tol * (1.0 + l2_norm(table[gi]) * l2_norm(gm)):
-            raise InvalidRepresentation(
-                f"inverse arrow {gi!r} deviates from rho({g!r})**-1 by {r:.3e}"
-            )
+        raise InvalidRepresentation(
+            f"inverse arrow {ids[G._inv[ix[k]]]!r} deviates from"
+            f" rho({g!r})**-1 by {r[k]:.3e}"
+        )
 
-    rep = Representation(G, dim, table, 0.0)
-    bad = check_representation(rep, tol)
+    bad = _bad_pairs(G, mats, tol)
     if bad:
         (h, g), r = bad[0]
         raise InvalidRepresentation(
             f"functoriality fails on pair ({h!r}, {g!r}) with residual {r:.3e}"
         )
-    C = uniform_bound(G, table)
-    return Representation(G, dim, table, C)
+    return Representation(G, dim, dict(zip(ids, mats)), _finite_bound(sv[:, 0]))
 
 
 def gram_set(rep: Representation, x: str) -> PointSet:
@@ -190,19 +201,18 @@ def gram_set(rep: Representation, x: str) -> PointSet:
     G = rep.groupoid
     if G.unit_weight(x) <= 0.0:
         raise UnknownUnit(f"unit {x!r} carries no mass")
-    pts = []
-    kept_raw = []
-    for g in G.source_fiber(x):
-        if G.unit_weight(G.tgt(g)) <= 0.0:
-            continue
-        m = rep.rho[g]
-        b = m.conj().T @ m
-        if any(
-            l2_norm(b - prev) <= DEDUP_TOL * (1.0 + l2_norm(prev)) for prev in kept_raw
-        ):
-            continue
-        kept_raw.append(b)
-        pts.append(spd(b, f"gram[{g}]"))
+    ids = [g for g in G.source_fiber(x) if G.unit_weight(G.tgt(g)) > 0.0]
+    R = np.stack([rep.rho[g] for g in ids])
+    B = _adjoint(R) @ R
+    # Normalized L2 distances by direct differences (the Gram-matrix trick
+    # cannot resolve DEDUP_TOL).
+    flat = B.reshape(len(ids), -1) / np.sqrt(rep.dim)
+    dist = np.linalg.norm(flat[:, None] - flat, axis=2)
+    near = dist <= DEDUP_TOL * (1.0 + np.linalg.norm(flat, axis=1))[:, None]
+    keep = np.ones(len(ids), dtype=bool)
+    for j in np.flatnonzero(np.triu(near, 1).any(axis=0)):
+        keep[j] = not (near[:j, j] & keep[:j]).any()
+    pts = [spd(B[j], f"gram[{ids[j]}]") for j in np.flatnonzero(keep)]
     C = rep.uniform_bound_C
     spread = max(max(p.eig_max, 1.0 / p.eig_min) for p in pts)
     return point_set(pts, c=max(C * C, spread) * (1.0 + 1e-9))
@@ -289,53 +299,45 @@ def unitarize(
     if trace is not None:
         trace.update((x, rows[x]) for x in units)
 
-    sigma: dict[str, SpdMatrix] = {}
-    psi: dict[str, np.ndarray] = {}
-    psi_inv: dict[str, np.ndarray] = {}
-    eye = np.eye(rep.dim, dtype=np.complex128)
-    for x in G.units:
-        if x in results:
-            center = results[x].center
-            _, psi[x], psi_inv[x] = spectral_calculus(
-                center.mat, np.sqrt, lambda w: 1.0 / np.sqrt(w), floor=0.0,
-                name=f"sigma[{x}]",
-            )
-            sigma[x] = center
-        else:  # null-mass unit: conjugate by the identity
-            psi[x] = eye
-            psi_inv[x] = eye
+    # psi = sigma**1/2 and its inverse per unit, the identity at null-mass
+    # units; every arrow is conjugated in one stacked product.
+    ids, n = G._ids, rep.dim
+    s, t = G._arrow_src, G._arrow_tgt
+    sigma = {x: results[x].center for x in units}
+    S = np.tile(np.eye(n, dtype=np.complex128), (len(G.units), 1, 1))
+    Psi, Psi_inv = S.copy(), S.copy()
+    pos = np.flatnonzero(G.mu > 0.0)
+    S[pos] = [sigma[x].mat for x in units]
+    try:
+        _, Psi[pos], Psi_inv[pos] = spectral_calculus(
+            S[pos], np.sqrt, lambda w: 1.0 / np.sqrt(w), floor=0.0, name="sigma"
+        )
+    except NotPositiveDefinite:
+        for i, x in zip(pos, units):  # re-raise naming the first failing unit
+            spectral_calculus(S[i], floor=0.0, name=f"sigma[{x}]")
+        raise
+    R = _stacked(G, n, rep.rho)
+    U = Psi[t] @ R @ Psi_inv[s]
+    unitary = make_representation(G, n, dict(zip(ids, U)))
 
-    u = {}
-    for a in G.arrows:
-        u[a.id] = psi[a.tgt] @ rep.rho[a.id] @ psi_inv[a.src]
-    unitary = make_representation(G, rep.dim, u)
-
-    per_arrow = {}
-    max_unit = 0.0
-    max_equi = 0.0
-    for g in _positive_arrows(G):
-        a = G.arrow(g)
-        ug = unitary.rho[g]
-        run = l2_norm(ug.conj().T @ ug - eye)
-        rg = rep.rho[g]
-        req = l2_norm(rg.conj().T @ sigma[a.tgt].mat @ rg - sigma[a.src].mat)
-        per_arrow[g] = (run, req)
-        max_unit = max(max_unit, run)
-        max_equi = max(max_equi, req)
-    max_cert = max((results[x].center_error_bound for x in units), default=0.0)
+    ix = _positive_ix(G)
+    Ux, Rx = U[ix], R[ix]
+    run = _norms(_adjoint(Ux) @ Ux - np.eye(n))
+    req = _norms(_adjoint(Rx) @ S[t[ix]] @ Rx - S[s[ix]])
+    per_arrow = {ids[i]: (float(a), float(b)) for i, a, b in zip(ix, run, req)}
 
     witness = SimilarityWitness(
-        psi={x: spd(psi[x], f"psi[{x}]") for x in units},
+        psi={x: spd(Psi[i], f"psi[{x}]") for i, x in zip(pos, units)},
         sigma=sigma,
         certificates=results,
     )
     report = UnitarizationReport(
-        max_unitarity_residual=max_unit,
-        max_equivariance_residual=max_equi,
-        max_certificate_bound=max_cert,
+        max_unitarity_residual=float(run.max()),
+        max_equivariance_residual=float(req.max()),
+        max_certificate_bound=max(r.center_error_bound for r in results.values()),
         per_arrow=per_arrow,
-        unit_results={x: results[x] for x in units},
-        all_converged=all(results[x].converged for x in units),
+        unit_results=dict(results),
+        all_converged=all(r.converged for r in results.values()),
     )
     return witness, unitary, report
 
@@ -376,7 +378,6 @@ def verify_similarity(
         raise InvalidRepresentation("representations live on different groupoids")
     G = rep1.groupoid
     hmat = {}
-    hinv = {}
     for x in G.positive_units:
         if x not in h:
             raise UnknownUnit(f"witness misses positive-mass unit {x!r}")
@@ -387,15 +388,12 @@ def verify_similarity(
         if sv[-1] <= PD_FLOOR * sv[0]:
             raise SingularTransform(f"witness at {x!r} is numerically singular")
         hmat[x] = m
-        hinv[x] = np.linalg.inv(m)
-    residuals = {}
-    worst = 0.0
-    for g in _positive_arrows(G):
-        a = G.arrow(g)
-        r = l2_norm(rep2.rho[g] - hmat[a.tgt] @ rep1.rho[g] @ hinv[a.src])
-        residuals[g] = r
-        worst = max(worst, r)
-    return worst <= tol, residuals
+    ids = [G._ids[i] for i in _positive_ix(G)]
+    R1, R2 = (np.stack([rho[g] for g in ids]) for rho in (rep1.rho, rep2.rho))
+    H = np.stack([hmat[G.tgt(g)] for g in ids])
+    H_inv = np.linalg.inv(np.stack([hmat[G.src(g)] for g in ids]))
+    r = _norms(R2 - H @ R1 @ H_inv)
+    return bool(r.max() <= tol), dict(zip(ids, r.tolist()))
 
 
 # -- instance generation ---------------------------------------------------
@@ -411,15 +409,15 @@ def check_base_rep(group, base_rep: dict, dim: int, tol: float = REP_TOL):
             raise InvalidBaseRep(f"base matrix for {g!r} has wrong dimension")
         if l2_norm(m.conj().T @ m - np.eye(dim)) > tol:
             raise InvalidBaseRep(f"base matrix for {g!r} is not unitary")
-    for a in group.elements:
-        for b in group.elements:
-            r = l2_norm(
-                base_rep[group.mult[(a, b)]] - base_rep[a] @ base_rep[b]
+    elems = group.elements
+    mats = np.stack([as_square_matrix(base_rep[g]) for g in elems])
+    for a, m in zip(elems, mats):  # one row of the product table at a time
+        ab = np.stack([base_rep[group.mult[(a, b)]] for b in elems])
+        bad = np.flatnonzero(_norms(ab - m @ mats) > tol)
+        if bad.size:
+            raise InvalidBaseRep(
+                f"base representation is not multiplicative on ({a!r}, {elems[bad[0]]!r})"
             )
-            if r > tol:
-                raise InvalidBaseRep(
-                    f"base representation is not multiplicative on ({a!r}, {b!r})"
-                )
 
 
 def generate_instance(

@@ -300,7 +300,8 @@ def save_json(obj, path: str):
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            json.dump(obj, f, sort_keys=True, indent=1)
+            # json.dumps takes the C encoder; json.dump and indent do not.
+            f.write(json.dumps(obj, sort_keys=True))
             f.write("\n")
         os.replace(tmp, path)
     except BaseException:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import welzl_center
-from unitarizer.circumcenter import point_set, solve
+from unitarizer.circumcenter import point_set, radius_at, radius_lower_bound, solve
 from unitarizer.geometry import congruence, distance, geodesic, midpoint
 from unitarizer.groupoid import (
     ActionGroupoidSpec,
@@ -246,6 +246,10 @@ def test_acceptance_3_certificate_soundness(commuting_batch, roundtrip_batch):
     for run in commuting_batch["runs"]:
         res, ps = run["res"], run["pset"]
         assert res.radius_lower_bound <= res.radius_at_center + 1e-12
+        # the reported bound is clamped to the radius, so also check it
+        # against r* through the oracle center, and the pairwise bound
+        assert res.radius_lower_bound <= radius_at(run["oracle"], ps)[0] + 1e-12
+        assert radius_lower_bound(ps) <= res.radius_at_center + 1e-12
         for p in ps.points:
             assert distance(res.center, p) <= res.radius_at_center + 1e-9
         audited += 1
@@ -254,6 +258,7 @@ def test_acceptance_3_certificate_soundness(commuting_batch, roundtrip_batch):
         for x, res in record["witness"].certificates.items():
             assert res.radius_lower_bound <= res.radius_at_center + 1e-12
             ps = gram_set(rep, x)
+            assert radius_lower_bound(ps) <= res.radius_at_center + 1e-12
             for p in ps.points:
                 assert distance(res.center, p) <= res.radius_at_center + 1e-9
             audited += 1

@@ -19,7 +19,7 @@ from unitarizer.errors import (
     ParameterOutOfRange,
 )
 from unitarizer.geometry import congruence, distance, midpoint
-from unitarizer.linalg import identity_spd, l2_norm, spd
+from unitarizer.linalg import identity_spd, l2_norm, spd, spectral_calculus
 from unitarizer.sampling import random_invertible, random_spd, rng_from_seed
 
 
@@ -141,6 +141,59 @@ def test_certificate_soundness_random():
         # the reported bound is exactly the certificate of the center
         err, gap = certify(res.center, ps)
         assert err == pytest.approx(res.center_error_bound, rel=1e-9, abs=1e-12)
+
+
+def displaced(center, E, delta):
+    """The point at distance ``delta`` from ``center`` along the direction E."""
+    _, root = spectral_calculus(center.mat, np.sqrt)
+    _, step = spectral_calculus(E / l2_norm(E), lambda w: np.exp(delta * w))
+    return spd(root @ step @ root)
+
+
+def assert_mutants_not_under_reported(ps, res, oracle, along, across):
+    for E in (along, across):
+        for delta in (1e-10, 1e-6):
+            mutant = displaced(res.center, E, delta)
+            err, _ = certify(mutant, ps)
+            assert err >= distance(mutant, oracle)
+
+
+def test_displaced_two_point_centers_are_never_under_reported():
+    rng = rng_from_seed(23)
+    for _ in range(20):
+        dim = int(rng.integers(2, 5))
+        a, b = random_spd(rng, dim, 50.0), random_spd(rng, dim, 50.0)
+        ps = point_set([a, b])
+        res = solve(ps, 1e-7)
+        # the chart direction toward b spans the support; across it, a
+        # Hermitian direction orthogonal to it in the trace inner product
+        _, isq = spectral_calculus(res.center.mat, lambda w: 1.0 / np.sqrt(w))
+        _, along = spectral_calculus(isq @ b.mat @ isq, np.log)
+        R = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        R = R + R.conj().T
+        across = R - np.real(np.vdot(along, R)) / np.real(np.vdot(along, along)) * along
+        assert_mutants_not_under_reported(ps, res, midpoint(a, b), along, across)
+
+
+def test_displaced_diagonal_centers_are_never_under_reported():
+    rng = rng_from_seed(8)
+    families = [rng.uniform(-1.5, 1.5, size=(int(rng.integers(2, 8)), 4)) for _ in range(15)]
+    checked = 0
+    for trial, logs in enumerate(families + degenerate_families()):
+        c_log, r = welzl_center(logs, seed=trial)
+        on = np.abs(np.linalg.norm(logs - c_log, axis=1) - r) <= 1e-9 * (1.0 + r)
+        span = logs[on][1:] - logs[on][0]
+        # directions orthogonal to the support's affine span
+        _, sv, vt = np.linalg.svd(np.vstack([span, np.zeros(logs.shape[1])]))
+        normal = vt[int(np.sum(sv > 1e-9)):]
+        if not len(span) or not len(normal):
+            continue
+        ps = point_set(diag_points(logs))
+        res = solve(ps, 1e-7)
+        oracle = spd(np.diag(np.exp(c_log)))
+        assert_mutants_not_under_reported(ps, res, oracle, np.diag(span[0]), np.diag(normal[0]))
+        checked += 1
+    assert checked >= 15
 
 
 def test_certify_frozen_example():

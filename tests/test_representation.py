@@ -1,10 +1,15 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from unitarizer import representation
 from unitarizer.errors import (
     InvalidBaseRep,
     InvalidRepresentation,
     MissingArrow,
+    NotPositiveDefinite,
     ParameterOutOfRange,
     UnknownUnit,
 )
@@ -16,8 +21,10 @@ from unitarizer.groupoid import (
     symmetric_group,
     trivial_action,
 )
-from unitarizer.linalg import l2_norm, operator_norm
+from unitarizer.linalg import l2_norm, matrix_sqrt, operator_norm
 from unitarizer.representation import (
+    DEDUP_TOL,
+    Representation,
     check_base_rep,
     check_representation,
     cyclic_character_base_rep,
@@ -28,6 +35,7 @@ from unitarizer.representation import (
     permutation_base_rep,
     trivial_base_rep,
     uniform_bound,
+    unitarize,
 )
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
@@ -83,6 +91,50 @@ def test_make_representation_rejects_broken_functoriality():
     assert "r1@pt" in str(exc.value)
 
 
+def z3_two_unit_rho():
+    """Z/3 acting trivially on units a and b, by the characters (0, 1)."""
+    G = build_action_groupoid(trivial_action(cyclic_group(3), ("a", "b"), (0.5, 0.5)))
+    base = cyclic_character_base_rep(3, (0, 1))
+    return G, {f"{g}@{x}": base[g].copy() for g in base for x in ("a", "b")}
+
+
+def test_make_representation_names_the_first_singular_arrow():
+    # arrow ids in order: r0@a, r0@b, r1@a, r1@b, r2@a, r2@b
+    G, rho = z3_two_unit_rho()
+    rho["r1@b"] = np.diag([1.0, 0.0])
+    rho["r2@b"] = np.diag([0.0, 1.0])
+    with pytest.raises(InvalidRepresentation, match=r"^matrix for arrow 'r1@b' is singular$"):
+        make_representation(G, 2, rho)
+
+
+def test_make_representation_names_the_first_wrong_inverse():
+    G, rho = z3_two_unit_rho()
+    rho["r2@a"] = 2.0 * rho["r2@a"]  # invertible, but not rho(r1@a)**-1
+    rho["r2@b"] = np.diag([1.0, 0.0])  # singular, later in id order
+    with pytest.raises(InvalidRepresentation) as exc:
+        make_representation(G, 2, rho)
+    assert str(exc.value).startswith("inverse arrow 'r2@a' deviates from rho('r1@a')**-1 by")
+
+
+def test_unitarize_names_the_unit_whose_center_is_not_positive_definite(monkeypatch):
+    # a and b are separate orbits, so b's center comes from the second solve
+    G, rho = z3_two_unit_rho()
+    rep = make_representation(G, 2, rho)
+    solves = []
+
+    def negated_second(*args, **kwargs):
+        res = real_solve(*args, **kwargs)
+        solves.append(res)
+        if len(solves) == 2:
+            return dataclasses.replace(res, center=SimpleNamespace(mat=-res.center.mat))
+        return res
+
+    real_solve = representation.solve
+    monkeypatch.setattr(representation, "solve", negated_second)
+    with pytest.raises(NotPositiveDefinite, match=r"^sigma\[b\]: eigenvalue range"):
+        unitarize(rep)
+
+
 def test_check_representation_flags_perturbed_arrow():
     rep = z2_rep()
     rho = dict(rep.rho)
@@ -125,6 +177,67 @@ def test_gram_set_unitary_collapses_to_identity():
     ps = gram_set(rep, "pt")
     assert len(ps.points) == 1  # both grams equal I, deduplicated
     assert np.allclose(ps.points[0].mat, np.eye(2), atol=1e-14)
+
+
+def near_gram_rep(scales):
+    """Z/4 on one unit with Gram points I, B, then B + s * D for s in ``scales``.
+
+    D is a fixed direction whose normalized L2 norm is the dedup threshold
+    against B, DEDUP_TOL * (1 + l2_norm(B)).  Validation is bypassed: the
+    matrices are Gram square roots, not a representation.
+    """
+    G = build_action_groupoid(trivial_action(cyclic_group(4), ("pt",), (1.0,)))
+    B = np.array([[2.0, 0.5], [0.5, 1.0]])
+    D = np.array([[1.0, 0.3], [0.3, -0.7]])
+    D *= DEDUP_TOL * (1.0 + l2_norm(B)) / l2_norm(D)
+    grams = [np.eye(2), B] + [B + s * D for s in scales]
+    rho = {f"r{k}@pt": matrix_sqrt(m) for k, m in enumerate(grams)}
+    return Representation(G, 2, rho, 2.0), grams
+
+
+def test_gram_set_keeps_the_first_of_two_near_duplicates():
+    rep, grams = near_gram_rep([0.5, 2.0])
+    points = [p.mat for p in gram_set(rep, "pt").points]
+    assert len(points) == 3  # r2@pt at 0.5 * DEDUP_TOL of r1@pt is dropped
+    assert np.allclose(points[1], grams[1], rtol=0.0, atol=1e-13)
+    assert np.allclose(points[2], grams[3], rtol=0.0, atol=1e-13)
+
+
+def test_gram_set_dedup_compares_with_kept_points_only():
+    # r2 lies within the threshold of r1 and is dropped; r3 lies within it
+    # of r2 but not of r1, so it stays
+    rep, grams = near_gram_rep([0.6, 1.2])
+    points = [p.mat for p in gram_set(rep, "pt").points]
+    assert len(points) == 3
+    assert np.allclose(points[2], grams[3], rtol=0.0, atol=1e-13)
+    rep, _ = near_gram_rep([2.0, 4.0])
+    assert len(gram_set(rep, "pt").points) == 4  # 2 x DEDUP_TOL apart: all kept
+
+
+def loop_gram_points(rep, x):
+    """Reference: the point-by-point de-duplication against kept points."""
+    G = rep.groupoid
+    kept = []
+    for g in G.source_fiber(x):
+        if G.unit_weight(G.tgt(g)) > 0.0:
+            b = rep.rho[g].conj().T @ rep.rho[g]
+            if all(l2_norm(b - p) > DEDUP_TOL * (1.0 + l2_norm(p)) for p in kept):
+                kept.append(b)
+    return kept
+
+
+def test_gram_set_matches_the_point_by_point_reference():
+    # the trivial base representation makes rho(g)* rho(g) depend on the
+    # target only, so 24 arrows collapse to 4 points up to roundoff
+    s4 = symmetric_group(4)
+    for base, cond in ((trivial_base_rep(s4, 2), 3.0), (permutation_base_rep(s4), 10.0)):
+        rep = generate_instance(natural_permutation_action(4), base, cond, 0)
+        for x in rep.groupoid.units:
+            ref = loop_gram_points(rep, x)
+            points = gram_set(rep, x).points
+            assert len(points) == len(ref)
+            for p, b in zip(points, ref):
+                assert l2_norm(p.mat - b) <= 1e-14 * l2_norm(b)
 
 
 def test_gram_set_spectrum_inside_gl_c():

@@ -172,6 +172,15 @@ def test_save_json_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_save_json_writes_compact_sorted_json_and_a_newline(tmp_path):
+    rep = generate_instance(SWAP_SPEC, permutation_base_rep_of_swap(), 3.0, seed=7)
+    obj = representation_to_json(rep)
+    path = tmp_path / "rep.json"
+    save_json(obj, str(path))
+    assert path.read_text() == json.dumps(obj, sort_keys=True) + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rep.json"]  # no temp file left
+
+
 def test_unitarization_output_schema(tmp_path):
     rep = generate_instance(SWAP_SPEC, permutation_base_rep_of_swap(), 3.0, seed=7)
     witness, unitary, report = unitarize(rep, eps=1e-7)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from unitarizer import representation
+from unitarizer.circumcenter import radius_lower_bound
 from unitarizer.geometry import distance, midpoint
 from unitarizer.linalg import identity_spd, l2_norm, spd
 from unitarizer.groupoid import (
@@ -216,6 +217,20 @@ def test_transported_certificate_is_sound_against_own_gram_set():
         assert max(dists) <= res.radius_at_center
         assert res.radius_lower_bound <= res.radius_at_center
         assert res.converged == (res.center_error_bound <= 1e-7)
+
+
+def test_s4_self_certifies_every_unit():
+    # 24 units in one orbit, with 24 Gram points each; the pairwise bound
+    # (half the diameter) left every unit uncertified here
+    s4 = symmetric_group(4)
+    rep = generate_instance(left_translation_action(s4), trivial_base_rep(s4, 2), 2.0, 0)
+    _, _, report = unitarize(rep, eps=1e-7)
+    assert report.all_converged
+    assert report.max_certificate_bound <= 1e-7
+    for x in rep.groupoid.positive_units[:3]:
+        res = report.unit_results[x]
+        assert radius_lower_bound(gram_set(rep, x)) < res.radius_lower_bound
+        assert res.radius_lower_bound <= res.radius_at_center
 
 
 def test_free_action_equivariance_at_roundoff():
