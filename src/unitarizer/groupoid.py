@@ -7,19 +7,20 @@ right factor; ``compose(h, g)`` means "g then h"), an involutive inverse,
 and one identity arrow per unit.  Construction validates every axiom
 exhaustively and reports the first failing arrow or triple.
 
-The checks run over integer tables built once per groupoid.  Arrows are
-numbered in sorted-id order; the composites sit in one flat table with a
-block per unit y, whose rows are y's source fiber and whose columns are its
-target fiber, so the table holds exactly the composable pairs.  Each
-identity and inverse law is one numpy gather over it, and associativity is
-one gathered block of triples per middle arrow.
+The checks run over integer tables built once per groupoid, from one read
+of the composition dict.  Arrows are numbered in sorted-id order; the
+composites sit in one flat table with a block per unit y, whose rows are
+y's source fiber and whose columns are its target fiber, so the table holds
+exactly the composable pairs.  Each identity and inverse law is one numpy
+gather over it, and associativity is one gathered block of triples per
+middle arrow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, compress, islice, permutations, repeat
 
 import numpy as np
 
@@ -86,14 +87,6 @@ class FiniteMeasuredGroupoid:
             if a.src not in self._unit_index or a.tgt not in self._unit_index:
                 raise InvalidGroupoid(f"arrow {a.id!r} references unknown units")
             self._by_id[a.id] = a
-        self._by_src = {x: [] for x in self.units}
-        self._by_tgt = {x: [] for x in self.units}
-        for a in self.arrows:
-            self._by_src[a.src].append(a.id)
-            self._by_tgt[a.tgt].append(a.id)
-        for x in self.units:
-            self._by_src[x].sort()
-            self._by_tgt[x].sort()
 
         # Arrows are numbered in sorted-id order, so a fiber lists its arrows
         # in index order.  The composite of a composable pair (h, g) through
@@ -119,9 +112,8 @@ class FiniteMeasuredGroupoid:
         s = self._arrow_src
         self._base = self._offset[s] + self._srank * ntgt[s]
 
-        if unit_arrows is None:
-            unit_arrows = self._derive_unit_arrows()
-        self.unit_arrows = dict(unit_arrows)
+        # ``_validate`` derives the identity arrows when none are given.
+        self.unit_arrows = None if unit_arrows is None else dict(unit_arrows)
         self._validate()
 
     # -- basic accessors ------------------------------------------------
@@ -162,38 +154,55 @@ class FiniteMeasuredGroupoid:
     def source_fiber(self, x: str) -> tuple:
         if x not in self._unit_index:
             raise UnknownUnit(f"unknown unit {x!r}")
-        return tuple(self._by_src[x])
+        return tuple(self._ids[i] for i in self._out[self._unit_index[x]])
 
     def target_fiber(self, x: str) -> tuple:
         if x not in self._unit_index:
             raise UnknownUnit(f"unknown unit {x!r}")
-        return tuple(self._by_tgt[x])
+        return tuple(self._ids[i] for i in self._into[self._unit_index[x]])
 
     # -- validation ------------------------------------------------------
-
-    def _derive_unit_arrows(self):
-        found = {}
-        for x in self.units:
-            for e in self._by_src[x]:
-                a = self._by_id[e]
-                if a.tgt != x:
-                    continue
-                ok = all(
-                    self.composition.get((g, e)) == g for g in self._by_src[x]
-                ) and all(
-                    self.composition.get((e, g)) == g for g in self._by_tgt[x]
-                )
-                if ok:
-                    found[x] = e
-                    break
-            if x not in found:
-                raise InvalidGroupoid(f"no identity arrow found at unit {x!r}")
-        return found
 
     def _validate(self):
         comp = self.composition
         inv = self.inverse
         by_id = self._by_id
+        idx = self._index
+        s, t = self._arrow_src, self._arrow_tgt
+        srank, trank = self._srank, self._trank
+
+        # The one pass over the entries: index triples in dict order, -1 for
+        # an unknown id.  Every other check reads these arrays.  Only known,
+        # composable pairs fill slots of the table; an unfilled slot stays -1.
+        m = len(comp)
+        keys = np.fromiter(map(idx.get, chain.from_iterable(comp), repeat(-1)), np.intp, 2 * m)
+        ih, ig = keys.reshape(m, 2).T
+        ic = np.fromiter(map(idx.get, comp.values(), repeat(-1)), np.intp, m)
+        known = (ih >= 0) & (ig >= 0)
+        keyed = known.copy()
+        keyed[known] = s[ih[known]] == t[ig[known]]
+        table = np.full(self._offset[-1], -1, dtype=np.intp)
+        table[self._base[ih[keyed]] + trank[ig[keyed]]] = ic[keyed]
+        self._pairs = (ih, ig, ic)
+        self._table = table
+        blocks = [
+            table[self._offset[y]:self._offset[y + 1]].reshape(f.size, self._into[y].size)
+            for y, f in enumerate(self._out)
+        ]
+
+        if self.unit_arrows is None:
+            # The first loop e at x, by id, with g . e == g for every g out
+            # of x (column rank(e) of x's block) and e . g == g for every g
+            # into x (row rank(e)).
+            self.unit_arrows = {}
+            for y, x in enumerate(self.units):
+                out, into, T = self._out[y], self._into[y], blocks[y]
+                loops = out[t[out] == y]
+                ok = (T[:, trank[loops]] == out[:, None]).all(axis=0)
+                ok &= (T[srank[loops]] == into).all(axis=1)
+                if not ok.any():
+                    raise InvalidGroupoid(f"no identity arrow found at unit {x!r}")
+                self.unit_arrows[x] = self._ids[loops[np.argmax(ok)]]
 
         if set(inv) != set(by_id):
             raise InvalidGroupoid("inverse table must cover exactly the arrow ids")
@@ -212,42 +221,34 @@ class FiniteMeasuredGroupoid:
             if e not in by_id or by_id[e].src != x or by_id[e].tgt != x:
                 raise InvalidGroupoid(f"unit arrow {e!r} at {x!r} is not a loop at {x!r}")
 
-        for (h, g), c in comp.items():
-            if h not in by_id or g not in by_id:
-                raise InvalidGroupoid(f"composition ({h!r}, {g!r}) references unknown arrows")
-            if by_id[h].src != by_id[g].tgt:
-                raise InvalidGroupoid(f"composition defined on non-composable pair ({h!r}, {g!r})")
-            if c not in by_id:
-                raise InvalidGroupoid(f"composite of ({h!r}, {g!r}) is an unknown arrow {c!r}")
-            if by_id[c].src != by_id[g].src or by_id[c].tgt != by_id[h].tgt:
-                raise InvalidGroupoid(
-                    f"composite {c!r} of ({h!r}, {g!r}) has wrong endpoints"
-                )
-        idx = self._index
-        ih = np.fromiter((idx[h] for h, _ in comp), np.intp, len(comp))
-        ig = np.fromiter((idx[g] for _, g in comp), np.intp, len(comp))
-        ic = np.fromiter((idx[c] for c in comp.values()), np.intp, len(comp))
-        # Every entry is a distinct composable pair, so the table is complete
-        # exactly when the counts agree; the loop only names a missing pair.
-        if len(comp) != self._offset[-1]:
-            for g, a in by_id.items():
-                for h in self._by_src[a.tgt]:
-                    if (h, g) not in comp:
-                        raise InvalidGroupoid(f"composable pair ({h!r}, {g!r}) is missing")
-        table = np.empty(len(comp), dtype=np.intp)
-        table[self._base[ih] + self._trank[ig]] = ic
-        self._pairs = (ih, ig, ic)
-        self._table = table
+        # Entries are named as ((h, g), c).
+        _raise_first(InvalidGroupoid, lambda i: next(islice(comp.items(), i, None)), [
+            (~known, "composition {0[0]!r} references unknown arrows"),
+            (~keyed, "composition defined on non-composable pair {0[0]!r}"),
+            (ic < 0, "composite of {0[0]!r} is an unknown arrow {0[1]!r}"),
+            (
+                (s[ic] != s[ig]) | (t[ic] != t[ih]),
+                "composite {0[1]!r} of {0[0]!r} has wrong endpoints",
+            ),
+        ])
+        # Every entry now fills its own slot, so an unfilled one is a missing
+        # pair: named by g in input-arrow order, then h by id.
+        if (table < 0).any():
+            for a in self.arrows:
+                g = idx[a.id]
+                missing = blocks[t[g]][:, trank[g]] < 0
+                if missing.any():
+                    h = self._ids[self._out[t[g]][np.argmax(missing)]]
+                    raise InvalidGroupoid(f"composable pair ({h!r}, {a.id!r}) is missing")
 
         n = len(self._ids)
         ids = np.arange(n)
-        s, t = self._arrow_src, self._arrow_tgt
         # Per unit, the index of its identity arrow; per arrow, of its inverse.
         self._unit = unit = np.array(
             [idx[self.unit_arrows[x]] for x in self.units], dtype=np.intp
         )
         self._inv = gi = np.array([idx[inv[g]] for g in self._ids], dtype=np.intp)
-        _raise_first(InvalidGroupoid, self._ids, [
+        _raise_first(InvalidGroupoid, self._ids.__getitem__, [
             (self._compose_ix(ids, unit[s]) != ids, "right identity fails at {!r}"),
             (self._compose_ix(unit[t], ids) != ids, "left identity fails at {!r}"),
             (
@@ -264,11 +265,6 @@ class FiniteMeasuredGroupoid:
         # of y = tgt(b) and c over the target fiber of z = src(b).  In y's
         # block the products ab are column rank(b); in z's block the
         # products bc are row rank(b).
-        srank, trank = self._srank, self._trank
-        blocks = [
-            table[self._offset[y]:self._offset[y + 1]].reshape(-1, self._into[y].size)
-            for y in range(len(self.units))
-        ]
         for b in range(n):
             Ty, Tz = blocks[t[b]], blocks[s[b]]
             bad = Tz[srank[Ty[:, trank[b]]]] != Ty[:, trank[Tz[srank[b]]]]
@@ -285,16 +281,16 @@ class FiniteMeasuredGroupoid:
         return self._table[self._base[h] + self._trank[g]]
 
 
-def _raise_first(error, names, checks):
+def _raise_first(error, name, checks):
     """Raise ``error`` at the first index failing any ``(mask, message)`` check.
 
     The message is that of the first check the index fails, formatted with
-    its name.
+    ``name(i)``, which is called only then.
     """
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():
         i = int(np.argmax(bad))
-        raise error(next(msg for mask, msg in checks if mask[i]).format(names[i]))
+        raise error(next(msg for mask, msg in checks if mask[i]).format(name(i)))
 
 
 def check_axioms(G: FiniteMeasuredGroupoid) -> bool:
@@ -390,9 +386,9 @@ def restrict(G: FiniteMeasuredGroupoid, units) -> FiniteMeasuredGroupoid:
     arrows = [a for a in G.arrows if a.src in keep and a.tgt in keep]
     ids = {a.id for a in arrows}
     inverse = {g: G.inverse[g] for g in ids}
-    composition = {
-        (h, g): c for (h, g), c in G.composition.items() if h in ids and g in ids
-    }
+    inside = np.array([g in ids for g in G._ids], dtype=bool)
+    ih, ig, _ = G._pairs  # in the order of G.composition
+    composition = dict(compress(G.composition.items(), inside[ih] & inside[ig]))
     unit_arrows = {x: G.unit_arrows[x] for x in order}
     return FiniteMeasuredGroupoid(order, mu, arrows, inverse, composition, unit_arrows)
 
@@ -429,7 +425,7 @@ def _validate_group(group: FiniteGroup) -> np.ndarray:
     e = eidx[group.identity]
     r = np.arange(n)
     inv = np.fromiter((eidx.get(group.inverses.get(a), -1) for a in elems), np.intp, n)
-    _raise_first(InvalidAction, elems, [
+    _raise_first(InvalidAction, elems.__getitem__, [
         ((mult[e] != r) | (mult[:, e] != r), "identity law fails at {!r}"),
         (inv < 0, "missing inverse for {!r}"),
         ((mult[r, inv] != e) | (mult[inv, r] != e), "inverse law fails at {!r}"),

@@ -135,13 +135,11 @@ def _bad_pairs(G: FiniteMeasuredGroupoid, mats: np.ndarray, tol: float):
     return out
 
 
-def make_representation(
-    G: FiniteMeasuredGroupoid, dim: int, rho: dict, tol: float = REP_TOL
-) -> Representation:
+def make_representation(G: FiniteMeasuredGroupoid, dim: int, rho: dict) -> Representation:
     """Validate a matrix assignment and wrap it as a :class:`Representation`.
 
     Checks arrow coverage, identity arrows, inverses and functoriality on
-    the positive-mass part, each within relative ``tol``.
+    the positive-mass part, each within relative ``REP_TOL``.
     """
     missing = [g for g in G._by_id if g not in rho]
     if missing:
@@ -157,18 +155,18 @@ def make_representation(
     eye = np.eye(dim)
     e = G._unit[G.mu > 0.0]
     r = _norms(mats[e] - eye)
-    bad = np.flatnonzero(r > tol)
+    bad = np.flatnonzero(r > REP_TOL)
     if bad.size:
         i = bad[0]
         raise InvalidRepresentation(
-            f"identity arrow {ids[e[i]]!r} has residual {r[i]:.3e} above {tol:g}"
+            f"identity arrow {ids[e[i]]!r} has residual {r[i]:.3e} above {REP_TOL:g}"
         )
     ix = _positive_ix(G)
     A, Ai = mats[ix], mats[G._inv[ix]]
     sv = np.linalg.svd(A, compute_uv=False)
     singular = sv[:, -1] <= PD_FLOOR * sv[:, 0]
     r = _norms(Ai @ A - eye)
-    deviates = r > tol * (1.0 + _norms(Ai) * _norms(A))
+    deviates = r > REP_TOL * (1.0 + _norms(Ai) * _norms(A))
     bad = np.flatnonzero(singular | deviates)
     if bad.size:
         k = bad[0]
@@ -180,7 +178,7 @@ def make_representation(
             f" rho({g!r})**-1 by {r[k]:.3e}"
         )
 
-    bad = _bad_pairs(G, mats, tol)
+    bad = _bad_pairs(G, mats, REP_TOL)
     if bad:
         (h, g), r = bad[0]
         raise InvalidRepresentation(
@@ -399,7 +397,7 @@ def verify_similarity(
 # -- instance generation ---------------------------------------------------
 
 
-def check_base_rep(group, base_rep: dict, dim: int, tol: float = REP_TOL):
+def check_base_rep(group, base_rep: dict, dim: int):
     """Validate a unitary group representation given as a dict of matrices."""
     for g in group.elements:
         if g not in base_rep:
@@ -407,13 +405,13 @@ def check_base_rep(group, base_rep: dict, dim: int, tol: float = REP_TOL):
         m = as_square_matrix(base_rep[g], f"base[{g}]")
         if m.shape[0] != dim:
             raise InvalidBaseRep(f"base matrix for {g!r} has wrong dimension")
-        if l2_norm(m.conj().T @ m - np.eye(dim)) > tol:
+        if l2_norm(m.conj().T @ m - np.eye(dim)) > REP_TOL:
             raise InvalidBaseRep(f"base matrix for {g!r} is not unitary")
     elems = group.elements
     mats = np.stack([as_square_matrix(base_rep[g]) for g in elems])
     for a, m in zip(elems, mats):  # one row of the product table at a time
         ab = np.stack([base_rep[group.mult[(a, b)]] for b in elems])
-        bad = np.flatnonzero(_norms(ab - m @ mats) > tol)
+        bad = np.flatnonzero(_norms(ab - m @ mats) > REP_TOL)
         if bad.size:
             raise InvalidBaseRep(
                 f"base representation is not multiplicative on ({a!r}, {elems[bad[0]]!r})"

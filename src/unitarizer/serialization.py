@@ -41,15 +41,15 @@ from .groupoid import (
 from .representation import Representation, make_representation
 
 
-def _require(cond: bool, msg: str):
+def _require(cond: bool, msg: str, *args):
+    """Raise ``ParseError(msg.format(*args))`` unless ``cond``; format only then."""
     if not cond:
-        raise ParseError(msg)
+        raise ParseError(msg.format(*args))
 
 
 def _get(obj: dict, key: str, where: str):
-    _require(isinstance(obj, dict), f"{where}: expected an object")
-    if key not in obj:
-        raise ParseError(f"{where}: missing key {key!r}")
+    _require(isinstance(obj, dict), "{}: expected an object", where)
+    _require(key in obj, "{}: missing key {!r}", where, key)
     return obj[key]
 
 
@@ -68,24 +68,26 @@ def matrix_to_json(m) -> dict:
 def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     dim = _get(obj, "dim", where)
     rows = _get(obj, "rows", where)
-    _require(isinstance(dim, int) and dim >= 1, f"{where}: dim must be a positive int")
-    _require(isinstance(rows, list) and len(rows) == dim, f"{where}: expected {dim} rows")
-    out = np.empty((dim, dim), dtype=np.complex128)
+    _require(isinstance(dim, int) and dim >= 1, "{}: dim must be a positive int", where)
+    _require(isinstance(rows, list) and len(rows) == dim, "{}: expected {} rows", where, dim)
     for i, row in enumerate(rows):
         _require(
             isinstance(row, list) and len(row) == dim,
-            f"{where}: row {i} is ragged (expected {dim} entries)",
+            "{}: row {} is ragged (expected {} entries)", where, i, dim,
         )
         for j, z in enumerate(row):
             _require(
                 isinstance(z, list)
                 and len(z) == 2
                 and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in z),
-                f"{where}: entry ({i},{j}) is not an [re, im] pair",
+                "{}: entry ({},{}) is not an [re, im] pair", where, i, j,
             )
-            out[i, j] = complex(z[0], z[1])
-    _require(bool(np.all(np.isfinite(out.view(np.float64)))), f"{where}: non-finite entry")
-    return out
+    try:
+        parts = np.array(rows, dtype=np.float64)
+    except OverflowError:
+        raise ParseError(f"{where}: an entry is too large for a float") from None
+    _require(bool(np.all(np.isfinite(parts))), "{}: non-finite entry", where)
+    return parts.view(np.complex128).reshape(dim, dim)
 
 
 # -- groupoids --------------------------------------------------------------
@@ -130,7 +132,7 @@ def action_spec_to_json(spec: ActionGroupoidSpec) -> dict:
 def _str_list(obj, where: str) -> list:
     _require(
         isinstance(obj, list) and all(isinstance(s, str) for s in obj),
-        f"{where}: expected a list of strings",
+        "{}: expected a list of strings", where,
     )
     return list(obj)
 
@@ -139,43 +141,41 @@ def _mu_list(obj, where: str) -> list:
     _require(
         isinstance(obj, list)
         and all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in obj),
-        f"{where}: expected a list of numbers",
+        "{}: expected a list of numbers", where,
     )
-    return [float(w) for w in obj]
+    try:
+        return [float(w) for w in obj]
+    except OverflowError:
+        raise ParseError(f"{where}: a weight is too large for a float") from None
+
+
+def _str_table(obj, where: str) -> dict:
+    """A ``{row: {col: string}}`` object as a dict keyed by ``(row, col)``."""
+    _require(isinstance(obj, dict), "{}: expected an object", where)
+    out = {}
+    for a, row in obj.items():
+        _require(isinstance(row, dict), "{}[{!r}]: expected an object", where, a)
+        for b, ab in row.items():
+            _require(isinstance(ab, str), "{}[{!r}][{!r}]: expected a string", where, a, b)
+            out[a, b] = ab
+    return out
 
 
 def action_spec_from_json(obj, where: str = "groupoid") -> ActionGroupoidSpec:
     grp = _get(obj, "group", where)
     elements = _str_list(_get(grp, "elements", f"{where}.group"), f"{where}.group.elements")
     identity = _get(grp, "identity", f"{where}.group")
-    _require(isinstance(identity, str), f"{where}.group.identity: expected a string")
-    raw_mult = _get(grp, "mult_table", f"{where}.group")
-    _require(isinstance(raw_mult, dict), f"{where}.group.mult_table: expected an object")
-    mult = {}
-    for a, row in raw_mult.items():
-        _require(isinstance(row, dict), f"{where}.group.mult_table[{a!r}]: expected an object")
-        for b, ab in row.items():
-            _require(
-                isinstance(ab, str),
-                f"{where}.group.mult_table[{a!r}][{b!r}]: expected a string",
-            )
-            mult[(a, b)] = ab
+    _require(isinstance(identity, str), "{}.group.identity: expected a string", where)
+    mult = _str_table(_get(grp, "mult_table", f"{where}.group"), f"{where}.group.mult_table")
     raw_inv = _get(grp, "inverses", f"{where}.group")
     _require(
         isinstance(raw_inv, dict) and all(isinstance(v, str) for v in raw_inv.values()),
-        f"{where}.group.inverses: expected an object of strings",
+        "{}.group.inverses: expected an object of strings", where,
     )
     space = _get(obj, "space", where)
     units = _str_list(_get(space, "units", f"{where}.space"), f"{where}.space.units")
     mu = _mu_list(_get(space, "mu", f"{where}.space"), f"{where}.space.mu")
-    raw_action = _get(obj, "action", where)
-    _require(isinstance(raw_action, dict), f"{where}.action: expected an object")
-    action = {}
-    for g, row in raw_action.items():
-        _require(isinstance(row, dict), f"{where}.action[{g!r}]: expected an object")
-        for x, gx in row.items():
-            _require(isinstance(gx, str), f"{where}.action[{g!r}][{x!r}]: expected a string")
-            action[(g, x)] = gx
+    action = _str_table(_get(obj, "action", where), f"{where}.action")
     group = FiniteGroup(
         elements=tuple(elements),
         mult=mult,
@@ -196,35 +196,38 @@ def groupoid_from_json(obj, where: str = "groupoid") -> FiniteMeasuredGroupoid:
     units = _str_list(_get(obj, "units", where), f"{where}.units")
     mu = _mu_list(_get(obj, "mu", where), f"{where}.mu")
     raw_arrows = _get(obj, "arrows", where)
-    _require(isinstance(raw_arrows, list), f"{where}.arrows: expected a list")
-    arrows = []
+    _require(isinstance(raw_arrows, list), "{}.arrows: expected a list", where)
+    arrows, fields = [], ("id", "src", "tgt")
     for k, a in enumerate(raw_arrows):
-        aid = _get(a, "id", f"{where}.arrows[{k}]")
-        src = _get(a, "src", f"{where}.arrows[{k}]")
-        tgt = _get(a, "tgt", f"{where}.arrows[{k}]")
-        _require(
-            all(isinstance(s, str) for s in (aid, src, tgt)),
-            f"{where}.arrows[{k}]: id/src/tgt must be strings",
-        )
-        arrows.append(Arrow(aid, src, tgt))
+        if not (isinstance(a, dict) and all(isinstance(a.get(f), str) for f in fields)):
+            for f in fields:
+                _get(a, f, f"{where}.arrows[{k}]")
+            raise ParseError(f"{where}.arrows[{k}]: id/src/tgt must be strings")
+        arrows.append(Arrow(*(a[f] for f in fields)))
     raw_inv = _get(obj, "inverse", where)
     _require(
         isinstance(raw_inv, dict) and all(isinstance(v, str) for v in raw_inv.values()),
-        f"{where}.inverse: expected an object of strings",
+        "{}.inverse: expected an object of strings", where,
     )
     raw_comp = _get(obj, "composition", where)
-    _require(isinstance(raw_comp, list), f"{where}.composition: expected a list")
+    _require(isinstance(raw_comp, list), "{}.composition: expected a list", where)
     comp = {}
     for k, triple in enumerate(raw_comp):
-        _require(
-            isinstance(triple, list)
-            and len(triple) == 3
-            and all(isinstance(s, str) for s in triple),
-            f"{where}.composition[{k}]: expected [h, g, hg] strings",
-        )
-        pair = (triple[0], triple[1])
-        _require(pair not in comp, f"{where}.composition[{k}]: duplicate entry for pair {pair!r}")
-        comp[pair] = triple[2]
+        if not (isinstance(triple, list) and len(triple) == 3):
+            break
+        h, g, c = triple
+        if not (isinstance(h, str) and isinstance(g, str) and isinstance(c, str)):
+            break
+        comp[h, g] = c
+    else:
+        k = len(raw_comp)
+    if len(comp) != k:  # a pair repeats before k: name its second occurrence
+        seen = set()
+        for j, (h, g, _) in enumerate(raw_comp):
+            _require((h, g) not in seen, "{}.composition[{}]: duplicate entry for pair {!r}",
+                     where, j, (h, g))
+            seen.add((h, g))
+    _require(k == len(raw_comp), "{}.composition[{}]: expected [h, g, hg] strings", where, k)
     return FiniteMeasuredGroupoid(
         units=tuple(units),
         mu=tuple(mu),
@@ -247,17 +250,17 @@ def representation_to_json(rep: Representation) -> dict:
 
 def representation_from_json(obj, base_dir: str = ".", where: str = "representation"):
     gobj = _get(obj, "groupoid", where)
-    _require(isinstance(gobj, dict), f"{where}.groupoid: expected an object")
+    _require(isinstance(gobj, dict), "{}.groupoid: expected an object", where)
     if "file" in gobj and "kind" not in gobj:
         ref = gobj["file"]
-        _require(isinstance(ref, str), f"{where}.groupoid.file: expected a string")
+        _require(isinstance(ref, str), "{}.groupoid.file: expected a string", where)
         G = load_groupoid(os.path.join(base_dir, ref))
     else:
         G = groupoid_from_json(gobj, f"{where}.groupoid")
     dim = _get(obj, "dim", where)
-    _require(isinstance(dim, int) and dim >= 1, f"{where}.dim: must be a positive int")
+    _require(isinstance(dim, int) and dim >= 1, "{}.dim: must be a positive int", where)
     raw = _get(obj, "arrows", where)
-    _require(isinstance(raw, dict), f"{where}.arrows: expected an object")
+    _require(isinstance(raw, dict), "{}.arrows: expected an object", where)
     rho = {
         g: matrix_from_json(m, f"{where}.arrows[{g!r}]") for g, m in raw.items()
     }
@@ -312,11 +315,11 @@ def save_json(obj, path: str):
 
 def load_json(path: str):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return json.load(f)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -327,7 +330,7 @@ def load_groupoid(path: str) -> FiniteMeasuredGroupoid:
 def load_action_spec(path: str) -> ActionGroupoidSpec:
     obj = load_json(path)
     kind = _get(obj, "kind", path)
-    _require(kind == "action", f"{path}: expected an action groupoid, got kind {kind!r}")
+    _require(kind == "action", "{}: expected an action groupoid, got kind {!r}", path, kind)
     return action_spec_from_json(obj, where=path)
 
 

@@ -135,9 +135,12 @@ def test_verify_identity_witness_fails_on_twisted_pair(spec_file, tmp_path, caps
 def test_parse_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
-    assert main(["check", str(bad)]) == 3
-    assert "error:io:" in capsys.readouterr().err
-    assert main(["unitarize", str(bad), "-o", str(tmp_path / "x.json")]) == 3
+    utf16 = tmp_path / "utf16.json"  # starts with a UTF-16 byte order mark
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    for path in (bad, utf16):
+        assert main(["check", str(path)]) == 3
+        assert "error:io:" in capsys.readouterr().err
+        assert main(["unitarize", str(path), "-o", str(tmp_path / "x.json")]) == 3
 
 
 def test_invalid_spec_exit_code(tmp_path, capsys):

@@ -316,3 +316,55 @@ def test_s5_natural_action_at_benchmark_scale():
     with pytest.raises(InvalidGroupoid) as exc:
         _with_composition(G, comp)
     assert str(exc.value) == f"associativity fails on triple ({a!r}, {b!r}, {c!r})"
+
+
+def _swap_table(edits, derive=False, arrows=None):
+    """Swap-groupoid tables with ``edits`` applied to the composition.
+
+    An edit maps a pair to its new composite, or to None to drop the pair.
+    ``derive`` leaves ``unit_arrows`` to the constructor; ``arrows``
+    reorders the input arrows.
+    """
+    G = swap_groupoid((0.5, 0.5))
+    comp = dict(G.composition)
+    for pair, c in edits.items():
+        if c is None:
+            del comp[pair]
+        else:
+            comp[pair] = c
+    return FiniteMeasuredGroupoid(
+        G.units, G.mu, arrows or G.arrows, G.inverse, comp,
+        None if derive else G.unit_arrows,
+    )
+
+
+# r0@x is the loop at x; r1@a runs a -> b and r1@b runs b -> a.
+@pytest.mark.parametrize("edits, derive, arrows, message", [
+    ({("zz", "r0@a"): "r0@a"}, False, None,
+     "composition ('zz', 'r0@a') references unknown arrows"),
+    ({("r0@b", "r1@b"): "r1@b"}, False, None,
+     "composition defined on non-composable pair ('r0@b', 'r1@b')"),
+    ({("r1@b", "r1@a"): "zz"}, False, None,
+     "composite of ('r1@b', 'r1@a') is an unknown arrow 'zz'"),
+    ({("r1@b", "r1@a"): "r0@b"}, False, None,
+     "composite 'r0@b' of ('r1@b', 'r1@a') has wrong endpoints"),
+    ({("r1@b", "r1@a"): None}, False, None,
+     "composable pair ('r1@b', 'r1@a') is missing"),
+    ({("r1@a", "r0@a"): None}, True, None,
+     "no identity arrow found at unit 'a'"),
+    # Unit arrows are derived before any composition entry is checked.
+    ({("r1@b", "r1@a"): "r0@b", ("r1@b", "r0@b"): None}, True, None,
+     "no identity arrow found at unit 'b'"),
+    # A missing pair is named by its right factor in input-arrow order, so
+    # r1@a (a -> b) before r1@b, although a's block of the table comes first.
+    ({("r1@a", "r1@b"): None, ("r1@b", "r1@a"): None}, False, None,
+     "composable pair ('r1@b', 'r1@a') is missing"),
+    ({("r1@a", "r1@b"): None, ("r1@b", "r1@a"): None}, False,
+     (Arrow("r1@b", "b", "a"), Arrow("r0@a", "a", "a"),
+      Arrow("r0@b", "b", "b"), Arrow("r1@a", "a", "b")),
+     "composable pair ('r1@a', 'r1@b') is missing"),
+])
+def test_composition_defects_are_named_exactly(edits, derive, arrows, message):
+    with pytest.raises(InvalidGroupoid) as exc:
+        _swap_table(edits, derive, arrows)
+    assert str(exc.value) == message

@@ -60,6 +60,8 @@ def test_matrix_parser_rejects_non_finite():
         )
     with pytest.raises(ParseError):
         matrix_from_json({"dim": 1, "rows": [[[float("inf"), 0.0]]]})
+    with pytest.raises(ParseError, match="an entry is too large for a float"):
+        matrix_from_json(json.loads('{"dim": 2, "rows": [[[1, 0], [0, 1%s]], [[0, 0], [1, 0]]]}' % ("0" * 400)))
 
 
 def test_matrix_parser_rejects_malformed_entries():
@@ -122,6 +124,19 @@ def test_loader_rejects_duplicate_composition_entries(conflicting):
         groupoid_from_json(obj)
     assert "duplicate" in str(exc.value)
     assert repr((h, g)) in str(exc.value)
+
+
+@pytest.mark.parametrize("spec", [False, True])
+def test_loader_rejects_weights_too_large_for_a_float(spec):
+    if spec:
+        obj, key = action_spec_to_json(SWAP_SPEC), "groupoid.space.mu"
+        obj["space"]["mu"][1] = 10**400
+    else:
+        obj, key = groupoid_to_json(build_action_groupoid(SWAP_SPEC)), "groupoid.mu"
+        obj["mu"][1] = 10**400
+    with pytest.raises(ParseError) as exc:
+        groupoid_from_json(obj)
+    assert str(exc.value) == f"{key}: a weight is too large for a float"
 
 
 def test_loader_rejects_unknown_kind():
