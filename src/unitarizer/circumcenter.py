@@ -48,8 +48,8 @@ from .errors import (
     NumericalEscape,
     ParameterOutOfRange,
 )
-from .geometry import GLcBall, distance, in_ball
-from .linalg import SpdMatrix, spectral_calculus
+from .geometry import GLcBall, chart, distance, in_ball
+from .linalg import SpdMatrix, spectral_calculus, symmetrize
 
 # Distances within this relative band of the maximum count as ties; the
 # farthest index is the smallest one in the band.
@@ -114,29 +114,35 @@ class CircumcenterResult:
     converged: bool
 
 
+def _stack(pset: PointSet) -> np.ndarray:
+    return np.stack([p.mat for p in pset.points])
+
+
+def _farthest(theta: SpdMatrix, pset: PointSet, q: np.ndarray) -> float:
+    """sqrt(q.max()) for a chart at ``theta``, as ``distance`` to the farthest point."""
+    return distance(theta, pset.points[int(np.argmax(q))])
+
+
 def radius_at(theta: SpdMatrix, pset: PointSet):
     """Largest distance from ``theta`` to the set, and the farthest index.
 
     Ties within relative ``TIE_RTOL`` of the maximum resolve to the
-    smallest index.
+    smallest index.  One chart at ``theta`` gives every distance.
     """
-    dists = [distance(theta, p) for p in pset.points]
-    rmax = max(dists)
-    cut = rmax * (1.0 - TIE_RTOL)
-    far = next(i for i, d in enumerate(dists) if d >= cut)
-    return rmax, far
+    q = chart(theta, _stack(pset))[2]
+    d = np.sqrt(q)
+    far = int(np.argmax(d >= d.max() * (1.0 - TIE_RTOL)))
+    return _farthest(theta, pset, q), far
 
 
 def radius_lower_bound(pset: PointSet) -> float:
-    """Half the diameter, max pairwise distance / 2 <= r*: an O(m**2) oracle."""
-    pts = pset.points
-    best = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = distance(pts[i], pts[j])
-            if d > best:
-                best = d
-    return 0.5 * best
+    """Half the diameter, max pairwise distance / 2 <= r*: an O(m**2) oracle.
+
+    One ``chart`` per point against the later ones: bitwise the ``distance`` loop.
+    """
+    pts, P = pset.points, _stack(pset)
+    best = max((chart(pts[i], P[i + 1:])[2].max() for i in range(len(pts) - 1)), default=0.0)
+    return 0.5 * math.sqrt(best)
 
 
 def _dual_gap(r2: float, lam: np.ndarray, X: np.ndarray) -> float:
@@ -153,8 +159,9 @@ def _dual_gap(r2: float, lam: np.ndarray, X: np.ndarray) -> float:
 
 def _certificate(x: SpdMatrix, pset: PointSet):
     """Radius at ``x``, the lower bound and the error bound, as in ``certify``."""
-    r = radius_at(x, pset)[0]
-    X = _tangent(_chart(x, np.stack([p.mat for p in pset.points]))[1])
+    _, W, q, _, _ = chart(x, _stack(pset))
+    r = _farthest(x, pset, q)
+    X = _tangent(W)
     gap = _dual_gap(r * r, _meb(X)[0], X)
     return r, math.sqrt(max(r * r - gap, 0.0)), math.sqrt(2.0 * gap)
 
@@ -186,10 +193,6 @@ def certified_result(
         raise NumericalEscape(f"center escaped GL_c with c = {pset.ball.c:g}")
     radius, lower, bound = _certificate(center, pset)
     return CircumcenterResult(center, radius, lower, bound, iterations, bound <= eps)
-
-
-def _sym(stack: np.ndarray) -> np.ndarray:
-    return 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
 
 
 def _meb(X: np.ndarray):
@@ -301,21 +304,6 @@ def _meb(X: np.ndarray):
     raise NumericalEscape("minimal enclosing ball walk exceeded its pivot budget")
 
 
-def _chart(x: SpdMatrix, P: np.ndarray):
-    """Pull the point stack ``P`` to the chart at ``x``.
-
-    Returns the translated points M = x**-1/2 P x**-1/2, their logs W,
-    the squared distances q_i = d(x, P_i)**2, x**1/2 and x**-1/2.
-    """
-    _, sq, isq = spectral_calculus(
-        x.mat, np.sqrt, lambda w: 1.0 / np.sqrt(w), floor=0.0, name="iterate"
-    )
-    M = _sym(isq @ P @ isq)
-    lam, W = spectral_calculus(M, np.log, floor=0.0, name="relative spectrum")
-    q = np.mean(np.log(lam) ** 2, axis=1)
-    return M, W, q, sq, isq
-
-
 def _tangent(W: np.ndarray) -> np.ndarray:
     """Chart logs as real rows, over sqrt(n), so ``X @ X.T`` is Re tau(W_i* W_j)."""
     n = W.shape[-1]
@@ -324,7 +312,7 @@ def _tangent(W: np.ndarray) -> np.ndarray:
 
 def _max_sq_dist(E_half: np.ndarray, M: np.ndarray) -> float:
     """max_i d(exp(v), M_i)**2 for E_half = exp(-v/2), one batched eigh."""
-    lam = np.linalg.eigvalsh(_sym(E_half @ M @ E_half))
+    lam = np.linalg.eigvalsh(symmetrize(E_half @ M @ E_half))
     if lam[:, 0].min() <= 0.0:
         raise NotPositiveDefinite("relative spectrum lost positivity")
     return float(np.max(np.mean(np.log(lam) ** 2, axis=1)))
@@ -371,7 +359,7 @@ def solve(
         return CircumcenterResult(pts[0], 0.0, 0.0, 0.0, 0, True)
 
     n = pts[0].dim
-    P = np.stack([p.mat for p in pts])
+    P = _stack(pset)
     hi = pset.ball.c * (1.0 + _ITERATE_SLACK)
 
     x = pts[0]
@@ -380,7 +368,7 @@ def solve(
     last = None
     for k in range(max_iter):
         iterations = k + 1
-        M, W, q, sq, isq = _chart(x, P)
+        M, W, q, sq, isq = chart(x, P)
         r2 = float(q.max())
         r_k = math.sqrt(r2)
         # Tangent minimal-enclosing-ball direction; r2_tan is the chart dual.
@@ -390,7 +378,7 @@ def solve(
             trace.append((k, r_k, math.sqrt(2.0 * _dual_gap(r2, lam, X))))
         if r_k <= eps / math.sqrt(2.0):
             break  # whole set within eps of the iterate; nothing to gain
-        v = _sym(np.einsum("a,aij->ij", lam, W))
+        v = symmetrize(np.einsum("a,aij->ij", lam, W))
         vnorm = float(np.sqrt(np.sum(np.abs(v) ** 2) / n))
         if vnorm <= _STALL_RTOL * (1.0 + r_k):
             break  # first-order condition met to roundoff
@@ -422,7 +410,7 @@ def solve(
                 continue
             if F_y <= r2 - _ARMIJO_SIGMA * t * delta:
                 half = sq @ E_root
-                y = _sym(half @ half.conj().T)
+                y = symmetrize(half @ half.conj().T)
                 wy = np.linalg.eigvalsh(y)
                 if wy[0] >= 1.0 / hi and wy[-1] <= hi:
                     accepted = SpdMatrix(y, float(wy[0]), float(wy[-1]))

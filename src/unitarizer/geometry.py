@@ -4,6 +4,7 @@ The distance between positive definite a and b is the normalized L2 norm
 of log(a**-1/2 b a**-1/2).  With that metric the positive cone is a
 complete geodesic space of nonpositive curvature; geodesics are given by
 the weighted geometric mean and congruences x -> g* x g act by isometry.
+Every distance comes from one batched kernel, ``chart``.
 """
 
 from __future__ import annotations
@@ -11,16 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import (
-    DimensionMismatch,
-    NonConvergence,
-    NotPositiveDefinite,
-    ParameterOutOfRange,
-    SingularTransform,
-)
-from .linalg import PD_FLOOR, SpdMatrix, as_square_matrix, spd, spectral_calculus
+from .errors import DimensionMismatch, ParameterOutOfRange, SingularTransform
+from .linalg import PD_FLOOR, SpdMatrix, as_square_matrix, spd, spectral_calculus, symmetrize
 
 # Relative tolerance for geodesic identities such as constant speed.
 GEO_TOL = 1e-7
@@ -45,17 +39,20 @@ def _check_pair(a: SpdMatrix, b: SpdMatrix):
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def _relative_eigvals(b: SpdMatrix, a: SpdMatrix) -> np.ndarray:
-    """Eigenvalues of a**-1/2 b a**-1/2, via the definite pencil (b, a)."""
-    try:
-        lam = scipy.linalg.eigh(b.mat, a.mat, eigvals_only=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise NonConvergence(f"generalized eigenvalues failed: {exc}") from exc
-    if lam[0] <= 0.0:
-        raise NotPositiveDefinite(
-            f"relative spectrum has nonpositive leaf {lam[0]:.6e}"
-        )
-    return lam
+def chart(x: SpdMatrix, P: np.ndarray):
+    """Pull the point stack ``P``, shape (m, n, n), to the chart at ``x``.
+
+    Returns the translated points M = x**-1/2 P x**-1/2, their logs W,
+    the squared distances q_i = d(x, P_i)**2, x**1/2 and x**-1/2.  Every
+    step acts on each matrix of the stack alone, so the kernel is batch
+    invariant: q[i] is bitwise the same in a stack of any size.
+    """
+    _, sq, isq = spectral_calculus(
+        x.mat, np.sqrt, lambda w: 1.0 / np.sqrt(w), floor=0.0, name="chart base"
+    )
+    M = symmetrize(isq @ P @ isq)
+    lam, W = spectral_calculus(M, np.log, floor=0.0, name="relative spectrum")
+    return M, W, np.mean(np.log(lam) ** 2, axis=1), sq, isq
 
 
 def distance(a: SpdMatrix, b: SpdMatrix) -> float:
@@ -63,10 +60,10 @@ def distance(a: SpdMatrix, b: SpdMatrix) -> float:
 
     The norm is the normalized L2 norm, so in dimension n the distance is
     the root mean square of the logarithms of the relative eigenvalues.
+    It is bitwise sqrt(q[i]) of any ``chart`` at ``a`` with b as point i.
     """
     _check_pair(a, b)
-    lam = _relative_eigvals(b, a)
-    return float(np.sqrt(np.mean(np.log(lam) ** 2)))
+    return float(np.sqrt(chart(a, b.mat[None])[2][0]))
 
 
 def geodesic(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
@@ -83,13 +80,8 @@ def geodesic(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
         return a
     if t == 1.0:
         return b
-    _, root, iroot = spectral_calculus(
-        a.mat, np.sqrt, lambda w: 1.0 / np.sqrt(w), floor=0.0, name="geodesic start"
-    )
-    _, core = spectral_calculus(
-        iroot @ b.mat @ iroot, lambda w: np.power(w, t), floor=0.0,
-        name="relative spectrum",
-    )
+    M, _, _, root, _ = chart(a, b.mat[None])
+    _, core = spectral_calculus(M[0], lambda w: np.power(w, t), name="relative spectrum")
     return spd(root @ core @ root)
 
 

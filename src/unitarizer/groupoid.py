@@ -179,10 +179,10 @@ class FiniteMeasuredGroupoid:
         ih, ig = keys.reshape(m, 2).T
         ic = np.fromiter(map(idx.get, comp.values(), repeat(-1)), np.intp, m)
         known = (ih >= 0) & (ig >= 0)
-        keyed = known.copy()
-        keyed[known] = s[ih[known]] == t[ig[known]]
+        keyed = known & (s[ih] == t[ig]) if s.size else known
+        sel = slice(None) if keyed.all() else keyed  # a view, not a copy
         table = np.full(self._offset[-1], -1, dtype=np.intp)
-        table[self._base[ih[keyed]] + trank[ig[keyed]]] = ic[keyed]
+        table[self._base[ih[sel]] + trank[ig[sel]]] = ic[sel]
         self._pairs = (ih, ig, ic)
         self._table = table
         blocks = [
@@ -330,18 +330,10 @@ def check_invariance(G: FiniteMeasuredGroupoid) -> str:
     comparison; weights are carried around unchanged).  Quasi-invariant
     means inversion preserves which arrows carry positive measure.
     """
-    invariant = True
-    quasi = True
-    for a in G.arrows:
-        nu_g = G.unit_weight(a.tgt)
-        nu_gi = G.unit_weight(G.tgt(G.inv(a.id)))
-        if nu_g != nu_gi:
-            invariant = False
-        if (nu_g > 0.0) != (nu_gi > 0.0):
-            quasi = False
-    if invariant:
+    nu = G.mu[G._arrow_tgt]  # per arrow g, nu(g); nu[G._inv] is nu(inv(g))
+    if np.array_equal(nu, nu[G._inv]):
         return "invariant"
-    if quasi:
+    if np.array_equal(nu > 0.0, nu[G._inv] > 0.0):
         return "quasi_invariant"
     return "neither"
 

@@ -81,6 +81,21 @@ def operator_norm(x) -> float:
         raise NonConvergence(f"singular values failed to converge: {exc}") from exc
 
 
+def adjoint(a) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of every matrix of a stack."""
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def symmetrize(a) -> np.ndarray:
+    """(a + a*)/2 of a matrix or a stack: exactly Hermitian."""
+    return 0.5 * (a + adjoint(a))
+
+
+def l2_norms(stack) -> np.ndarray:
+    """Normalized L2 norm of every matrix of a stack."""
+    return np.sqrt(np.sum(np.abs(stack) ** 2, axis=(-2, -1)) / stack.shape[-1])
+
+
 def hermitian_part(a, name: str = "matrix") -> np.ndarray:
     """Symmetrize ``a`` to (a + a*)/2, refusing genuinely asymmetric input.
 
@@ -107,8 +122,7 @@ def spectral_calculus(a, *fs, floor: float | None = None, name: str = "matrix"):
     satisfy ``eig_min <= floor * eig_max`` raises
     :class:`NotPositiveDefinite` before any f is applied.
     """
-    h = np.asarray(a)
-    h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+    h = symmetrize(np.asarray(a))
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -118,12 +132,8 @@ def spectral_calculus(a, *fs, floor: float | None = None, name: str = "matrix"):
         raise NotPositiveDefinite(
             f"{name}: eigenvalue range [{lo:.6e}, {hi:.6e}] is not positive definite"
         )
-    vh = np.conj(np.swapaxes(v, -1, -2))
-    out = [w]
-    for f in fs:
-        m = (v * f(w)[..., None, :]) @ vh
-        out.append(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
-    return tuple(out)
+    vh = adjoint(v)
+    return (w, *(symmetrize((v * f(w)[..., None, :]) @ vh) for f in fs))
 
 
 def matrix_sqrt(a) -> np.ndarray:
@@ -181,17 +191,30 @@ def spd(a, name: str = "matrix") -> SpdMatrix:
     The input is symmetrized under the ``HERMITIAN_RTOL`` rule and the
     extreme eigenvalues are cached on the wrapper.
     """
-    h = hermitian_part(a, name)
+    return spd_stack(as_square_matrix(a, name)[None], lambda i: name)[0]
+
+
+def spd_stack(a, name) -> list:
+    """Validate every matrix of a stack as :func:`spd`, in one pass.
+
+    One asymmetry check, one batched ``eigvalsh`` and one positive definite
+    test (eig_max <= 0 fails it too) cover the whole stack.  Only when one
+    fails are the matrices checked one by one, and the first failing one
+    raises the error of :func:`spd`, named ``name(i)``.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    h = symmetrize(a)
     try:
-        w = np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"{name}: eigendecomposition failed: {exc}") from exc
-    if w[-1] <= 0.0 or w[0] <= PD_FLOOR * w[-1]:
-        raise NotPositiveDefinite(
-            f"{name}: eigenvalue range [{w[0]:.6e}, {w[-1]:.6e}]"
-            " is not positive definite"
-        )
-    return SpdMatrix(h, float(w[0]), float(w[-1]))
+        w = np.linalg.eigvalsh(h) if np.isfinite(a).all() else None
+    except np.linalg.LinAlgError:
+        w = None
+    if w is None or not np.all(
+        (np.max(np.abs(a - adjoint(a)), axis=(-2, -1)) <= HERMITIAN_RTOL * l2_norms(a))
+        & (w[:, 0] > PD_FLOOR * w[:, -1])
+    ):
+        for i, m in enumerate(a):  # the same checks, one matrix at a time
+            spectral_calculus(hermitian_part(m, name(i)), floor=PD_FLOOR, name=name(i))
+    return [SpdMatrix(m, float(lo), float(hi)) for m, lo, hi in zip(h, w[:, 0], w[:, -1])]
 
 
 def identity_spd(dim: int) -> SpdMatrix:

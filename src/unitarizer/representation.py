@@ -45,9 +45,11 @@ from .geometry import congruence
 from .groupoid import ActionGroupoidSpec, FiniteMeasuredGroupoid, build_action_groupoid
 from .linalg import (
     PD_FLOOR,
+    adjoint,
     as_square_matrix,
     l2_norm,
-    spd,
+    l2_norms,
+    spd_stack,
     spectral_calculus,
 )
 from .sampling import random_invertible
@@ -76,15 +78,6 @@ def _positive_ix(G: FiniteMeasuredGroupoid) -> np.ndarray:
     return np.flatnonzero(pos[G._arrow_src] & pos[G._arrow_tgt])
 
 
-def _norms(stack: np.ndarray) -> np.ndarray:
-    """Normalized L2 norm of every matrix of a stack."""
-    return np.sqrt(np.sum(np.abs(stack) ** 2, axis=(-2, -1)) / stack.shape[-1])
-
-
-def _adjoint(stack: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(stack, -1, -2))
-
-
 def _finite_bound(sv_max: np.ndarray) -> float:
     C = float(np.max(sv_max))
     if not np.isfinite(C):
@@ -103,14 +96,18 @@ def uniform_bound(G: FiniteMeasuredGroupoid, rho: dict) -> float:
 
 
 def _stacked(G: FiniteMeasuredGroupoid, dim: int, rho: dict):
-    """The arrow matrices stacked in the groupoid's arrow index order."""
-    mats = np.stack([as_square_matrix(rho[g], f"rho[{g}]") for g in G._ids])
-    if mats.shape[1] != dim:
-        raise DimensionMismatch(
-            f"representation matrices are {mats.shape[1]}x{mats.shape[2]},"
-            f" expected dimension {dim}"
-        )
-    return mats
+    """The arrow matrices in id order, checked arrow by arrow only to name a failure."""
+    mats = [rho[g] for g in G._ids]
+    try:
+        stack = np.array(mats, dtype=np.complex128)
+    except (TypeError, ValueError):  # ragged: matrices of different shapes
+        stack = None
+    if stack is None or stack.shape[1:] != (dim, dim) or not np.isfinite(stack).all():
+        sizes = [as_square_matrix(m, f"rho[{g}]").shape[0] for g, m in zip(G._ids, mats)]
+        for g, n in zip(G._ids, sizes):
+            if n != dim:
+                raise DimensionMismatch(f"rho[{g}]: matrix is {n}x{n}, expected dimension {dim}")
+    return stack
 
 
 def check_representation(rep: Representation, tol: float = REP_TOL):
@@ -124,13 +121,18 @@ def check_representation(rep: Representation, tol: float = REP_TOL):
 
 
 def _bad_pairs(G: FiniteMeasuredGroupoid, mats: np.ndarray, tol: float):
-    ih, ig, ic = G._pairs
-    pos = G.mu > 0.0
-    keep = pos[G._arrow_src[ig]] & pos[G._arrow_tgt[ig]] & pos[G._arrow_tgt[ih]]
-    ih, ig, ic = ih[keep], ig[keep], ic[keep]
-    norms = _norms(mats[ih] @ mats[ig] - mats[ic])
-    ids = G._ids
-    out = [((ids[ih[i]], ids[ig[i]]), float(norms[i])) for i in np.flatnonzero(norms > tol)]
+    # Per positive-mass unit y, one GEMM forms rho(h) rho(g) for h out of y
+    # (stacked as rows) and g into y (as columns), laid out as y's block.
+    pos, ids, d = G.mu > 0.0, G._ids, mats.shape[-1]
+    out = []
+    for y in np.flatnonzero(pos):
+        rows, cols = pos[G._arrow_tgt[G._out[y]]], pos[G._arrow_src[G._into[y]]]
+        ih, ig = G._out[y][rows], G._into[y][cols]
+        block = G._table[G._offset[y]:G._offset[y + 1]].reshape(rows.size, cols.size)
+        prod = mats[ih].reshape(-1, d) @ mats[ig].transpose(1, 0, 2).reshape(d, -1)
+        comp = mats[block[rows][:, cols]].transpose(0, 2, 1, 3)
+        r = np.sqrt(np.sum(np.abs(prod.reshape(comp.shape) - comp) ** 2, axis=(1, 3)) / d)
+        out += [((ids[ih[i]], ids[ig[j]]), float(r[i, j])) for i, j in zip(*np.nonzero(r > tol))]
     out.sort(key=lambda item: (-item[1], item[0]))
     return out
 
@@ -154,7 +156,7 @@ def make_representation(G: FiniteMeasuredGroupoid, dim: int, rho: dict) -> Repre
     # the singular check before the inverse check, then functoriality.
     eye = np.eye(dim)
     e = G._unit[G.mu > 0.0]
-    r = _norms(mats[e] - eye)
+    r = l2_norms(mats[e] - eye)
     bad = np.flatnonzero(r > REP_TOL)
     if bad.size:
         i = bad[0]
@@ -165,8 +167,8 @@ def make_representation(G: FiniteMeasuredGroupoid, dim: int, rho: dict) -> Repre
     A, Ai = mats[ix], mats[G._inv[ix]]
     sv = np.linalg.svd(A, compute_uv=False)
     singular = sv[:, -1] <= PD_FLOOR * sv[:, 0]
-    r = _norms(Ai @ A - eye)
-    deviates = r > REP_TOL * (1.0 + _norms(Ai) * _norms(A))
+    r = l2_norms(Ai @ A - eye)
+    deviates = r > REP_TOL * (1.0 + l2_norms(Ai) * l2_norms(A))
     bad = np.flatnonzero(singular | deviates)
     if bad.size:
         k = bad[0]
@@ -201,7 +203,7 @@ def gram_set(rep: Representation, x: str) -> PointSet:
         raise UnknownUnit(f"unit {x!r} carries no mass")
     ids = [g for g in G.source_fiber(x) if G.unit_weight(G.tgt(g)) > 0.0]
     R = np.stack([rep.rho[g] for g in ids])
-    B = _adjoint(R) @ R
+    B = adjoint(R) @ R
     # Normalized L2 distances by direct differences (the Gram-matrix trick
     # cannot resolve DEDUP_TOL).
     flat = B.reshape(len(ids), -1) / np.sqrt(rep.dim)
@@ -210,7 +212,7 @@ def gram_set(rep: Representation, x: str) -> PointSet:
     keep = np.ones(len(ids), dtype=bool)
     for j in np.flatnonzero(np.triu(near, 1).any(axis=0)):
         keep[j] = not (near[:j, j] & keep[:j]).any()
-    pts = [spd(B[j], f"gram[{ids[j]}]") for j in np.flatnonzero(keep)]
+    pts = spd_stack(B[keep], lambda i: f"gram[{ids[np.flatnonzero(keep)[i]]}]")
     C = rep.uniform_bound_C
     spread = max(max(p.eig_max, 1.0 / p.eig_min) for p in pts)
     return point_set(pts, c=max(C * C, spread) * (1.0 + 1e-9))
@@ -320,12 +322,12 @@ def unitarize(
 
     ix = _positive_ix(G)
     Ux, Rx = U[ix], R[ix]
-    run = _norms(_adjoint(Ux) @ Ux - np.eye(n))
-    req = _norms(_adjoint(Rx) @ S[t[ix]] @ Rx - S[s[ix]])
+    run = l2_norms(adjoint(Ux) @ Ux - np.eye(n))
+    req = l2_norms(adjoint(Rx) @ S[t[ix]] @ Rx - S[s[ix]])
     per_arrow = {ids[i]: (float(a), float(b)) for i, a, b in zip(ix, run, req)}
 
     witness = SimilarityWitness(
-        psi={x: spd(Psi[i], f"psi[{x}]") for i, x in zip(pos, units)},
+        psi=dict(zip(units, spd_stack(Psi[pos], lambda i: f"psi[{units[i]}]"))),
         sigma=sigma,
         certificates=results,
     )
@@ -390,7 +392,7 @@ def verify_similarity(
     R1, R2 = (np.stack([rho[g] for g in ids]) for rho in (rep1.rho, rep2.rho))
     H = np.stack([hmat[G.tgt(g)] for g in ids])
     H_inv = np.linalg.inv(np.stack([hmat[G.src(g)] for g in ids]))
-    r = _norms(R2 - H @ R1 @ H_inv)
+    r = l2_norms(R2 - H @ R1 @ H_inv)
     return bool(r.max() <= tol), dict(zip(ids, r.tolist()))
 
 
@@ -411,7 +413,7 @@ def check_base_rep(group, base_rep: dict, dim: int):
     mats = np.stack([as_square_matrix(base_rep[g]) for g in elems])
     for a, m in zip(elems, mats):  # one row of the product table at a time
         ab = np.stack([base_rep[group.mult[(a, b)]] for b in elems])
-        bad = np.flatnonzero(_norms(ab - m @ mats) > REP_TOL)
+        bad = np.flatnonzero(l2_norms(ab - m @ mats) > REP_TOL)
         if bad.size:
             raise InvalidBaseRep(
                 f"base representation is not multiplicative on ({a!r}, {elems[bad[0]]!r})"

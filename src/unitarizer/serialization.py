@@ -94,6 +94,9 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
 
 
 def groupoid_to_json(G: FiniteMeasuredGroupoid) -> dict:
+    # Arrow indices follow sorted ids: sorted index pairs give sorted triples.
+    pairs = np.stack(G._pairs, axis=1)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     return {
         "kind": "explicit",
         "units": list(G.units),
@@ -103,7 +106,7 @@ def groupoid_to_json(G: FiniteMeasuredGroupoid) -> dict:
             for a in sorted(G.arrows, key=lambda a: a.id)
         ],
         "inverse": {g: G.inverse[g] for g in sorted(G.inverse)},
-        "composition": sorted([h, g, c] for (h, g), c in G.composition.items()),
+        "composition": np.array(G._ids, dtype=object)[pairs].tolist(),
     }
 
 

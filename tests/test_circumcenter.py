@@ -5,6 +5,7 @@ import pytest
 
 from oracles import welzl_center
 from unitarizer.circumcenter import (
+    TIE_RTOL,
     CircumcenterResult,
     _meb,
     certify,
@@ -217,6 +218,24 @@ def test_radius_lower_bound_is_half_diameter():
     lb = radius_lower_bound(point_set(pts))
     # farthest pair: logs (2,0) vs (0,2), distance sqrt((4+4)/2) = 2
     assert lb == pytest.approx(1.0, abs=1e-12)
+
+
+def test_chart_radii_equal_the_scalar_distances_exactly():
+    # radius_at and the pairwise oracle take every distance from one chart
+    # per base point; the transported-certificate containment check compares
+    # them with the scalar distance at zero slack
+    rng = rng_from_seed(31)
+    for dim, cond in [(1, 10.0), (2, 2.0), (3, 1e2), (5, 1e4), (8, 1e3)]:
+        pts = [random_spd(rng, dim, cond) for _ in range(9)]
+        ps = point_set(pts)
+        for theta in (pts[0], random_spd(rng, dim, cond)):
+            r, far = radius_at(theta, ps)
+            dists = [distance(theta, p) for p in pts]
+            assert r == max(dists)
+            assert far == next(i for i, d in enumerate(dists) if d >= r * (1.0 - TIE_RTOL))
+        pairs = [distance(a, b) for a, b in itertools.combinations(pts, 2)]
+        assert radius_lower_bound(ps) == 0.5 * max(pairs)
+    assert radius_lower_bound(point_set(pts[:1])) == 0.0
 
 
 def test_solver_is_congruence_equivariant():

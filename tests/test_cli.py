@@ -182,3 +182,19 @@ def test_cli_module_selftest_subprocess():
     proc = run_module("selftest", "--dim", "2", "--trials", "20", "--seed", "1")
     assert proc.returncode == 0, proc.stderr
     assert "all properties passed" in proc.stdout
+
+
+def test_package_and_cli_import_without_scipy():
+    # every distance goes through the numpy chart kernel; scipy.linalg cost
+    # a third of a second and 28 MB at every process start
+    root = os.path.dirname(os.path.dirname(unitarizer.__file__))
+    probe = (
+        "import sys, unitarizer, unitarizer.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ from unitarizer.errors import (
 )
 from unitarizer.geometry import (
     GLcBall,
+    chart,
     congruence,
     distance,
     geodesic,
@@ -155,3 +156,24 @@ def test_dim_mismatch_between_points():
     b = identity_spd(3)
     with pytest.raises(DimensionMismatch):
         distance(a, b)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_chart_is_batch_invariant_bitwise(dim):
+    # the certificate reports the radius of a whole chart as the scalar
+    # distance to its farthest point, which needs q[i] independent of the
+    # stack around P_i, to the bit
+    rng = rng_from_seed(200 + dim)
+    for cond in (2.0, 1e2, 1e4):
+        x = random_spd(rng, dim, cond)
+        pts = [random_spd(rng, dim, cond) for _ in range(7)]
+        P = np.stack([p.mat for p in pts])
+        M, W, q, root, iroot = chart(x, P)
+        for i, p in enumerate(pts):
+            Mi, Wi, qi, _, _ = chart(x, P[i : i + 1])
+            assert qi[0] == q[i]
+            assert np.array_equal(Mi[0], M[i]) and np.array_equal(Wi[0], W[i])
+            assert distance(x, p) == np.sqrt(q[i])
+        for j in range(1, len(pts)):
+            assert np.array_equal(chart(x, P[j:])[2], q[j:])
+        assert np.allclose(root @ root, x.mat) and np.allclose(iroot @ x.mat @ iroot, np.eye(dim))

@@ -3,6 +3,7 @@ import pytest
 
 from unitarizer.errors import (
     DimensionMismatch,
+    UnitarizerError,
     InvalidMatrix,
     NotHermitian,
     NotPositiveDefinite,
@@ -21,6 +22,7 @@ from unitarizer.linalg import (
     ntrace,
     operator_norm,
     spd,
+    spd_stack,
     spectral_calculus,
 )
 from unitarizer.sampling import random_spd, rng_from_seed
@@ -143,3 +145,59 @@ def test_spectral_calculus_on_a_stack_matches_each_slice():
         stack[3] = -stack[3]
         with pytest.raises(NotPositiveDefinite):
             spectral_calculus(stack, np.log, floor=0.0)
+
+
+def _spd_reference(a, name):
+    """spd as one matrix at a time: symmetrize, eigvalsh, positive definite test."""
+    h = hermitian_part(a, name)
+    w = np.linalg.eigvalsh(h)
+    if w[-1] <= 0.0 or w[0] <= 1e-12 * w[-1]:
+        raise NotPositiveDefinite(
+            f"{name}: eigenvalue range [{w[0]:.6e}, {w[-1]:.6e}] is not positive definite"
+        )
+    return SpdMatrix(h, float(w[0]), float(w[-1]))
+
+
+def _outcome(f):
+    try:
+        return f()
+    except UnitarizerError as exc:
+        return type(exc), str(exc)
+
+
+def test_spd_stack_matches_spd_matrix_by_matrix():
+    # one batched pass; on a failure, the error that the matrix-by-matrix
+    # check raises for the first failing matrix, under its own name
+    rng = rng_from_seed(41)
+    good = [random_spd(rng, 3, 1e3).mat for _ in range(6)]
+    defects = {
+        "asymmetric": good[1] + 1e-6 * np.triu(np.ones((3, 3)), 1),
+        "indefinite": np.diag([1.0, -1.0, 2.0]).astype(complex),
+        "negative": -np.eye(3, dtype=complex),
+        "singular": np.diag([1.0, 1e-14, 1.0]).astype(complex),
+        "nan": np.full((3, 3), np.nan, dtype=complex),
+    }
+    cases = [[]] + [[k] for k in defects]
+    cases += [["asymmetric", "indefinite"], ["singular", "nan"], ["negative", "asymmetric"]]
+    seen = set()
+    for case in cases:
+        for order in (case, case[::-1]):
+            stack = np.stack(good[: 6 - len(order)] + [defects[k] for k in order])
+            stack[[1, -1]] = stack[[-1, 1]]  # a defect early, a good matrix last
+            name = "p{}".format
+            got = _outcome(lambda: spd_stack(stack, name))
+            want = _outcome(lambda: [_spd_reference(m, name(i)) for i, m in enumerate(stack)])
+            if isinstance(want, list):
+                seen.add("ok")
+                assert [(p.eig_min, p.eig_max) for p in got] == [
+                    (p.eig_min, p.eig_max) for p in want
+                ]
+                assert all(np.array_equal(p.mat, q.mat) for p, q in zip(got, want))
+            else:
+                seen.add(want[0])
+                assert got == want
+        for k in case:
+            assert _outcome(lambda: spd(defects[k], "x")) == _outcome(
+                lambda: _spd_reference(defects[k], "x")
+            )
+    assert seen == {"ok", NotHermitian, NotPositiveDefinite, InvalidMatrix}

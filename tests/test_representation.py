@@ -6,9 +6,12 @@ import pytest
 
 from unitarizer import representation
 from unitarizer.errors import (
+    DimensionMismatch,
     InvalidBaseRep,
+    InvalidMatrix,
     InvalidRepresentation,
     MissingArrow,
+    NotHermitian,
     NotPositiveDefinite,
     ParameterOutOfRange,
     UnknownUnit,
@@ -133,6 +136,91 @@ def test_unitarize_names_the_unit_whose_center_is_not_positive_definite(monkeypa
     monkeypatch.setattr(representation, "solve", negated_second)
     with pytest.raises(NotPositiveDefinite, match=r"^sigma\[b\]: eigenvalue range"):
         unitarize(rep)
+
+
+def test_bad_arrow_matrices_are_named_in_id_order():
+    # arrow ids in order: r0@a, r0@b, r1@a, r1@b, r2@a, r2@b; the stack is
+    # checked in one pass and arrow by arrow only to name the culprit: a
+    # matrix that is not square or not finite first, then one of the wrong
+    # dimension
+    G, rho = z3_two_unit_rho()
+    nan = np.full((2, 2), np.nan)
+    cases = [
+        ({"r1@b": np.ones((2, 3)), "r2@a": nan}, DimensionMismatch,
+         r"^rho\[r1@b\]: expected a nonempty square matrix, got shape \(2, 3\)$"),
+        ({"r1@a": nan, "r2@b": np.ones((2, 3))}, InvalidMatrix,
+         r"^rho\[r1@a\]: entries must be finite$"),
+        ({"r0@b": np.eye(3), "r2@a": nan}, InvalidMatrix,
+         r"^rho\[r2@a\]: entries must be finite$"),
+        ({"r2@b": np.eye(1), "r1@a": np.eye(3)}, DimensionMismatch,
+         r"^rho\[r1@a\]: matrix is 3x3, expected dimension 2$"),
+        ({g: np.eye(3) for g in rho}, DimensionMismatch,
+         r"^rho\[r0@a\]: matrix is 3x3, expected dimension 2$"),
+    ]
+    for bad, error, message in cases:
+        with pytest.raises(error, match=message):
+            make_representation(G, 2, {**rho, **bad})
+
+
+def test_gram_set_names_the_first_failing_point(monkeypatch):
+    # the kept Gram points are validated as one stack; a failure names the
+    # first failing point in arrow-id order, as point-by-point spd did
+    G, rho = z3_two_unit_rho()
+    bad = {**rho, "r1@a": np.diag([1.0, 0.0]), "r2@a": np.diag([0.0, 1.0])}
+    rep = Representation(G, 2, bad, 1.0)
+    with pytest.raises(NotPositiveDefinite, match=r"^gram\[r1@a\]: eigenvalue range"):
+        gram_set(rep, "a")
+    assert len(gram_set(rep, "b").points) == 1
+    # transposing without conjugating makes rho(g)^T rho(g) complex symmetric,
+    # so not Hermitian, where rho(g) has a complex phase.  rho(r1@a) is real
+    # here, and its point equals that of r0@a, so the first failing kept
+    # point is r2@a's.
+    rep = Representation(G, 2, {**rho, "r1@a": np.diag([1.0, -1.0])}, 1.0)
+    monkeypatch.setattr(representation, "adjoint", lambda a: np.swapaxes(a, -1, -2))
+    with pytest.raises(NotHermitian, match=r"^gram\[r2@a\]: asymmetry"):
+        gram_set(rep, "a")
+
+
+def _bad_pairs_reference(G, rho, tol):
+    """Functoriality residuals pair by pair over the composition table."""
+    pos = {x for x in G.units if G.unit_weight(x) > 0.0}
+    out = []
+    for (h, g), c in G.composition.items():
+        if G.src(g) in pos and G.tgt(g) in pos and G.tgt(h) in pos:
+            r = l2_norm(rho[c] - rho[h] @ rho[g])
+            if r > tol:
+                out.append(((h, g), r))
+    out.sort(key=lambda item: (-item[1], item[0]))
+    return out
+
+
+def test_functoriality_residuals_match_the_pairwise_reference():
+    # S3 on three points, x2 without mass.  Each corrupted arrow g gets
+    # rho(g) K and its inverse K**-1 rho(g**-1), so identities and inverses
+    # still hold and only functoriality fails.
+    spec = natural_permutation_action(3, mu=(0.5, 0.5, 0.0))
+    G = build_action_groupoid(spec)
+    rep = generate_instance(spec, permutation_base_rep(spec.group), 3.0, 5)
+    rng = np.random.default_rng(7)
+    rho = dict(rep.rho)
+    for g in ["120@x0", "201@x0", "102@x1"]:
+        K = np.eye(3) + 1e-3 * rng.standard_normal((3, 3))
+        gi = G.inv(g)
+        rho[g], rho[gi] = rho[g] @ K, np.linalg.inv(K) @ rho[gi]
+    want = _bad_pairs_reference(G, rho, 1e-9)
+    got = check_representation(Representation(G, 3, rho, rep.uniform_bound_C))
+    assert len(want) > 10 and len(got) == len(want)
+    # the same pairs at the same residuals up to summation order, worst first
+    ref = dict(want)
+    assert all(r == pytest.approx(ref[pair], rel=1e-12, abs=0.0) for pair, r in got)
+    assert got == sorted(got, key=lambda item: (-item[1], item[0]))
+    (h, g), r = want[0]
+    assert want[1][1] < r * (1.0 - 1e-9)  # a clear worst pair
+    assert got[0][0] == (h, g)
+    with pytest.raises(InvalidRepresentation) as exc:
+        make_representation(G, 3, rho)
+    assert str(exc.value).startswith(f"functoriality fails on pair ({h!r}, {g!r}) with residual")
+    assert check_representation(rep) == []
 
 
 def test_check_representation_flags_perturbed_arrow():

@@ -6,10 +6,13 @@ import pytest
 from unitarizer.errors import InvalidGroupoid, ParseError
 from unitarizer.groupoid import (
     ActionGroupoidSpec,
+    FiniteMeasuredGroupoid,
     build_action_groupoid,
     cyclic_group,
+    cyclic_shift_action,
     left_translation_action,
     natural_permutation_action,
+    ordered_pair_action,
     symmetric_group,
 )
 from unitarizer.linalg import l2_norm
@@ -236,3 +239,34 @@ def test_invalid_representation_content_is_not_a_parse_error(tmp_path):
 
     with pytest.raises(InvalidRepresentation):
         load_representation(str(path))
+
+
+def test_groupoid_to_json_composition_is_the_sorted_triples():
+    # the composition list comes from the index pairs; it must equal the
+    # sorted [h, g, hg] triples, whatever order the dict was built in
+    rng = np.random.default_rng(3)
+    groupoids = [
+        build_action_groupoid(natural_permutation_action(4)),
+        build_action_groupoid(cyclic_shift_action(12, copies=2)),
+    ]
+    G = build_action_groupoid(ordered_pair_action(3))
+    items = list(G.composition.items())
+    rng.shuffle(items)
+    arrows = list(G.arrows)
+    rng.shuffle(arrows)
+    groupoids.append(
+        FiniteMeasuredGroupoid(G.units, G.mu, arrows, G.inverse, dict(items), G.unit_arrows)
+    )
+    groupoids.append(groupoid_from_json(json.loads(json.dumps(groupoid_to_json(G)))))
+    for H in groupoids:
+        triples = sorted([h, g, c] for (h, g), c in H.composition.items())
+        assert groupoid_to_json(H)["composition"] == triples
+    # arrow ids whose sorted order is not the order of their parts
+    spec = ActionGroupoidSpec(
+        cyclic_group(11), ("u", "u10", "u2"), (0.5, 0.25, 0.25),
+        {(f"r{k}", x): x for k in range(11) for x in ("u", "u10", "u2")},
+    )
+    H = build_action_groupoid(spec)
+    assert groupoid_to_json(H)["composition"] == sorted(
+        [h, g, c] for (h, g), c in H.composition.items()
+    )
