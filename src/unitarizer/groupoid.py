@@ -4,16 +4,17 @@ A groupoid here is a finite set of units carrying probability weights,
 a finite set of arrows with source and target, a composition defined
 exactly on the composable pairs (src of the left factor equals tgt of the
 right factor; ``compose(h, g)`` means "g then h"), an involutive inverse,
-and one identity arrow per unit.  Construction validates every axiom
-exhaustively and reports the first failing arrow or triple.
+and one identity arrow per unit, which the composition determines.
+Construction validates every axiom exhaustively and reports the first
+failing arrow or triple.
 
 The checks run over integer tables built once per groupoid, from one read
 of the composition dict.  Arrows are numbered in sorted-id order; the
 composites sit in one flat table with a block per unit y, whose rows are
 y's source fiber and whose columns are its target fiber, so the table holds
-exactly the composable pairs.  Each identity and inverse law is one numpy
-gather over it, and associativity is one gathered block of triples per
-middle arrow.
+exactly the composable pairs.  The identity of a unit is read off its
+block, each inverse law is one numpy gather over the table, and
+associativity is one gathered block of triples per middle arrow.
 """
 
 from __future__ import annotations
@@ -55,11 +56,12 @@ class FiniteMeasuredGroupoid:
     inverse : dict str -> str
     composition : dict (str, str) -> str
         Keyed by (left, right); defined exactly when src(left) == tgt(right).
-    unit_arrows : dict str -> str, optional
-        Identity arrow per unit; derived from the tables when omitted.
+
+    The identity arrow of each unit is derived from ``composition`` and kept
+    as ``unit_arrows``, a dict unit -> arrow id.
     """
 
-    def __init__(self, units, mu, arrows, inverse, composition, unit_arrows=None):
+    def __init__(self, units, mu, arrows, inverse, composition):
         self.units = tuple(units)
         self.mu = np.asarray(tuple(mu), dtype=float)
         self.arrows = tuple(arrows)
@@ -111,9 +113,6 @@ class FiniteMeasuredGroupoid:
         self._offset = np.concatenate(([0], np.cumsum(sizes)))
         s = self._arrow_src
         self._base = self._offset[s] + self._srank * ntgt[s]
-
-        # ``_validate`` derives the identity arrows when none are given.
-        self.unit_arrows = None if unit_arrows is None else dict(unit_arrows)
         self._validate()
 
     # -- basic accessors ------------------------------------------------
@@ -190,19 +189,20 @@ class FiniteMeasuredGroupoid:
             for y, f in enumerate(self._out)
         ]
 
-        if self.unit_arrows is None:
-            # The first loop e at x, by id, with g . e == g for every g out
-            # of x (column rank(e) of x's block) and e . g == g for every g
-            # into x (row rank(e)).
-            self.unit_arrows = {}
-            for y, x in enumerate(self.units):
-                out, into, T = self._out[y], self._into[y], blocks[y]
-                loops = out[t[out] == y]
-                ok = (T[:, trank[loops]] == out[:, None]).all(axis=0)
-                ok &= (T[srank[loops]] == into).all(axis=1)
-                if not ok.any():
-                    raise InvalidGroupoid(f"no identity arrow found at unit {x!r}")
-                self.unit_arrows[x] = self._ids[loops[np.argmax(ok)]]
+        # Per unit x, the index of its identity: the first loop e, by id,
+        # with g . e == g for every g out of x (column rank(e) of x's block)
+        # and e . g == g for every g into x (row rank(e)), so no identity law
+        # is left to check.
+        self._unit = unit = np.empty(len(self.units), dtype=np.intp)
+        for y, x in enumerate(self.units):
+            out, into, T = self._out[y], self._into[y], blocks[y]
+            loops = out[t[out] == y]
+            ok = (T[:, trank[loops]] == out[:, None]).all(axis=0)
+            ok &= (T[srank[loops]] == into).all(axis=1)
+            if not ok.any():
+                raise InvalidGroupoid(f"no identity arrow found at unit {x!r}")
+            unit[y] = loops[np.argmax(ok)]
+        self.unit_arrows = {x: self._ids[e] for x, e in zip(self.units, unit)}
 
         if set(inv) != set(by_id):
             raise InvalidGroupoid("inverse table must cover exactly the arrow ids")
@@ -214,12 +214,6 @@ class FiniteMeasuredGroupoid:
             a, b = by_id[g], by_id[gi]
             if a.src != b.tgt or a.tgt != b.src:
                 raise InvalidGroupoid(f"inverse of {g!r} does not swap src and tgt")
-
-        if set(self.unit_arrows) != set(self.units):
-            raise InvalidGroupoid("unit arrow table must cover exactly the units")
-        for x, e in self.unit_arrows.items():
-            if e not in by_id or by_id[e].src != x or by_id[e].tgt != x:
-                raise InvalidGroupoid(f"unit arrow {e!r} at {x!r} is not a loop at {x!r}")
 
         # Entries are named as ((h, g), c).
         _raise_first(InvalidGroupoid, lambda i: next(islice(comp.items(), i, None)), [
@@ -243,14 +237,9 @@ class FiniteMeasuredGroupoid:
 
         n = len(self._ids)
         ids = np.arange(n)
-        # Per unit, the index of its identity arrow; per arrow, of its inverse.
-        self._unit = unit = np.array(
-            [idx[self.unit_arrows[x]] for x in self.units], dtype=np.intp
-        )
+        # Per arrow, the index of its inverse.
         self._inv = gi = np.array([idx[inv[g]] for g in self._ids], dtype=np.intp)
         _raise_first(InvalidGroupoid, self._ids.__getitem__, [
-            (self._compose_ix(ids, unit[s]) != ids, "right identity fails at {!r}"),
-            (self._compose_ix(unit[t], ids) != ids, "left identity fails at {!r}"),
             (
                 self._compose_ix(gi, ids) != unit[s],
                 "inverse law fails at {!r}: inv(g) . g != 1_src",
@@ -339,26 +328,16 @@ def check_invariance(G: FiniteMeasuredGroupoid) -> str:
 
 
 def check_ergodic(G: FiniteMeasuredGroupoid) -> bool:
-    """True when all positive-mass units lie in one arrow component.
+    """True when all positive-mass units lie in one orbit.
 
-    Saturated unions of components are the invariant unit sets of a finite
-    groupoid, so this is exactly ergodicity up to null sets.
+    Saturated unions of orbits are the invariant unit sets of a finite
+    groupoid, so this is exactly ergodicity up to null sets.  The orbit of
+    a unit r is the set of sources of the arrows into r.
     """
-    parent = list(range(len(G.units)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in G.arrows:
-        ri = find(G._unit_index[a.src])
-        rj = find(G._unit_index[a.tgt])
-        if ri != rj:
-            parent[ri] = rj
-    roots = {find(i) for i, x in enumerate(G.units) if G.mu[i] > 0.0}
-    return len(roots) <= 1
+    pos = G.mu > 0.0
+    orbit = np.zeros(len(G.units), dtype=bool)
+    orbit[G._arrow_src[G._into[int(np.argmax(pos))]]] = True
+    return bool(orbit[pos].all())
 
 
 def restrict(G: FiniteMeasuredGroupoid, units) -> FiniteMeasuredGroupoid:
@@ -381,8 +360,7 @@ def restrict(G: FiniteMeasuredGroupoid, units) -> FiniteMeasuredGroupoid:
     inside = np.array([g in ids for g in G._ids], dtype=bool)
     ih, ig, _ = G._pairs  # in the order of G.composition
     composition = dict(compress(G.composition.items(), inside[ih] & inside[ig]))
-    unit_arrows = {x: G.unit_arrows[x] for x in order}
-    return FiniteMeasuredGroupoid(order, mu, arrows, inverse, composition, unit_arrows)
+    return FiniteMeasuredGroupoid(order, mu, arrows, inverse, composition)
 
 
 # -- groups, actions and the groupoids they generate ----------------------
@@ -492,8 +470,7 @@ def build_action_groupoid(spec: ActionGroupoidSpec) -> FiniteMeasuredGroupoid:
             gx = act[(g, x)]
             for h in group.elements:
                 composition[(aid(h, gx), aid(g, x))] = aid(group.mult[(h, g)], x)
-    unit_arrows = {x: aid(group.identity, x) for x in units}
-    return FiniteMeasuredGroupoid(units, spec.mu, arrows, inverse, composition, unit_arrows)
+    return FiniteMeasuredGroupoid(units, spec.mu, arrows, inverse, composition)
 
 
 def cyclic_group(n: int) -> FiniteGroup:

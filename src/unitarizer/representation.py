@@ -115,7 +115,8 @@ def check_representation(rep: Representation, tol: float = REP_TOL):
 
     Checks every composable pair among positive-mass units and returns a
     list of ``((left, right), residual)`` with
-    ``residual = l2_norm(rho(hg) - rho(h) rho(g))``, worst first.
+    ``residual = l2_norm(rho(hg) - rho(h) rho(g))``, worst first; residuals
+    equal to 12 significant digits are listed in pair-name order.
     """
     return _bad_pairs(rep.groupoid, _stacked(rep.groupoid, rep.dim, rep.rho), tol)
 
@@ -133,7 +134,8 @@ def _bad_pairs(G: FiniteMeasuredGroupoid, mats: np.ndarray, tol: float):
         comp = mats[block[rows][:, cols]].transpose(0, 2, 1, 3)
         r = np.sqrt(np.sum(np.abs(prod.reshape(comp.shape) - comp) ** 2, axis=(1, 3)) / d)
         out += [((ids[ih[i]], ids[ig[j]]), float(r[i, j])) for i, j in zip(*np.nonzero(r > tol))]
-    out.sort(key=lambda item: (-item[1], item[0]))
+    # Residuals equal in exact arithmetic differ by summation roundoff.
+    out.sort(key=lambda item: (-float(f"{item[1]:.11e}"), item[0]))
     return out
 
 
@@ -377,8 +379,10 @@ def verify_similarity(
     if not _same_groupoid(rep1.groupoid, rep2.groupoid):
         raise InvalidRepresentation("representations live on different groupoids")
     G = rep1.groupoid
-    hmat = {}
-    for x in G.positive_units:
+    # One witness and one inverse per unit, the identity at null-mass units;
+    # the arrows gather theirs by endpoint.
+    H = np.tile(np.eye(rep1.dim, dtype=np.complex128), (len(G.units), 1, 1))
+    for i, x in zip(np.flatnonzero(G.mu > 0.0), G.positive_units):
         if x not in h:
             raise UnknownUnit(f"witness misses positive-mass unit {x!r}")
         m = as_square_matrix(h[x], f"h[{x}]")
@@ -387,12 +391,11 @@ def verify_similarity(
         sv = np.linalg.svd(m, compute_uv=False)
         if sv[-1] <= PD_FLOOR * sv[0]:
             raise SingularTransform(f"witness at {x!r} is numerically singular")
-        hmat[x] = m
-    ids = [G._ids[i] for i in _positive_ix(G)]
+        H[i] = m
+    ix = _positive_ix(G)
+    ids = [G._ids[i] for i in ix]
     R1, R2 = (np.stack([rho[g] for g in ids]) for rho in (rep1.rho, rep2.rho))
-    H = np.stack([hmat[G.tgt(g)] for g in ids])
-    H_inv = np.linalg.inv(np.stack([hmat[G.src(g)] for g in ids]))
-    r = l2_norms(R2 - H @ R1 @ H_inv)
+    r = l2_norms(R2 - H[G._arrow_tgt[ix]] @ R1 @ np.linalg.inv(H)[G._arrow_src[ix]])
     return bool(r.max() <= tol), dict(zip(ids, r.tolist()))
 
 

@@ -61,7 +61,7 @@ def matrix_to_json(m) -> dict:
     _require(a.ndim == 2 and a.shape[0] == a.shape[1], "matrix: not square")
     return {
         "dim": int(a.shape[0]),
-        "rows": [[[float(z.real), float(z.imag)] for z in row] for row in a],
+        "rows": np.stack((a.real, a.imag), -1).tolist(),
     }
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from unitarizer.errors import (
     EmptyRestriction,
@@ -85,6 +87,60 @@ def test_unit_arrows_behave_as_identities():
     assert G.compose(e_a, e_a) == e_a
     assert G.compose("r1@a", e_a) == "r1@a"
     assert G.compose(G.unit_arrows["b"], "r1@a") == "r1@a"
+
+
+IDENTITY_CATALOG = [
+    cyclic_shift_action(5),
+    natural_permutation_action(3),
+    natural_permutation_action(4),
+    left_translation_action(cyclic_group(4)),
+    left_translation_action(symmetric_group(3)),
+    ordered_pair_action(3),
+    cyclic_shift_action(3, copies=4),
+    trivial_action(cyclic_group(3), ("a", "b"), (0.5, 0.5)),
+    trivial_action(symmetric_group(3), ("a",), (1.0,)),
+]
+
+
+@pytest.mark.parametrize("spec", IDENTITY_CATALOG)
+def test_derived_identities_are_the_group_identity(spec):
+    G = build_action_groupoid(spec)
+    assert G.unit_arrows == {x: f"{spec.group.identity}@{x}" for x in spec.units}
+    R = restrict(G, spec.units[::2])
+    assert R.unit_arrows == {x: G.unit_arrows[x] for x in R.units}
+
+
+ORBIT_CATALOG = [
+    natural_permutation_action(3),  # one orbit
+    cyclic_shift_action(3, copies=2),  # two orbits
+    trivial_action(cyclic_group(2), ("a", "b", "c"), uniform_mu(3)),  # three
+    cyclic_shift_action(2, copies=16),  # sixteen
+]
+
+
+def _reaches_every_positive_unit(G):
+    """Brute force: walk the arrows both ways from the first positive unit."""
+    positive = set(G.positive_units)
+    seen, todo = set(), [G.positive_units[0]]
+    while todo:
+        x = todo.pop()
+        if x not in seen:
+            seen.add(x)
+            todo += [a.tgt for a in G.arrows if a.src == x]
+            todo += [a.src for a in G.arrows if a.tgt == x]
+    return positive <= seen
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(k=st.integers(0, len(ORBIT_CATALOG) - 1), bits=st.integers(1, 2**32 - 1))
+@example(k=2, bits=0b001)  # b and c: null-mass units alone in their orbits
+def test_ergodicity_matches_brute_force_reachability(k, bits):
+    spec = ORBIT_CATALOG[k]
+    support = [(bits >> i) & 1 for i in range(len(spec.units))]
+    assume(any(support))
+    mu = tuple(b / sum(support) for b in support)
+    G = build_action_groupoid(ActionGroupoidSpec(spec.group, spec.units, mu, spec.action))
+    assert check_ergodic(G) == _reaches_every_positive_unit(G)
 
 
 def test_composition_domain_is_exact():
@@ -241,9 +297,7 @@ def test_uniform_mu():
 
 
 def _with_composition(G, composition):
-    return FiniteMeasuredGroupoid(
-        G.units, G.mu, G.arrows, G.inverse, composition, G.unit_arrows
-    )
+    return FiniteMeasuredGroupoid(G.units, G.mu, G.arrows, G.inverse, composition)
 
 
 def test_every_corrupted_composition_entry_is_rejected():
@@ -318,12 +372,12 @@ def test_s5_natural_action_at_benchmark_scale():
     assert str(exc.value) == f"associativity fails on triple ({a!r}, {b!r}, {c!r})"
 
 
-def _swap_table(edits, derive=False, arrows=None):
+def _swap_table(edits, arrows=None, inverse=None):
     """Swap-groupoid tables with ``edits`` applied to the composition.
 
     An edit maps a pair to its new composite, or to None to drop the pair.
-    ``derive`` leaves ``unit_arrows`` to the constructor; ``arrows``
-    reorders the input arrows.
+    ``arrows`` reorders the input arrows; ``inverse`` replaces the inverse
+    table.
     """
     G = swap_groupoid((0.5, 0.5))
     comp = dict(G.composition)
@@ -332,14 +386,12 @@ def _swap_table(edits, derive=False, arrows=None):
             del comp[pair]
         else:
             comp[pair] = c
-    return FiniteMeasuredGroupoid(
-        G.units, G.mu, arrows or G.arrows, G.inverse, comp,
-        None if derive else G.unit_arrows,
-    )
+    inverse = G.inverse if inverse is None else inverse
+    return FiniteMeasuredGroupoid(G.units, G.mu, arrows or G.arrows, inverse, comp)
 
 
 # r0@x is the loop at x; r1@a runs a -> b and r1@b runs b -> a.
-@pytest.mark.parametrize("edits, derive, arrows, message", [
+@pytest.mark.parametrize("edits, in_derivation, arrows, message", [
     ({("zz", "r0@a"): "r0@a"}, False, None,
      "composition ('zz', 'r0@a') references unknown arrows"),
     ({("r0@b", "r1@b"): "r1@b"}, False, None,
@@ -364,7 +416,12 @@ def _swap_table(edits, derive=False, arrows=None):
       Arrow("r0@b", "b", "b"), Arrow("r1@a", "a", "b")),
      "composable pair ('r1@a', 'r1@b') is missing"),
 ])
-def test_composition_defects_are_named_exactly(edits, derive, arrows, message):
+def test_composition_defects_are_named_exactly(edits, in_derivation, arrows, message):
     with pytest.raises(InvalidGroupoid) as exc:
-        _swap_table(edits, derive, arrows)
+        _swap_table(edits, arrows)
     assert str(exc.value) == message
+    # Identities are derived before the inverse table is checked, so only a
+    # defect found in the derivation survives an empty inverse table.
+    with pytest.raises(InvalidGroupoid) as exc:
+        _swap_table(edits, arrows, inverse={})
+    assert (str(exc.value) == message) == in_derivation

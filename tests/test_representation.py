@@ -223,6 +223,31 @@ def test_functoriality_residuals_match_the_pairwise_reference():
     assert check_representation(rep) == []
 
 
+def test_tied_functoriality_residuals_are_listed_in_name_order():
+    # One corrupted arrow, rho(g) K and K**-1 rho(g**-1) with K = diag(1.01, 1),
+    # makes many pairs whose residuals are equal in exact arithmetic.
+    spec = natural_permutation_action(3)
+    G = build_action_groupoid(spec)
+    rep = generate_instance(spec, trivial_base_rep(spec.group, 2), 1.0, 0)
+    K = np.diag([1.01, 1.0])
+    rho = dict(rep.rho)
+    g, gi = "021@x1", G.inv("021@x1")
+    rho[g], rho[gi] = rho[g] @ K, np.linalg.inv(K) @ rho[gi]
+    got = check_representation(Representation(G, 2, rho, rep.uniform_bound_C))
+    pairs = [pair for pair, _ in got]
+    assert pairs.index(("120@x2", "021@x1")) < pairs.index(("201@x2", "021@x1"))
+    ties = 0
+    for (p, r), (q, s) in zip(got, got[1:]):
+        assert s <= r * (1.0 + 1e-12)
+        if s >= r * (1.0 - 1e-12):
+            ties += 1
+            assert p < q
+    assert ties > 10
+    with pytest.raises(InvalidRepresentation) as exc:
+        make_representation(G, 2, rho)
+    assert str(exc.value).startswith(f"functoriality fails on pair {pairs[0]!r} with residual")
+
+
 def test_check_representation_flags_perturbed_arrow():
     rep = z2_rep()
     rho = dict(rep.rho)

@@ -51,6 +51,21 @@ def test_matrix_round_trip_is_exact():
     assert np.array_equal(m, again)
 
 
+def test_matrix_to_json_bytes_equal_the_per_entry_form():
+    rng = np.random.default_rng(11)
+    mats = [rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)) for _ in range(50)]
+    mats += [
+        np.array([[-0.0, 5e-324], [1e300, complex(-1e-310, -0.0)]]),
+        np.eye(3, dtype=int),
+        [[complex(0.0, -0.0)]],
+    ]
+    for m in mats:
+        a = np.asarray(m, dtype=np.complex128)
+        rows = [[[float(z.real), float(z.imag)] for z in row] for row in a]
+        want = json.dumps({"dim": a.shape[0], "rows": rows})
+        assert json.dumps(matrix_to_json(m)) == want
+
+
 def test_matrix_parser_rejects_ragged_rows():
     with pytest.raises(ParseError):
         matrix_from_json({"dim": 2, "rows": [[[1, 0], [0, 0]], [[1, 0]]]})
@@ -255,7 +270,7 @@ def test_groupoid_to_json_composition_is_the_sorted_triples():
     arrows = list(G.arrows)
     rng.shuffle(arrows)
     groupoids.append(
-        FiniteMeasuredGroupoid(G.units, G.mu, arrows, G.inverse, dict(items), G.unit_arrows)
+        FiniteMeasuredGroupoid(G.units, G.mu, arrows, G.inverse, dict(items))
     )
     groupoids.append(groupoid_from_json(json.loads(json.dumps(groupoid_to_json(G)))))
     for H in groupoids:

@@ -95,6 +95,27 @@ def test_similarity_fails_with_identity_witness_on_twisted_pair():
     assert max(residuals.values()) > 1e-3
 
 
+def test_similarity_residuals_equal_the_per_arrow_form():
+    # S3 on three points, x2 without mass; any two representations over one
+    # groupoid and any witness give residuals, good or bad.
+    spec = natural_permutation_action(3, mu=(0.5, 0.5, 0.0))
+    base = permutation_base_rep(symmetric_group(3))
+    rep1 = generate_instance(spec, base, 10.0, seed=3)
+    rep2 = generate_instance(spec, base, 10.0, seed=4)
+    rng = np.random.default_rng(5)
+    G = rep1.groupoid
+    h = {x: rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for x in ("x0", "x1")}
+    ids = [a for a in sorted(G.inverse) if G.unit_weight(G.src(a)) * G.unit_weight(G.tgt(a)) > 0]
+    R1, R2 = (np.stack([r.rho[g] for g in ids]) for r in (rep1, rep2))
+    H = np.stack([np.asarray(h[G.tgt(g)], dtype=np.complex128) for g in ids])
+    H_inv = np.linalg.inv(np.stack([np.asarray(h[G.src(g)], dtype=np.complex128) for g in ids]))
+    want = [l2_norm(d) for d in R2 - H @ R1 @ H_inv]
+    ok, residuals = verify_similarity(rep1, rep2, h, tol=1e-5)
+    assert not ok
+    assert list(residuals) == ids and len(ids) == 8
+    assert list(residuals.values()) == want
+
+
 def test_gram_equivariance():
     # rho(g)* B_tgt rho(g) = B_src as sets, elementwise within dedup_tol
     spec = natural_permutation_action(3)
