@@ -21,8 +21,8 @@ minimal-enclosing-ball center there, and map it back through the
 exponential, damped by an Armijo line search on the squared radius.  A
 fixed point of that map satisfies the first-order condition of the
 minimax problem exactly, and geodesic convexity makes it the global
-circumcenter.  Every accepted step lowers the radius, so the last iterate
-is the one certified.
+circumcenter.  The last iterate is certified; its radius can sit a few ulp
+above an earlier one's, as the Armijo test reads it in the previous chart.
 
 The chart ball is solved exactly by ``_meb``, the pivoting walk of
 Fischer, Gaertner & Kutz (ESA 2003), which handles the affinely dependent
@@ -313,7 +313,12 @@ def _tangent(W: np.ndarray) -> np.ndarray:
 
 
 def _max_sq_dist(E_half: np.ndarray, M: np.ndarray) -> float:
-    """max_i d(exp(v), M_i)**2 for E_half = exp(-v/2), one batched eigh."""
+    """max_i d(exp(v), M_i)**2 for E_half = exp(-v/2), one batched eigh.
+
+    Not ``chart`` at the trial point: taking the Armijo test from that chart
+    and carrying it forward stopped the ill-conditioned S3-natural solve
+    (cond 1e3) early, with a unitarity residual of 9.75e-5.
+    """
     lam = np.linalg.eigvalsh(symmetrize(E_half @ M @ E_half))
     if lam[:, 0].min() <= 0.0:
         raise NotPositiveDefinite("relative spectrum lost positivity")
@@ -335,8 +340,8 @@ def solve(
         Certificate target.  ``converged`` is True exactly when the final
         ``center_error_bound`` is at most ``eps``.
     max_iter : int
-        Iteration budget; stalls are detected long before generic budgets
-        are exhausted.
+        Iteration budget; ill-conditioned sets can exhaust it (S3-natural
+        and Z8-self at dim 8, cond 1e3, run to a cap of 2000).
     trace : list, optional
         When given, one ``(iteration, radius_at_iterate, error_bound)``
         row is appended per iteration, with the bound taken from the
@@ -429,5 +434,5 @@ def solve(
         else:
             stall = 0
 
-    # Every accepted step lowers the radius, so the last iterate is the best.
+    # Certifying the iterate of least radius instead certifies no more solves.
     return certified_result(x, pset, eps, iterations)

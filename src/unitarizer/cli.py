@@ -36,7 +36,8 @@ from .serialization import (
     load_action_spec,
     load_json,
     load_representation,
-    matrix_from_json,
+    psi_from_json,
+    representation_from_json,
     representation_to_json,
     save_json,
     unitarization_to_json,
@@ -151,21 +152,20 @@ def cmd_unitarize(args) -> int:
 def cmd_verify(args) -> int:
     rep1 = load_representation(args.rep1)
     obj2 = load_json(args.rep2)
-    from .serialization import representation_from_json
-
     rep2 = representation_from_json(
         obj2, base_dir=os.path.dirname(os.path.abspath(args.rep2)), where=args.rep2
     )
     if args.witness:
-        wobj = load_json(args.witness)
-        raw = wobj.get("psi", wobj)
+        # a unitarize output file, or a bare {unit: matrix} object
+        raw, where = load_json(args.witness), args.witness
+        if isinstance(raw, dict) and "psi" in raw:
+            raw, where = raw["psi"], f"{where}.psi"
+        h = psi_from_json(raw, where)
+    elif "psi" in obj2:
+        h = psi_from_json(obj2["psi"], f"{args.rep2}.psi")
     else:
-        raw = obj2.get("psi")
-    if raw is None:
         eye = np.eye(rep1.dim, dtype=np.complex128)
         h = {x: eye for x in rep1.groupoid.positive_units}
-    else:
-        h = {x: matrix_from_json(m, f"psi[{x!r}]") for x, m in raw.items()}
     ok, residuals = verify_similarity(rep1, rep2, h, tol=args.tol)
     worst = max(residuals.values(), default=0.0)
     for g in sorted(residuals):

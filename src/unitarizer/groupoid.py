@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, islice, permutations, repeat
+from itertools import chain, compress, islice, permutations, product, repeat
 
 import numpy as np
 
@@ -376,8 +376,8 @@ class FiniteGroup:
     inverses: dict
 
 
-def _validate_group(group: FiniteGroup) -> np.ndarray:
-    """Check the group axioms; return the multiplication table on element indices."""
+def _validate_group(group: FiniteGroup) -> tuple:
+    """Check the group axioms; return the ``mult`` and ``inv`` tables on element indices."""
     elems = group.elements
     eset = set(elems)
     if len(eset) != len(elems):
@@ -408,7 +408,7 @@ def _validate_group(group: FiniteGroup) -> np.ndarray:
             raise InvalidAction(
                 f"associativity fails on triple ({elems[a]!r}, {elems[b]!r}, {elems[c]!r})"
             )
-    return mult
+    return mult, inv
 
 
 @dataclass(frozen=True)
@@ -427,7 +427,7 @@ def build_action_groupoid(spec: ActionGroupoidSpec) -> FiniteMeasuredGroupoid:
     Composition follows (delta, gamma . x) after (gamma, x) =
     (delta gamma, x); arrow ids are rendered as ``"gamma@x"``.
     """
-    mult = _validate_group(spec.group)
+    mult, inv = _validate_group(spec.group)
     group = spec.group
     units = tuple(spec.units)
     if any("@" in str(s) for s in list(group.elements) + list(units)):
@@ -455,21 +455,19 @@ def build_action_groupoid(spec: ActionGroupoidSpec) -> FiniteMeasuredGroupoid:
                 f"action is not compatible on ({elems[a]!r}, {elems[b]!r}, {units[x]!r})"
             )
 
-    def aid(g, x):
-        return f"{g}@{x}"
-
-    arrows = [Arrow(aid(g, x), x, act[(g, x)]) for g in group.elements for x in units]
-    inverse = {
-        aid(g, x): aid(group.inverses[g], act[(g, x)])
-        for g in group.elements
-        for x in units
-    }
-    composition = {}
-    for g in group.elements:
-        for x in units:
-            gx = act[(g, x)]
-            for h in group.elements:
-                composition[(aid(h, gx), aid(g, x))] = aid(group.mult[(h, g)], x)
+    # ids[g, x] names the arrow (g, x) from x to g.x.  Each table is one
+    # gather of ids, listed by g, then x (then h), so every key and value
+    # is one of the arrow id strings.
+    ng, nx = table.shape
+    ids = np.array([f"{g}@{x}" for g in elems for x in units], dtype=object).reshape(ng, nx)
+    flat = ids.ravel().tolist()
+    arrows = list(map(Arrow, flat, units * ng, map(units.__getitem__, table.ravel().tolist())))
+    inverse = dict(zip(flat, ids[inv[:, None], table].ravel().tolist()))
+    # At [g, x, h]: (h, g.x) after (g, x) is (hg, x).
+    after = ids[np.arange(ng), table[:, :, None]].ravel().tolist()
+    before = np.repeat(ids.ravel(), ng).tolist()
+    hg = ids[mult.T[:, None, :], np.arange(nx)[:, None]].ravel().tolist()
+    composition = dict(zip(zip(after, before), hg))
     return FiniteMeasuredGroupoid(units, spec.mu, arrows, inverse, composition)
 
 
@@ -485,29 +483,20 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(elems, mult, "r0", inverses)
 
 
-def _perm_name(p) -> str:
-    return "".join(str(i) for i in p)
-
-
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n on {0, .., n-1}; an element named "q0..q{n-1}" maps i to q_i."""
     if not 1 <= n <= 9:
         raise InvalidAction("symmetric group supported for 1 <= n <= 9")
-    perms = list(permutations(range(n)))
-    elems = tuple(_perm_name(p) for p in perms)
-    mult = {}
-    for p in perms:
-        for r in perms:
-            pr = tuple(p[r[i]] for i in range(n))  # p after r
-            mult[(_perm_name(p), _perm_name(r))] = _perm_name(pr)
-    identity = _perm_name(range(n))
-    inverses = {}
-    for p in perms:
-        ip = [0] * n
-        for i, pi in enumerate(p):
-            ip[pi] = i
-        inverses[_perm_name(p)] = _perm_name(ip)
-    return FiniteGroup(elems, mult, identity, inverses)
+    # Rows in lexicographic order, so their base-n codes are sorted.
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    place = n ** np.arange(n - 1, -1, -1)
+    codes = perms @ place
+    prod = np.searchsorted(codes, perms[:, perms] @ place)  # [p, r]: p after r
+    inverse = np.searchsorted(codes, np.argsort(perms, axis=1) @ place)
+    elems = tuple("".join(map(str, p)) for p in perms.tolist())
+    mult = dict(zip(product(elems, repeat=2), map(elems.__getitem__, prod.ravel().tolist())))
+    inverses = dict(zip(elems, map(elems.__getitem__, inverse.tolist())))
+    return FiniteGroup(elems, mult, elems[0], inverses)
 
 
 def uniform_mu(k: int) -> tuple:

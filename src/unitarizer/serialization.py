@@ -68,7 +68,7 @@ def matrix_to_json(m) -> dict:
 def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     dim = _get(obj, "dim", where)
     rows = _get(obj, "rows", where)
-    _require(isinstance(dim, int) and dim >= 1, "{}: dim must be a positive int", where)
+    _require(type(dim) is int and dim >= 1, "{}: dim must be a positive int", where)
     _require(isinstance(rows, list) and len(rows) == dim, "{}: expected {} rows", where, dim)
     for i, row in enumerate(rows):
         _require(
@@ -261,13 +261,19 @@ def representation_from_json(obj, base_dir: str = ".", where: str = "representat
     else:
         G = groupoid_from_json(gobj, f"{where}.groupoid")
     dim = _get(obj, "dim", where)
-    _require(isinstance(dim, int) and dim >= 1, "{}.dim: must be a positive int", where)
+    _require(type(dim) is int and dim >= 1, "{}.dim: must be a positive int", where)
     raw = _get(obj, "arrows", where)
     _require(isinstance(raw, dict), "{}.arrows: expected an object", where)
     rho = {
         g: matrix_from_json(m, f"{where}.arrows[{g!r}]") for g, m in raw.items()
     }
     return make_representation(G, dim, rho)
+
+
+def psi_from_json(obj, where: str) -> dict:
+    """A witness ``{unit: matrix}`` object as a dict of arrays."""
+    _require(isinstance(obj, dict), "{}: expected an object", where)
+    return {x: matrix_from_json(m, f"psi[{x!r}]") for x, m in obj.items()}
 
 
 def unitarization_to_json(rep, witness, unitary, report) -> dict:

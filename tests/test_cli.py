@@ -198,3 +198,42 @@ def test_package_and_cli_import_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _malformed(case, tmp_path, rep, out):
+    """Write the malformed input of ``case``; return the CLI arguments that read it."""
+    obj = load_json(rep)
+    if case == "witness-list":
+        path = str(tmp_path / "w.json")
+        save_json([1, 2], path)
+        return ["verify", rep, out, "--witness", path]
+    if case == "psi-list":
+        unit = load_json(out)
+        unit["psi"] = [1, 2]
+        save_json(unit, out)
+        return ["verify", rep, out]
+    if case == "matrix-dim-true":
+        for m in obj["arrows"].values():
+            m["dim"], m["rows"] = True, [[[1.0, 0.0]]]
+    else:  # rep-dim-true: 2x2 matrices under "dim": true
+        obj["dim"] = True
+    save_json(obj, rep)
+    return ["check", rep]
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("witness-list", "w.json: expected an object"),
+    ("psi-list", "out.json.psi: expected an object"),
+    ("matrix-dim-true", "dim must be a positive int"),
+    ("rep-dim-true", "dim: must be a positive int"),
+])
+def test_malformed_input_ends_in_one_error_line(spec_file, tmp_path, case, reason):
+    rep = str(tmp_path / "rep.json")
+    out = str(tmp_path / "out.json")
+    main(["generate", spec_file, "--dim", "2", "--seed", "1", "-o", rep])
+    main(["unitarize", rep, "-o", out])
+    proc = run_module(*_malformed(case, tmp_path, rep, out))
+    assert proc.returncode in (1, 2, 3), proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert reason in lines[0]

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -87,6 +88,92 @@ def test_unit_arrows_behave_as_identities():
     assert G.compose(e_a, e_a) == e_a
     assert G.compose("r1@a", e_a) == "r1@a"
     assert G.compose(G.unit_arrows["b"], "r1@a") == "r1@a"
+
+
+def _reference_symmetric_group(n):
+    """S_n built product by product, each name joined digit by digit."""
+    def name(p):
+        return "".join(str(i) for i in p)
+
+    perms = list(permutations(range(n)))
+    mult = {
+        (name(p), name(r)): name(tuple(p[r[i]] for i in range(n)))
+        for p in perms
+        for r in perms
+    }
+    inverses = {}
+    for p in perms:
+        ip = [0] * n
+        for i, pi in enumerate(p):
+            ip[pi] = i
+        inverses[name(p)] = name(ip)
+    return FiniteGroup(tuple(map(name, perms)), mult, name(range(n)), inverses)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetric_group_equals_the_per_product_form(n):
+    got, ref = symmetric_group(n), _reference_symmetric_group(n)
+    assert got.elements == ref.elements
+    assert got.identity == ref.identity
+    assert list(got.mult.items()) == list(ref.mult.items())
+    assert list(got.inverses.items()) == list(ref.inverses.items())
+
+
+def _reference_tables(spec):
+    """Arrows, inverse and composition built entry by entry from the string dicts."""
+    group, act = spec.group, spec.action
+
+    def aid(g, x):
+        return f"{g}@{x}"
+
+    arrows = [Arrow(aid(g, x), x, act[(g, x)]) for g in group.elements for x in spec.units]
+    inverse = {
+        aid(g, x): aid(group.inverses[g], act[(g, x)])
+        for g in group.elements
+        for x in spec.units
+    }
+    composition = {}
+    for g in group.elements:
+        for x in spec.units:
+            for h in group.elements:
+                composition[(aid(h, act[(g, x)]), aid(g, x))] = aid(group.mult[(h, g)], x)
+    return arrows, inverse, composition
+
+
+BUILD_CATALOG = [
+    cyclic_shift_action(5),
+    cyclic_shift_action(3, copies=4),
+    natural_permutation_action(3),
+    natural_permutation_action(4),
+    left_translation_action(cyclic_group(1)),
+    left_translation_action(cyclic_group(4)),
+    left_translation_action(symmetric_group(3)),
+    left_translation_action(symmetric_group(4)),
+    ordered_pair_action(3),
+    trivial_action(symmetric_group(3), ("a", "b"), (0.5, 0.5)),
+]
+
+
+@pytest.mark.parametrize("spec", BUILD_CATALOG)
+def test_action_groupoid_tables_equal_the_per_pair_form(spec):
+    G = build_action_groupoid(spec)
+    arrows, inverse, composition = _reference_tables(spec)
+    assert list(G.arrows) == arrows
+    assert list(G.inverse.items()) == list(inverse.items())
+    assert list(G.composition.items()) == list(composition.items())
+    # every composite key and value is an arrow's own id string
+    own = {a.id: a.id for a in G.arrows}
+    assert all(
+        h is own[h] and g is own[g] and hg is own[hg]
+        for (h, g), hg in G.composition.items()
+    )
+
+
+@pytest.mark.parametrize("units", [(0, 1), (("a", "b"), ("c", "d"))])
+def test_non_string_unit_names_are_rejected(units):
+    spec = trivial_action(cyclic_group(2), units, (0.5, 0.5))
+    with pytest.raises(InvalidGroupoid, match="^unit ids must be nonempty strings$"):
+        build_action_groupoid(spec)
 
 
 IDENTITY_CATALOG = [
