@@ -5,23 +5,33 @@ a finite set of arrows with source and target, a composition defined
 exactly on the composable pairs (src of the left factor equals tgt of the
 right factor; ``compose(h, g)`` means "g then h"), an involutive inverse,
 and one identity arrow per unit, which the composition determines.
-Construction validates every axiom exhaustively and reports the first
-failing arrow or triple.
+Construction validates every axiom and reports the first failing arrow or
+triple.
 
-The checks run over integer tables built once per groupoid, from one read
-of the composition dict.  Arrows are numbered in sorted-id order; the
-composites sit in one flat table with a block per unit y, whose rows are
-y's source fiber and whose columns are its target fiber, so the table holds
-exactly the composable pairs.  The identity of a unit is read off its
-block, each inverse law is one numpy gather over the table, and
-associativity is one gathered block of triples per middle arrow.
+The checks run over integer tables built once per groupoid.  Arrows are
+numbered in sorted-id order, and the composition is kept as index triples
+(h, g, hg): the constructor reads its dict once into them, while the JSON
+parser, the action-groupoid builder and ``restrict`` hand them over
+directly.  The composites sit in one flat table with a block per unit y,
+whose rows are y's source fiber and whose columns are its target fiber, so
+the table holds exactly the composable pairs.  The identity of a unit is
+read off its block and each inverse law is one numpy gather over the
+table.  Associativity is proved from generators by Light's test (Clifford
+& Preston, *The Algebraic Theory of Semigroups*, vol. 1, 1961): the arrows
+b with (ab)c == a(bc) for all composable a, c include the identities and
+are closed under composition, so it suffices to check such a set of
+arrows that generates the others.  Group tables and action compatibility
+are proved the same way.  Only when a proof fails does an exhaustive scan,
+one gathered block of triples per middle arrow, run to name the first
+failing triple; ``check_axioms`` always runs it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, islice, permutations, product, repeat
+from functools import cached_property
+from itertools import chain, islice, permutations, product, repeat
 
 import numpy as np
 
@@ -58,15 +68,40 @@ class FiniteMeasuredGroupoid:
         Keyed by (left, right); defined exactly when src(left) == tgt(right).
 
     The identity arrow of each unit is derived from ``composition`` and kept
-    as ``unit_arrows``, a dict unit -> arrow id.
+    as ``unit_arrows``, a dict unit -> arrow id.  The composition is kept as
+    integer triples; the ``composition`` dict is built from them on first
+    access, in the order its entries were given.
     """
 
     def __init__(self, units, mu, arrows, inverse, composition):
+        self._setup(units, mu, arrows, inverse)
+        comp = dict(composition)
+        # The one pass over the entries: index triples in dict order, -1 for
+        # an unknown id.
+        idx, m = self._index, len(comp)
+        keys = np.fromiter(map(idx.get, chain.from_iterable(comp), repeat(-1)), np.intp, 2 * m)
+        ih, ig = keys.reshape(m, 2).T
+        ic = np.fromiter(map(idx.get, comp.values(), repeat(-1)), np.intp, m)
+        self._validate((ih, ig, ic), lambda i: next(islice(comp.items(), i, None)))
+
+    @classmethod
+    def _from_triples(cls, units, mu, arrows, inverse, pairs):
+        """The groupoid whose composition is the index triples ``pairs``.
+
+        ``pairs`` is ``(ih, ig, ic)``: entry k says that arrow ``ih[k]``
+        after ``ig[k]`` is ``ic[k]``, each a rank in sorted arrow-id order.
+        Validation and its messages are the constructor's.
+        """
+        G = cls.__new__(cls)
+        G._setup(units, mu, arrows, inverse)
+        G._validate(pairs, G._entry)
+        return G
+
+    def _setup(self, units, mu, arrows, inverse):
         self.units = tuple(units)
         self.mu = np.asarray(tuple(mu), dtype=float)
         self.arrows = tuple(arrows)
         self.inverse = dict(inverse)
-        self.composition = dict(composition)
 
         if len(set(self.units)) != len(self.units):
             raise InvalidGroupoid("duplicate unit ids")
@@ -95,7 +130,7 @@ class FiniteMeasuredGroupoid:
         # unit y sits in row rank(h in source_fiber(y)), column
         # rank(g in target_fiber(y)) of y's block of the flat table, at
         # ``_base[h] + _trank[g]``; the blocks hold exactly the composable
-        # pairs.  ``_validate`` fills the table from ``composition``.
+        # pairs.  ``_validate`` fills the table from the index triples.
         self._ids = tuple(sorted(self._by_id))
         self._index = {g: i for i, g in enumerate(self._ids)}
         ui = self._unit_index
@@ -113,7 +148,18 @@ class FiniteMeasuredGroupoid:
         self._offset = np.concatenate(([0], np.cumsum(sizes)))
         s = self._arrow_src
         self._base = self._offset[s] + self._srank * ntgt[s]
-        self._validate()
+
+    @cached_property
+    def composition(self) -> dict:
+        """dict (h, g) -> h after g, in the order the entries were given."""
+        names = np.array(self._ids, dtype=object)
+        h, g, c = (names[p].tolist() for p in self._pairs)
+        return dict(zip(zip(h, g), c))
+
+    def _entry(self, i):
+        """Entry i of the index triples as ((h, g), c)."""
+        ih, ig, ic = self._pairs
+        return (self._ids[ih[i]], self._ids[ig[i]]), self._ids[ic[i]]
 
     # -- basic accessors ------------------------------------------------
 
@@ -135,10 +181,10 @@ class FiniteMeasuredGroupoid:
 
     def compose(self, h: str, g: str) -> str:
         """Composite "g then h"; defined when src(h) == tgt(g)."""
-        try:
-            return self.composition[(h, g)]
-        except KeyError:
-            raise InvalidGroupoid(f"arrows {h!r} after {g!r} are not composable") from None
+        i, j = self._index.get(h), self._index.get(g)
+        if i is None or j is None or self._arrow_src[i] != self._arrow_tgt[j]:
+            raise InvalidGroupoid(f"arrows {h!r} after {g!r} are not composable")
+        return self._ids[self._compose_ix(i, j)]
 
     def unit_weight(self, x: str) -> float:
         try:
@@ -162,21 +208,22 @@ class FiniteMeasuredGroupoid:
 
     # -- validation ------------------------------------------------------
 
-    def _validate(self):
-        comp = self.composition
+    def _validate(self, pairs, entry, exhaustive=False):
+        """Check every axiom on the index triples ``pairs``.
+
+        ``entry(i)`` names entry i as ((h, g), c); it is called only to raise.
+        Associativity is proved by Light's test, and scanned triple by triple
+        when that fails or when ``exhaustive``.
+        """
+        ih, ig, ic = pairs
         inv = self.inverse
         by_id = self._by_id
         idx = self._index
         s, t = self._arrow_src, self._arrow_tgt
         srank, trank = self._srank, self._trank
 
-        # The one pass over the entries: index triples in dict order, -1 for
-        # an unknown id.  Every other check reads these arrays.  Only known,
-        # composable pairs fill slots of the table; an unfilled slot stays -1.
-        m = len(comp)
-        keys = np.fromiter(map(idx.get, chain.from_iterable(comp), repeat(-1)), np.intp, 2 * m)
-        ih, ig = keys.reshape(m, 2).T
-        ic = np.fromiter(map(idx.get, comp.values(), repeat(-1)), np.intp, m)
+        # Every check reads the triples.  Only known, composable pairs fill
+        # slots of the table; an unfilled slot stays -1.
         known = (ih >= 0) & (ig >= 0)
         keyed = known & (s[ih] == t[ig]) if s.size else known
         sel = slice(None) if keyed.all() else keyed  # a view, not a copy
@@ -184,7 +231,7 @@ class FiniteMeasuredGroupoid:
         table[self._base[ih[sel]] + trank[ig[sel]]] = ic[sel]
         self._pairs = (ih, ig, ic)
         self._table = table
-        blocks = [
+        self._blocks = blocks = [
             table[self._offset[y]:self._offset[y + 1]].reshape(f.size, self._into[y].size)
             for y, f in enumerate(self._out)
         ]
@@ -215,8 +262,7 @@ class FiniteMeasuredGroupoid:
             if a.src != b.tgt or a.tgt != b.src:
                 raise InvalidGroupoid(f"inverse of {g!r} does not swap src and tgt")
 
-        # Entries are named as ((h, g), c).
-        _raise_first(InvalidGroupoid, lambda i: next(islice(comp.items(), i, None)), [
+        _raise_first(InvalidGroupoid, entry, [
             (~known, "composition {0[0]!r} references unknown arrows"),
             (~keyed, "composition defined on non-composable pair {0[0]!r}"),
             (ic < 0, "composite of {0[0]!r} is an unknown arrow {0[1]!r}"),
@@ -234,6 +280,10 @@ class FiniteMeasuredGroupoid:
                 if missing.any():
                     h = self._ids[self._out[t[g]][np.argmax(missing)]]
                     raise InvalidGroupoid(f"composable pair ({h!r}, {a.id!r}) is missing")
+        # A full table with one entry per slot lists each pair once.  Dict
+        # keys cannot repeat, so only index triples can fail here.
+        if ih.size != table.size:
+            raise InvalidGroupoid("composition lists a composable pair more than once")
 
         n = len(self._ids)
         ids = np.arange(n)
@@ -249,25 +299,99 @@ class FiniteMeasuredGroupoid:
                 "inverse law fails at {!r}: g . inv(g) != 1_tgt",
             ),
         ])
+        if exhaustive or not self._light_test():
+            self._scan_associativity()
 
-        # (ab)c == a(bc), one block per arrow b: a runs over the source fiber
-        # of y = tgt(b) and c over the target fiber of z = src(b).  In y's
-        # block the products ab are column rank(b); in z's block the
-        # products bc are row rank(b).
-        for b in range(n):
-            Ty, Tz = blocks[t[b]], blocks[s[b]]
-            bad = Tz[srank[Ty[:, trank[b]]]] != Ty[:, trank[Tz[srank[b]]]]
+    def _compose_ix(self, h, g):
+        """Composite indices of composable arrow index arrays ``h`` after ``g``."""
+        return self._table[self._base[h] + self._trank[g]]
+
+    def _middle_fails(self, b):
+        """Mask [c, a] of (ab)c != a(bc) over every composable a and c.
+
+        a runs over the source fiber of y = tgt(b) and c over the target
+        fiber of z = src(b).  In y's block the products ab are column
+        rank(b); in z's block the products bc are row rank(b).
+        """
+        s, t, srank, trank = self._arrow_src, self._arrow_tgt, self._srank, self._trank
+        Ty, Tz = self._blocks[t[b]], self._blocks[s[b]]
+        return (Tz[srank[Ty[:, trank[b]]]] != Ty[:, trank[Tz[srank[b]]]]).T
+
+    def _light_test(self) -> bool:
+        """True when associativity follows from a generating set of arrows.
+
+        The arrows b with (ab)c == a(bc) for all composable a and c include
+        the identities and are closed under composition, so the table is
+        associative when such arrows generate every arrow under the table's
+        own composition.  Per orbit, with r its first unit: one arrow t_y
+        from each unit y into r, the inverses of these, and loops at r
+        chosen greedily until they and the identity generate every loop at
+        r.  Lookups confirm that the products inv(t_z) . k . t_y, over loops
+        k at r, are every arrow of the orbit.
+        """
+        s, unit = self._arrow_src, self._unit
+        covered = np.zeros(len(self._ids), dtype=bool)
+        gens = []
+        seen = np.zeros(len(self.units), dtype=bool)
+        for r in range(len(self.units)):
+            if seen[r]:
+                continue
+            into = self._into[r]
+            seen[s[into]] = True
+            tree = np.full(len(self.units), -1, dtype=np.intp)
+            tree[s[into]] = into  # an arrow from each unit of the orbit
+            tree[r] = unit[r]
+            tree = tree[tree >= 0]
+            loops = into[s[into] == r]
+            local = np.full(len(self._ids), -1, dtype=np.intp)
+            local[loops] = np.arange(loops.size)
+            iso = local[self._blocks[r][np.ix_(self._srank[loops], self._trank[loops])]]
+            picked = loops[_generators(iso, local[unit[r]])]
+            back = self._inv[tree]
+            gens += [tree, back, picked]
+            left = self._compose_ix(back[:, None], loops)
+            covered[self._compose_ix(left[:, :, None], tree)] = True
+        if not covered.all():
+            return False
+        middles = np.setdiff1d(np.concatenate(gens), unit)
+        return not any(self._middle_fails(b).any() for b in middles)
+
+    def _scan_associativity(self):
+        """Check (ab)c == a(bc) on every composable triple.
+
+        The first failure, ordered by b, then c, then a, each by id, is named.
+        """
+        for b in range(len(self._ids)):
+            bad = self._middle_fails(b)
             if bad.any():
-                ci, ai = np.argwhere(bad.T)[0]
-                a, c = self._out[t[b]][ai], self._into[s[b]][ci]
+                ci, ai = np.argwhere(bad)[0]
+                a, c = self._out[self._arrow_tgt[b]][ai], self._into[self._arrow_src[b]][ci]
                 raise InvalidGroupoid(
                     f"associativity fails on triple"
                     f" ({self._ids[a]!r}, {self._ids[b]!r}, {self._ids[c]!r})"
                 )
 
-    def _compose_ix(self, h, g):
-        """Composite indices of composable arrow index arrays ``h`` after ``g``."""
-        return self._table[self._base[h] + self._trank[g]]
+
+def _generators(mult, e):
+    """Indices chosen greedily until they and ``e`` generate all of ``mult``.
+
+    ``mult`` is a square table of indices.  The closure is taken under the
+    table itself, with no law assumed, so every index is reached.
+    """
+    member = np.zeros(len(mult), dtype=bool)
+    member[e] = True
+    gens = []
+    for j in range(len(mult)):
+        if member[j]:
+            continue
+        gens.append(j)
+        member[j] = True
+        new = np.flatnonzero(member)
+        while new.size:
+            prod = np.unique(mult[np.ix_(new, gens)])
+            new = prod[~member[prod]]
+            member[new] = True
+    return np.array(gens, dtype=np.intp)
 
 
 def _raise_first(error, name, checks):
@@ -283,8 +407,8 @@ def _raise_first(error, name, checks):
 
 
 def check_axioms(G: FiniteMeasuredGroupoid) -> bool:
-    """Re-run the exhaustive axiom validation; True when it passes."""
-    G._validate()
+    """Re-run the axiom validation, associativity exhaustively; True when it passes."""
+    G._validate(G._pairs, G._entry, exhaustive=True)
     return True
 
 
@@ -357,10 +481,14 @@ def restrict(G: FiniteMeasuredGroupoid, units) -> FiniteMeasuredGroupoid:
     arrows = [a for a in G.arrows if a.src in keep and a.tgt in keep]
     ids = {a.id for a in arrows}
     inverse = {g: G.inverse[g] for g in ids}
+    # Kept ids keep their sorted order, so a kept arrow's new index is the
+    # number of kept arrows before it.
     inside = np.array([g in ids for g in G._ids], dtype=bool)
-    ih, ig, _ = G._pairs  # in the order of G.composition
-    composition = dict(compress(G.composition.items(), inside[ih] & inside[ig]))
-    return FiniteMeasuredGroupoid(order, mu, arrows, inverse, composition)
+    ih, ig, _ = G._pairs
+    keep = inside[ih] & inside[ig]
+    rank = np.cumsum(inside) - 1
+    pairs = tuple(rank[p[keep]] for p in G._pairs)
+    return FiniteMeasuredGroupoid._from_triples(order, mu, arrows, inverse, pairs)
 
 
 # -- groups, actions and the groupoids they generate ----------------------
@@ -377,7 +505,7 @@ class FiniteGroup:
 
 
 def _validate_group(group: FiniteGroup) -> tuple:
-    """Check the group axioms; return the ``mult`` and ``inv`` tables on element indices."""
+    """Check the group axioms; return ``mult``, ``inv`` and generators, on element indices."""
     elems = group.elements
     eset = set(elems)
     if len(eset) != len(elems):
@@ -392,6 +520,11 @@ def _validate_group(group: FiniteGroup) -> tuple:
     if (mult < 0).any():
         a, b = np.argwhere(mult < 0)[0]
         raise InvalidAction(f"multiplication table incomplete at ({elems[a]!r}, {elems[b]!r})")
+    # Every pair of elements has its entry, so any further key is unknown.
+    if len(group.mult) != n * n:
+        known = set(product(elems, repeat=2))
+        key = next(k for k in group.mult if k not in known)
+        raise InvalidAction(f"multiplication table has an entry for unknown elements {key!r}")
     e = eidx[group.identity]
     r = np.arange(n)
     inv = np.fromiter((eidx.get(group.inverses.get(a), -1) for a in elems), np.intp, n)
@@ -400,15 +533,23 @@ def _validate_group(group: FiniteGroup) -> tuple:
         (inv < 0, "missing inverse for {!r}"),
         ((mult[r, inv] != e) | (mult[inv, r] != e), "inverse law fails at {!r}"),
     ])
-    # (ab)c == a(bc), one row a at a time: entry [b, c] of each side.
-    for a in range(n):
-        bad = mult[mult[a]] != mult[a][mult]
-        if bad.any():
-            b, c = np.argwhere(bad)[0]
-            raise InvalidAction(
-                f"associativity fails on triple ({elems[a]!r}, {elems[b]!r}, {elems[c]!r})"
-            )
-    return mult, inv
+    if len(group.inverses) != n:
+        key = next(k for k in group.inverses if k not in eidx)
+        raise InvalidAction(f"inverse given for unknown element {key!r}")
+    # Light's test, as for groupoids: the b with (ab)c == a(bc) for all a
+    # and c (entry [a, c] of each side) include e and are closed under mult,
+    # so checking generators suffices.
+    gens = _generators(mult, e)
+    if any((mult[mult[:, b]] != mult[:, mult[b]]).any() for b in gens):
+        # Name the first failing triple: one row a at a time, entry [b, c].
+        for a in range(n):
+            bad = mult[mult[a]] != mult[a][mult]
+            if bad.any():
+                b, c = np.argwhere(bad)[0]
+                raise InvalidAction(
+                    f"associativity fails on triple ({elems[a]!r}, {elems[b]!r}, {elems[c]!r})"
+                )
+    return mult, inv, gens
 
 
 @dataclass(frozen=True)
@@ -427,7 +568,7 @@ def build_action_groupoid(spec: ActionGroupoidSpec) -> FiniteMeasuredGroupoid:
     Composition follows (delta, gamma . x) after (gamma, x) =
     (delta gamma, x); arrow ids are rendered as ``"gamma@x"``.
     """
-    mult, inv = _validate_group(spec.group)
+    mult, inv, gens = _validate_group(spec.group)
     group = spec.group
     units = tuple(spec.units)
     if any("@" in str(s) for s in list(group.elements) + list(units)):
@@ -443,32 +584,44 @@ def build_action_groupoid(spec: ActionGroupoidSpec) -> FiniteMeasuredGroupoid:
     if (table < 0).any():
         g, x = np.argwhere(table < 0)[0]
         raise InvalidAction(f"action incomplete at ({elems[g]!r}, {units[x]!r})")
+    if len(act) != table.size:
+        known = set(product(elems, units))
+        key = next(k for k in act if k not in known)
+        raise InvalidAction(f"action given on unknown element or unit {key!r}")
     for x in units:
         if act[(group.identity, x)] != x:
             raise InvalidAction(f"identity does not fix unit {x!r}")
-    # (ab).x == a.(b.x), one row a at a time: entry [b, x] of each side.
-    for a in range(len(elems)):
-        bad = table[mult[a]] != table[a][table]
-        if bad.any():
-            b, x = np.argwhere(bad)[0]
-            raise InvalidAction(
-                f"action is not compatible on ({elems[a]!r}, {elems[b]!r}, {units[x]!r})"
-            )
+    # The b with (ab).x == a.(b.x) for all a and x (entry [a, x] of each
+    # side) include the identity and, the group being associative, are
+    # closed under mult, so checking generators suffices.
+    if any((table[mult[:, b]] != table[:, table[b]]).any() for b in gens):
+        # Name the first failing triple: one row a at a time, entry [b, x].
+        for a in range(len(elems)):
+            bad = table[mult[a]] != table[a][table]
+            if bad.any():
+                b, x = np.argwhere(bad)[0]
+                raise InvalidAction(
+                    f"action is not compatible on ({elems[a]!r}, {elems[b]!r}, {units[x]!r})"
+                )
 
-    # ids[g, x] names the arrow (g, x) from x to g.x.  Each table is one
-    # gather of ids, listed by g, then x (then h), so every key and value
-    # is one of the arrow id strings.
+    # ids[g, x] names the arrow (g, x) from x to g.x; flat index g * nx + x.
+    # Arrows and inverses are listed by g, then x; the composition triples
+    # by g, then x, then h, at sorted-id ranks.
     ng, nx = table.shape
     ids = np.array([f"{g}@{x}" for g in elems for x in units], dtype=object).reshape(ng, nx)
     flat = ids.ravel().tolist()
     arrows = list(map(Arrow, flat, units * ng, map(units.__getitem__, table.ravel().tolist())))
     inverse = dict(zip(flat, ids[inv[:, None], table].ravel().tolist()))
+    rank = np.empty(ng * nx, dtype=np.intp)
+    rank[sorted(range(ng * nx), key=flat.__getitem__)] = np.arange(ng * nx)
+    rank = rank.reshape(ng, nx)
     # At [g, x, h]: (h, g.x) after (g, x) is (hg, x).
-    after = ids[np.arange(ng), table[:, :, None]].ravel().tolist()
-    before = np.repeat(ids.ravel(), ng).tolist()
-    hg = ids[mult.T[:, None, :], np.arange(nx)[:, None]].ravel().tolist()
-    composition = dict(zip(zip(after, before), hg))
-    return FiniteMeasuredGroupoid(units, spec.mu, arrows, inverse, composition)
+    after = rank[np.arange(ng), table[:, :, None]].ravel()
+    before = np.repeat(rank.ravel(), ng)
+    hg = rank[mult.T[:, None, :], np.arange(nx)[:, None]].ravel()
+    return FiniteMeasuredGroupoid._from_triples(
+        units, spec.mu, arrows, inverse, (after, before, hg)
+    )
 
 
 def cyclic_group(n: int) -> FiniteGroup:

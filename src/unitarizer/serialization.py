@@ -27,10 +27,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidGroupoid, ParseError
 from .groupoid import (
     ActionGroupoidSpec,
     Arrow,
@@ -214,6 +215,42 @@ def groupoid_from_json(obj, where: str = "groupoid") -> FiniteMeasuredGroupoid:
     )
     raw_comp = _get(obj, "composition", where)
     _require(isinstance(raw_comp, list), "{}.composition: expected a list", where)
+    pairs = _index_triples(arrows, raw_comp)
+    if pairs is not None:
+        try:
+            return FiniteMeasuredGroupoid._from_triples(units, mu, arrows, raw_inv, pairs)
+        except InvalidGroupoid:
+            pass  # the per-entry path below names the error
+    return FiniteMeasuredGroupoid(
+        units=tuple(units),
+        mu=tuple(mu),
+        arrows=tuple(arrows),
+        inverse=dict(raw_inv),
+        composition=_composition_dict(raw_comp, where),
+    )
+
+
+def _index_triples(arrows, raw_comp):
+    """``raw_comp`` as index triples by sorted arrow id, or None on any anomaly.
+
+    An anomaly is an entry that is not a list of three arrow ids.
+    """
+    if set(map(type, raw_comp)) != {list} or set(map(len, raw_comp)) != {3}:
+        return None
+    index = {g: i for i, g in enumerate(sorted(a.id for a in arrows))}
+    try:
+        flat = np.fromiter(
+            map(index.get, chain.from_iterable(raw_comp), repeat(-1)), np.intp, 3 * len(raw_comp)
+        )
+    except TypeError:  # an unhashable element
+        return None
+    if flat.min() < 0:
+        return None
+    return tuple(flat.reshape(-1, 3).T)
+
+
+def _composition_dict(raw_comp, where: str) -> dict:
+    """``raw_comp`` entry by entry as a dict; the first malformed entry is named."""
     comp = {}
     for k, triple in enumerate(raw_comp):
         if not (isinstance(triple, list) and len(triple) == 3):
@@ -231,13 +268,7 @@ def groupoid_from_json(obj, where: str = "groupoid") -> FiniteMeasuredGroupoid:
                      where, j, (h, g))
             seen.add((h, g))
     _require(k == len(raw_comp), "{}.composition[{}]: expected [h, g, hg] strings", where, k)
-    return FiniteMeasuredGroupoid(
-        units=tuple(units),
-        mu=tuple(mu),
-        arrows=tuple(arrows),
-        inverse=dict(raw_inv),
-        composition=comp,
-    )
+    return comp
 
 
 # -- representations --------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -387,9 +388,52 @@ def _with_composition(G, composition):
     return FiniteMeasuredGroupoid(G.units, G.mu, G.arrows, G.inverse, composition)
 
 
+def _reference_first_defect(G, comp):
+    """First defect of ``comp`` over G's arrows, checked pair by pair.
+
+    For tables whose entries are known, composable, complete and keep their
+    endpoints, this is the order of the exhaustive validator: derived
+    identities, inverse laws, then associativity by b, then c, then a, each
+    by id.  None when every law holds.
+    """
+    ids = sorted(a.id for a in G.arrows)
+    src = {a.id: a.src for a in G.arrows}
+    tgt = {a.id: a.tgt for a in G.arrows}
+
+    def out(x):
+        return [g for g in ids if src[g] == x]
+
+    def into(x):
+        return [g for g in ids if tgt[g] == x]
+
+    unit = {}
+    for x in G.units:
+        unit[x] = next((
+            e for e in out(x)
+            if tgt[e] == x
+            and all(comp[(g, e)] == g for g in out(x))
+            and all(comp[(e, g)] == g for g in into(x))
+        ), None)
+        if unit[x] is None:
+            return f"no identity arrow found at unit {x!r}"
+    for g in ids:
+        gi = G.inverse[g]
+        if comp[(gi, g)] != unit[src[g]]:
+            return f"inverse law fails at {g!r}: inv(g) . g != 1_src"
+        if comp[(g, gi)] != unit[tgt[g]]:
+            return f"inverse law fails at {g!r}: g . inv(g) != 1_tgt"
+    for b in ids:
+        for c in into(src[b]):
+            for a in out(tgt[b]):
+                if comp[(comp[(a, b)], c)] != comp[(a, comp[(b, c)])]:
+                    return f"associativity fails on triple ({a!r}, {b!r}, {c!r})"
+    return None
+
+
 def test_every_corrupted_composition_entry_is_rejected():
     G = build_action_groupoid(natural_permutation_action(3))
     assert len(G.composition) == 108
+    assert _reference_first_defect(G, G.composition) is None
     for (h, g), c in G.composition.items():
         # S3 has exactly two permutations sending a given point to a given point
         (other,) = [
@@ -398,12 +442,37 @@ def test_every_corrupted_composition_entry_is_rejected():
         ]
         comp = dict(G.composition)
         comp[(h, g)] = other
-        with pytest.raises(InvalidGroupoid):
+        with pytest.raises(InvalidGroupoid) as exc:
             _with_composition(G, comp)
+        assert str(exc.value) == _reference_first_defect(G, comp)
+
+
+def _reference_group_defect(group):
+    """First defect of a complete group table, checked element by element.
+
+    Identity law, inverse and inverse law per element in order, then
+    associativity by a, then b, then c.  None when every law holds.
+    """
+    elems, mult, e = group.elements, group.mult, group.identity
+    for a in elems:
+        if mult[(e, a)] != a or mult[(a, e)] != a:
+            return f"identity law fails at {a!r}"
+        ai = group.inverses.get(a)
+        if ai not in elems:
+            return f"missing inverse for {a!r}"
+        if mult[(a, ai)] != e or mult[(ai, a)] != e:
+            return f"inverse law fails at {a!r}"
+    for a in elems:
+        for b in elems:
+            for c in elems:
+                if mult[(mult[(a, b)], c)] != mult[(a, mult[(b, c)])]:
+                    return f"associativity fails on triple ({a!r}, {b!r}, {c!r})"
+    return None
 
 
 def test_every_corrupted_group_table_cell_is_rejected():
     group = symmetric_group(3)
+    assert _reference_group_defect(group) is None
     for cell, ab in group.mult.items():
         for other in group.elements:
             if other == ab:
@@ -413,8 +482,93 @@ def test_every_corrupted_group_table_cell_is_rejected():
             bad = FiniteGroup(group.elements, mult, group.identity, group.inverses)
             # a trivial action is compatible with any table, so only the
             # group check can reject it
-            with pytest.raises(InvalidAction):
+            with pytest.raises(InvalidAction) as exc:
                 build_action_groupoid(trivial_action(bad, ("x",), (1.0,)))
+            assert str(exc.value) == _reference_group_defect(bad)
+
+
+def _reference_action_defect(spec):
+    """First defect of a complete action table, checked cell by cell.
+
+    The identity must fix every unit in order; then compatibility by a,
+    then b, then x.  None when both hold.
+    """
+    group, act = spec.group, spec.action
+    for x in spec.units:
+        if act[(group.identity, x)] != x:
+            return f"identity does not fix unit {x!r}"
+    for a in group.elements:
+        for b in group.elements:
+            for x in spec.units:
+                if act[(group.mult[(a, b)], x)] != act[(a, act[(b, x)])]:
+                    return f"action is not compatible on ({a!r}, {b!r}, {x!r})"
+    return None
+
+
+@pytest.mark.parametrize("spec", [natural_permutation_action(3), cyclic_shift_action(3, copies=2)])
+def test_every_corrupted_action_cell_is_named_exactly(spec):
+    assert _reference_action_defect(spec) is None
+    for cell, y in spec.action.items():
+        for other in spec.units:
+            if other == y:
+                continue
+            act = dict(spec.action)
+            act[cell] = other
+            bad = ActionGroupoidSpec(spec.group, spec.units, spec.mu, act)
+            with pytest.raises(InvalidAction) as exc:
+                build_action_groupoid(bad)
+            assert str(exc.value) == _reference_action_defect(bad)
+
+
+# A loop (identity and two-sided inverses, not associative) of order 6 in
+# which (ab)c == a(bc) for all a, c holds for b in {l0, l1} only, so a proof
+# from the first generator l1 alone would accept it.
+LOOP6 = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 5, 4, 3, 2],
+    [2, 4, 0, 1, 5, 3],
+    [3, 5, 4, 0, 2, 1],
+    [4, 2, 3, 5, 1, 0],
+    [5, 3, 1, 2, 0, 4],
+]
+
+
+def _loop6():
+    elems = tuple(f"l{i}" for i in range(6))
+    mult = {(elems[i], elems[j]): elems[k] for i, row in enumerate(LOOP6) for j, k in enumerate(row)}
+    inverses = {elems[i]: elems[row.index(0)] for i, row in enumerate(LOOP6)}
+    return FiniteGroup(elems, mult, "l0", inverses)
+
+
+def test_tables_associative_on_a_proper_subloop_are_rejected():
+    # the group table itself
+    loop = _loop6()
+    with pytest.raises(InvalidAction) as exc:
+        build_action_groupoid(trivial_action(loop, ("x",), (1.0,)))
+    assert str(exc.value) == _reference_group_defect(loop)
+
+    # the pair groupoid over the loop: an arrow k: x -> y per label and pair
+    units = ("x0", "x1")
+    arrows = [Arrow(f"{k}:{x}>{y}", x, y) for k in loop.elements for x in units for y in units]
+    inverse = {a.id: f"{loop.inverses[a.id[:2]]}:{a.tgt}>{a.src}" for a in arrows}
+    comp = {
+        (h.id, g.id): f"{loop.mult[(h.id[:2], g.id[:2])]}:{g.src}>{h.tgt}"
+        for h in arrows for g in arrows if h.src == g.tgt
+    }
+    with pytest.raises(InvalidGroupoid) as exc:
+        FiniteMeasuredGroupoid(units, (0.5, 0.5), arrows, inverse, comp)
+    G = SimpleNamespace(units=units, arrows=arrows, inverse=inverse)
+    assert str(exc.value) == _reference_first_defect(G, comp)
+
+    # S3 acting on two units so that (ab).x == a.(b.x) holds for b in
+    # {012, 021} only: 021 is the first generator of S3
+    s3 = symmetric_group(3)
+    image = {"012": "01", "021": "01", "102": "10", "120": "10", "201": "11", "210": "11"}
+    act = {(g, f"u{i}"): f"u{image[g][i]}" for g in s3.elements for i in range(2)}
+    spec = ActionGroupoidSpec(s3, ("u0", "u1"), (0.5, 0.5), act)
+    with pytest.raises(InvalidAction) as exc:
+        build_action_groupoid(spec)
+    assert str(exc.value) == _reference_action_defect(spec)
 
 
 def test_s5_natural_action_at_benchmark_scale():
@@ -457,6 +611,38 @@ def test_s5_natural_action_at_benchmark_scale():
     with pytest.raises(InvalidGroupoid) as exc:
         _with_composition(G, comp)
     assert str(exc.value) == f"associativity fails on triple ({a!r}, {b!r}, {c!r})"
+
+
+# The groupoids of acceptance criterion 6, and one from each other entry:
+# the JSON parser, restriction and the dict constructor.
+CHECK_CATALOG = [
+    lambda: build_action_groupoid(left_translation_action(cyclic_group(2))),
+    lambda: build_action_groupoid(left_translation_action(cyclic_group(3))),
+    lambda: build_action_groupoid(left_translation_action(cyclic_group(5))),
+    lambda: build_action_groupoid(natural_permutation_action(3)),
+    lambda: build_action_groupoid(natural_permutation_action(4)),
+    lambda: build_action_groupoid(ordered_pair_action(3)),
+    lambda: build_action_groupoid(cyclic_shift_action(4, copies=2)),
+    lambda: build_action_groupoid(left_translation_action(symmetric_group(3))),
+    lambda: build_action_groupoid(trivial_action(cyclic_group(2), ("a", "b"), (0.25, 0.75))),
+    lambda: groupoid_from_json(groupoid_to_json(build_action_groupoid(natural_permutation_action(5)))),
+    lambda: restrict(build_action_groupoid(ordered_pair_action(3)), ["x01", "x10", "x12", "x21"]),
+    lambda: _swap_table({}),
+]
+
+
+@pytest.mark.parametrize("make", CHECK_CATALOG, ids=[
+    "Z2-self", "Z3-self", "Z5-self", "S3-natural", "S4-natural", "S3-pairs", "Z4-shift-x2",
+    "S3-self", "Z2-trivial", "S5-natural-json", "S3-pairs-restricted", "swap-dict",
+])
+def test_check_axioms_scans_every_middle_arrow(make):
+    G = make()
+    visited = []
+    middle = G._middle_fails
+    G._middle_fails = lambda b: visited.append(b) or middle(b)
+    assert check_axioms(G)
+    assert visited == list(range(len(G.arrows)))
+    assert "composition" not in vars(G)  # read from the index triples, not the dict
 
 
 def _swap_table(edits, arrows=None, inverse=None):

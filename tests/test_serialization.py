@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from unitarizer.errors import InvalidGroupoid, ParseError
+from unitarizer.errors import InvalidAction, InvalidGroupoid, ParseError
 from unitarizer.groupoid import (
     ActionGroupoidSpec,
+    Arrow,
     FiniteMeasuredGroupoid,
     build_action_groupoid,
     cyclic_group,
@@ -142,6 +143,117 @@ def test_loader_rejects_duplicate_composition_entries(conflicting):
         groupoid_from_json(obj)
     assert "duplicate" in str(exc.value)
     assert repr((h, g)) in str(exc.value)
+
+
+def _reference_load(obj, where="groupoid"):
+    """An explicit groupoid parsed entry by entry: the [h, g, hg] loop feeding
+    the dict constructor.  Only the composition list is read with checks."""
+    raw_comp = obj["composition"]
+    comp = {}
+    for k, triple in enumerate(raw_comp):
+        if not (isinstance(triple, list) and len(triple) == 3):
+            break
+        h, g, c = triple
+        if not (isinstance(h, str) and isinstance(g, str) and isinstance(c, str)):
+            break
+        comp[h, g] = c
+    else:
+        k = len(raw_comp)
+    if len(comp) != k:  # a pair repeats before k: name its second occurrence
+        seen = set()
+        for j, (h, g, _) in enumerate(raw_comp):
+            if (h, g) in seen:
+                raise ParseError(f"{where}.composition[{j}]: duplicate entry for pair {(h, g)!r}")
+            seen.add((h, g))
+    if k != len(raw_comp):
+        raise ParseError(f"{where}.composition[{k}]: expected [h, g, hg] strings")
+    arrows = tuple(Arrow(a["id"], a["src"], a["tgt"]) for a in obj["arrows"])
+    return FiniteMeasuredGroupoid(
+        tuple(obj["units"]), tuple(obj["mu"]), arrows, dict(obj["inverse"]), comp
+    )
+
+
+def _load_outcome(load, obj):
+    try:
+        G = load(obj)
+    except (ParseError, InvalidGroupoid) as exc:
+        return type(exc).__name__, str(exc)
+    return list(G.composition.items()), G.inverse, G.unit_arrows, G.arrows
+
+
+LOAD_BASES = [
+    groupoid_to_json(build_action_groupoid(spec))
+    for spec in (SWAP_SPEC, natural_permutation_action(3), cyclic_shift_action(3, copies=2))
+]
+NOT_A_LIST = [None, "a@b", ("r0@a", "r0@a", "r0@a"), {"h": "r0@a", "g": "r0@a", "hg": "r0@a"}]
+NOT_A_NAME = [5, None, True, 1.5, ["r0@a"], {"r0@a": 1}]
+
+
+def _corrupted_loads(seed, count):
+    """Explicit groupoid objects with one or two defects in the composition list.
+
+    Defects: an unknown key or composite, a random key or composite (often
+    not composable, or with wrong endpoints), a composite with the right
+    endpoints (an associativity-breaking cell), a missing pair, a duplicate
+    pair with the same or a random composite, an entry that is not a list
+    or has the wrong length, and a non-string or unhashable element.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        obj = json.loads(json.dumps(LOAD_BASES[rng.integers(len(LOAD_BASES))]))
+        comp, ids = obj["composition"], [a["id"] for a in obj["arrows"]]
+        ends = {a["id"]: (a["src"], a["tgt"]) for a in obj["arrows"]}
+        for _ in range(rng.integers(1, 3)):
+            kind, k, i = rng.integers(9), rng.integers(len(comp)), rng.integers(3)
+            t = comp[k]
+            entry = type(t) is list and len(t) == 3
+            if kind == 0 and entry:
+                t[i] = "zz"
+            elif kind == 1 and entry:
+                t[i] = ids[rng.integers(len(ids))]
+            elif kind == 2 and entry and type(t[2]) is str and t[2] in ends:
+                same = [g for g in ids if ends[g] == ends[t[2]] and g != t[2]]
+                t[2] = same[rng.integers(len(same))] if same else t[2]
+            elif kind == 3:
+                del comp[k]
+            elif kind == 4 and entry:
+                c = t[2] if rng.integers(2) else ids[rng.integers(len(ids))]
+                comp.insert(rng.integers(len(comp) + 1), [t[0], t[1], c])
+            elif kind == 5:
+                comp[k] = NOT_A_LIST[rng.integers(len(NOT_A_LIST))]
+            elif kind == 6 and entry:
+                comp[k] = t[:2] if rng.integers(2) else t + [t[0]]
+            elif kind == 7 and entry:
+                t[i] = NOT_A_NAME[rng.integers(len(NOT_A_NAME))]
+            elif kind == 8 and entry:
+                comp[k], comp[-1] = comp[-1], comp[k]  # no defect: any order is valid
+        yield obj
+
+
+def test_load_path_matches_the_per_entry_parse():
+    # Same exception type and message, or the same tables in the same order.
+    for n, obj in enumerate(_corrupted_loads(0, 600)):
+        assert _load_outcome(groupoid_from_json, obj) == _load_outcome(_reference_load, obj), n
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda o: o["action"]["r1"].update(c="a"),
+     "action given on unknown element or unit ('r1', 'c')"),
+    (lambda o: o["action"].update(zz={"a": "a", "b": "b"}),
+     "action given on unknown element or unit ('zz', 'a')"),
+    (lambda o: o["group"]["mult_table"].update(zz={"r0": "r0", "r1": "r1"}),
+     "multiplication table has an entry for unknown elements ('zz', 'r0')"),
+    (lambda o: o["group"]["mult_table"]["r1"].update(zz="r0"),
+     "multiplication table has an entry for unknown elements ('r1', 'zz')"),
+    (lambda o: o["group"]["inverses"].update(q="r0"),
+     "inverse given for unknown element 'q'"),
+], ids=["action-unit", "action-element", "mult-row", "mult-column", "inverse-key"])
+def test_action_spec_entries_for_unknown_names_are_rejected(edit, message):
+    obj = action_spec_to_json(SWAP_SPEC)
+    edit(obj)
+    with pytest.raises(InvalidAction) as exc:
+        groupoid_from_json(obj)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("spec", [False, True])
