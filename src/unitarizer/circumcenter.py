@@ -11,9 +11,14 @@ r_lb is the chart dual at the candidate x.  With W_i = log(x**-1/2 b_i
 x**-1/2), every simplex weight lam gives r*^2 >= sum_i lam_i ||W_i||**2 -
 ||sum_i lam_i W_i||**2, because the exponential map is metric-increasing
 in nonpositive curvature (Bhatia, *Positive Definite Matrices*, 2007,
-ch. 6).  ``_meb`` returns this dual at its optimal weights, so the bound
-costs one chart and one subsolve, and it is tight at the circumcenter.
-The pairwise bound ``radius_lower_bound`` is kept as an oracle.
+ch. 6).  The inequality holds at any simplex weight, not only the optimal
+one, so a bound taken at weights carried over from a congruent point set
+is still sound; ``unitarize`` certifies the units it transports a center
+to that way, at the weights of the solved unit's certificate, which every
+result keeps as ``weights``.  ``_meb`` returns the dual at its optimal
+weights, so the bound costs one chart and one subsolve, and it is tight
+at the circumcenter.  The pairwise bound ``radius_lower_bound`` is kept as
+an oracle.
 
 The iteration is a tangent-space fixed point started at the first point:
 pull the points to the chart at the current iterate, take the Euclidean
@@ -37,7 +42,7 @@ from 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,6 +117,8 @@ class CircumcenterResult:
     center_error_bound: float
     iterations: int
     converged: bool
+    # Simplex weights on the points at which the chart dual gave the lower bound.
+    weights: np.ndarray = field(compare=False, repr=False)
 
 
 def _stack(pset: PointSet) -> np.ndarray:
@@ -159,13 +166,22 @@ def _dual_gap(r2: float, lam: np.ndarray, X: np.ndarray) -> float:
     return max(r2 - float(lam @ np.einsum("ij,ij->i", X, X)), 0.0) + float(v @ v)
 
 
-def _certificate(x: SpdMatrix, pset: PointSet):
-    """Radius at ``x``, the lower bound and the error bound, as in ``certify``."""
-    _, W, q, _, _ = chart(x, _stack(pset))
+def _certificate(x: SpdMatrix, pset: PointSet, eps: float = 0.0, at=None, weights=None):
+    """Radius at ``x``, the lower bound, the error bound and the dual weights.
+
+    The chart at ``x`` is ``at = (W, q)`` when given.  ``weights`` are tried
+    first when given; the optimal weights of ``_meb`` replace them when the
+    bound they give exceeds ``eps``, so the bound at the weights returned is
+    within ``eps`` exactly when the optimal one is, up to roundoff.
+    """
+    W, q = chart(x, _stack(pset))[1:3] if at is None else at
     r = _farthest(x, pset, q)
     X = _tangent(W)
-    gap = _dual_gap(r * r, _meb(X)[0], X)
-    return r, math.sqrt(max(r * r - gap, 0.0)), math.sqrt(2.0 * gap)
+    gap = None if weights is None else _dual_gap(r * r, weights, X)
+    if gap is None or math.sqrt(2.0 * gap) > eps:
+        weights = _meb(X)[0]
+        gap = _dual_gap(r * r, weights, X)
+    return r, math.sqrt(max(r * r - gap, 0.0)), math.sqrt(2.0 * gap), weights
 
 
 def certify(candidate: SpdMatrix, pset: PointSet):
@@ -179,22 +195,31 @@ def certify(candidate: SpdMatrix, pset: PointSet):
     log(candidate**-1/2 b candidate**-1/2), formed as in ``_dual_gap`` and
     at most the radius (lowering a lower bound keeps it sound).
     """
-    r, lb, bound = _certificate(candidate, pset)
+    r, lb, bound, _ = _certificate(candidate, pset)
     return bound, r * r - lb * lb
 
 
 def certified_result(
-    center: SpdMatrix, pset: PointSet, eps: float, iterations: int
+    center: SpdMatrix,
+    pset: PointSet,
+    eps: float,
+    iterations: int,
+    at=None,
+    weights=None,
 ) -> CircumcenterResult:
     """Certify ``center`` against ``pset`` as :func:`certify` does.
 
     Raises :class:`NumericalEscape` when the center lies outside the set's
     ball; ``converged`` is True exactly when the bound is at most ``eps``.
+    ``at = (W, q)`` is the chart at ``center`` when the caller has it.
+    ``weights``, simplex weights on the points, give the bound when it is
+    at most ``eps``; otherwise, and without them, the optimal weights of
+    the chart ball do.
     """
     if not in_ball(center, pset.ball, _ITERATE_SLACK):
         raise NumericalEscape(f"center escaped GL_c with c = {pset.ball.c:g}")
-    radius, lower, bound = _certificate(center, pset)
-    return CircumcenterResult(center, radius, lower, bound, iterations, bound <= eps)
+    radius, lower, bound, lam = _certificate(center, pset, eps, at, weights)
+    return CircumcenterResult(center, radius, lower, bound, iterations, bound <= eps, lam)
 
 
 def _meb(X: np.ndarray):
@@ -363,7 +388,7 @@ def solve(
     if len(pts) == 1:
         if trace is not None:
             trace.append((0, 0.0, 0.0))
-        return CircumcenterResult(pts[0], 0.0, 0.0, 0.0, 0, True)
+        return CircumcenterResult(pts[0], 0.0, 0.0, 0.0, 0, True, np.ones(1))
 
     n = pts[0].dim
     P = _stack(pset)

@@ -39,20 +39,23 @@ def _check_pair(a: SpdMatrix, b: SpdMatrix):
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def chart(x: SpdMatrix, P: np.ndarray):
+def chart(x, P: np.ndarray):
     """Pull the point stack ``P``, shape (m, n, n), to the chart at ``x``.
 
     Returns the translated points M = x**-1/2 P x**-1/2, their logs W,
     the squared distances q_i = d(x, P_i)**2, x**1/2 and x**-1/2.  Every
     step acts on each matrix of the stack alone, so the kernel is batch
-    invariant: q[i] is bitwise the same in a stack of any size.
+    invariant: q[i] is bitwise the same in a stack of any size.  The base
+    may be a stack too, ``x`` of shape (k, n, n) with ``P`` of shape
+    (k, m, n, n), and each base's chart is bitwise its own ``chart``.
     """
     _, sq, isq = spectral_calculus(
-        x.mat, np.sqrt, lambda w: 1.0 / np.sqrt(w), floor=0.0, name="chart base"
+        np.asarray(x), np.sqrt, lambda w: 1.0 / np.sqrt(w), floor=0.0, name="chart base"
     )
-    M = symmetrize(isq @ P @ isq)
+    S = isq[..., None, :, :]
+    M = symmetrize(S @ P @ S)
     lam, W = spectral_calculus(M, np.log, floor=0.0, name="relative spectrum")
-    return M, W, np.mean(np.log(lam) ** 2, axis=1), sq, isq
+    return M, W, np.mean(np.log(lam) ** 2, axis=-1), sq, isq
 
 
 def distance(a: SpdMatrix, b: SpdMatrix) -> float:

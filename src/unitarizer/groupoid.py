@@ -479,11 +479,10 @@ def restrict(G: FiniteMeasuredGroupoid, units) -> FiniteMeasuredGroupoid:
     order = [x for x in G.units if x in keep]
     mu = [G.unit_weight(x) / mass for x in order]
     arrows = [a for a in G.arrows if a.src in keep and a.tgt in keep]
-    ids = {a.id for a in arrows}
-    inverse = {g: G.inverse[g] for g in ids}
+    inverse = {a.id: G.inverse[a.id] for a in arrows}
     # Kept ids keep their sorted order, so a kept arrow's new index is the
     # number of kept arrows before it.
-    inside = np.array([g in ids for g in G._ids], dtype=bool)
+    inside = np.array([g in inverse for g in G._ids], dtype=bool)
     ih, ig, _ = G._pairs
     keep = inside[ih] & inside[ig]
     rank = np.cumsum(inside) - 1

@@ -14,12 +14,18 @@ representation into a unitary one:
 * with psi(x) = sigma(x)**1/2, the conjugates
   u(g) = psi(tgt) rho(g) psi(src)**-1 are unitary.
 
-``unitarize`` runs the certified circumcenter solver once per orbit of
-positive-mass units, at its first unit r, and transports the center to
-every other positive-mass unit x of the orbit along the first arrow
-g: x -> r, sigma(x) = rho(g)* sigma(r) rho(g).  Congruence is an isometry,
-so the transported center is certified against x's own Gram set with
-``iterations = 0``.  The report carries unitarity and equivariance
+``unitarize`` builds the Gram sets of an orbit of positive-mass units in
+one stacked pass, runs the certified circumcenter solver once, at the
+orbit's first unit r, and transports the center to every other
+positive-mass unit x of the orbit along the first arrow h: x -> r,
+sigma(x) = rho(h)* sigma(r) rho(h).  Congruence by rho(h) maps r's Gram
+point of each arrow a . h**-1 to x's point of a, and is an isometry, so
+x's chart at sigma(x) is a unitary copy of r's.  The dual weights of r's
+certificate, carried along that pairing, therefore certify x in its own
+chart of its own Gram set (one stacked chart for the orbit), and x is
+reported with ``iterations = 0``.  Only where they cannot, because the
+dedup kept different partners or the carried bound exceeds eps, does x
+solve its own chart ball.  The report carries unitarity and equivariance
 residuals along with all certificates.
 """
 
@@ -41,7 +47,7 @@ from .errors import (
     SingularTransform,
     UnknownUnit,
 )
-from .geometry import congruence
+from .geometry import chart
 from .groupoid import ActionGroupoidSpec, FiniteMeasuredGroupoid, build_action_groupoid
 from .linalg import (
     PD_FLOOR,
@@ -51,6 +57,7 @@ from .linalg import (
     l2_norms,
     spd_stack,
     spectral_calculus,
+    symmetrize,
 )
 from .sampling import random_invertible
 
@@ -142,8 +149,12 @@ def _bad_pairs(G: FiniteMeasuredGroupoid, mats: np.ndarray, tol: float):
 def make_representation(G: FiniteMeasuredGroupoid, dim: int, rho: dict) -> Representation:
     """Validate a matrix assignment and wrap it as a :class:`Representation`.
 
-    Checks arrow coverage, identity arrows, inverses and functoriality on
-    the positive-mass part, each within relative ``REP_TOL``.
+    Checks arrow coverage, then on the positive-mass part, in the normalized
+    L2 norm: identity arrows within ``REP_TOL`` of the identity (absolute);
+    every matrix nonsingular (sigma_min > ``PD_FLOOR`` * sigma_max); inverses
+    with ``l2_norm(rho(g**-1) rho(g) - 1) <= REP_TOL * (1 + l2_norm(rho(g**-1))
+    * l2_norm(rho(g)))``; and functoriality with ``l2_norm(rho(hg) - rho(h)
+    rho(g)) <= REP_TOL`` on every composable pair (absolute).
     """
     missing = [g for g in G._by_id if g not in rho]
     if missing:
@@ -199,25 +210,49 @@ def gram_set(rep: Representation, x: str) -> PointSet:
     where roundoff puts them past it (GL_c balls are geodesically convex,
     so the circumcenter stays inside).  Duplicates within relative
     ``DEDUP_TOL`` collapse to the first occurrence in arrow-id order.
+    This is the one-unit case of ``_orbit_grams``.
     """
     G = rep.groupoid
     if G.unit_weight(x) <= 0.0:
         raise UnknownUnit(f"unit {x!r} carries no mass")
-    ids = [g for g in G.source_fiber(x) if G.unit_weight(G.tgt(g)) > 0.0]
-    R = np.stack([rep.rho[g] for g in ids])
+    return _orbit_grams(rep, [G._unit_index[x]])[-1][0]
+
+
+def _orbit_grams(rep: Representation, xs):
+    """Gram sets, as ``gram_set``, of the positive-mass units ``xs`` of one orbit.
+
+    ``xs`` are unit indices.  Arrow congruences pair the source fibers of
+    an orbit's units, so each unit has the same number m of Gram arrows,
+    and every step runs once on the stack of all of them.  Returns the Gram
+    arrows A, shape (k, m), per unit in id order; the mask of the points
+    kept after dedup; the Gram matrices, symmetrized as the points are,
+    shape (k, m, n, n); and the point sets.
+    """
+    G, n = rep.groupoid, rep.dim
+    pos, ids = G.mu > 0.0, G._ids
+    A = np.stack([G._out[x][pos[G._arrow_tgt[G._out[x]]]] for x in xs])
+    R = np.array([rep.rho[ids[i]] for i in A.flat]).reshape(*A.shape, n, n)
     B = adjoint(R) @ R
     # Normalized L2 distances by direct differences (the Gram-matrix trick
-    # cannot resolve DEDUP_TOL).
-    flat = B.reshape(len(ids), -1) / np.sqrt(rep.dim)
-    dist = np.linalg.norm(flat[:, None] - flat, axis=2)
-    near = dist <= DEDUP_TOL * (1.0 + np.linalg.norm(flat, axis=1))[:, None]
-    keep = np.ones(len(ids), dtype=bool)
-    for j in np.flatnonzero(np.triu(near, 1).any(axis=0)):
-        keep[j] = not (near[:j, j] & keep[:j]).any()
-    pts = spd_stack(B[keep], lambda i: f"gram[{ids[np.flatnonzero(keep)[i]]}]")
+    # cannot resolve DEDUP_TOL), summed one real entry at a time so that no
+    # (k, m, m, n*n) difference stack is held.
+    flat = (B.reshape(*A.shape, -1) / np.sqrt(n)).view(float)
+    d2 = np.zeros((*A.shape, A.shape[1]))
+    for e in flat.transpose(2, 0, 1):
+        d2 += (e[:, :, None] - e[:, None]) ** 2
+    near = np.sqrt(d2) <= DEDUP_TOL * (1.0 + np.linalg.norm(flat, axis=-1))[..., None]
+    keep = np.ones(A.shape, dtype=bool)
+    for j in np.flatnonzero(np.triu(near, 1).any(axis=(0, 1))):
+        keep[:, j] = ~(near[:, :j, j] & keep[:, :j]).any(axis=1)
+    kept = A[keep]
+    pts = spd_stack(B[keep], lambda i: f"gram[{ids[kept[i]]}]")
     C = rep.uniform_bound_C
-    spread = max(max(p.eig_max, 1.0 / p.eig_min) for p in pts)
-    return point_set(pts, c=max(C * C, spread) * (1.0 + 1e-9))
+    psets, start = [], 0
+    for count in keep.sum(axis=1):
+        unit, start = pts[start:start + count], start + count
+        spread = max(max(p.eig_max, 1.0 / p.eig_min) for p in unit)
+        psets.append(point_set(unit, c=max(C * C, spread) * (1.0 + 1e-9)))
+    return A, keep, symmetrize(B), psets
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,10 +307,15 @@ def unitarize(
 
     One circumcenter is solved per orbit, at the orbit's first
     positive-mass unit r.  Every other positive-mass unit x of the orbit
-    gets sigma(x) = rho(g)* sigma(r) rho(g) along the first arrow g: x -> r
-    in id order, certified against x's own Gram set and reported with
-    ``iterations = 0``; its trace is the single row
-    ``(0, radius_at_center, center_error_bound)``.
+    gets sigma(x) = rho(h)* sigma(r) rho(h) along the first arrow h: x -> r
+    in id order.  It is certified against its own Gram set at the dual
+    weights of r's certificate, carried from each point of r's arrow
+    a . h**-1 to x's point of a; where a weighted point of r has no kept
+    partner at x, or the carried bound exceeds ``eps``, at the optimal
+    weights of x's own chart ball instead.  So ``converged`` is False only
+    when the optimal weights leave the bound above ``eps``.  Transported
+    units are reported with ``iterations = 0``; the trace of one is the
+    single row ``(0, radius_at_center, center_error_bound)``.
 
     Units whose certificates stall above ``eps`` are reported with
     ``converged = False`` in the witness certificates; the conjugated
@@ -283,32 +323,37 @@ def unitarize(
     """
     G = rep.groupoid
     units = G.positive_units
+    ids, n = G._ids, rep.dim
+    s, t = G._arrow_src, G._arrow_tgt
+    pos = np.flatnonzero(G.mu > 0.0)
+    R = _stacked(G, n, rep.rho)
     found: dict = {}
     rows: dict = {}
-    for r in units:
+    for ri in pos:
+        r = G.units[ri]
         if r in found:
             continue
+        # The first arrow h: x -> r in id order from each other
+        # positive-mass unit x of the orbit.
+        into = G._into[ri]
+        h = into[np.sort(np.unique(s[into], return_index=True)[1])]
+        h = h[(G.mu[s[h]] > 0.0) & (s[h] != ri)]
+        grams = _orbit_grams(rep, np.concatenate(([ri], s[h])))
         rows[r] = [] if trace is not None else None
-        found[r] = solve(gram_set(rep, r), eps, max_iter=max_iter, trace=rows[r])
-        for g in G.target_fiber(r):
-            x = G.src(g)
-            if x in found or G.unit_weight(x) <= 0.0:
-                continue
-            center = congruence(rep.rho[g], found[r].center)
-            res = found[x] = certified_result(center, gram_set(rep, x), eps, iterations=0)
-            rows[x] = [(0, res.radius_at_center, res.center_error_bound)]
+        found[r] = solve(grams[-1][0], eps, max_iter=max_iter, trace=rows[r])
+        if h.size:
+            for x, res in zip(s[h], _transport(rep, R, h, grams, found[r], eps)):
+                found[G.units[x]] = res
+                rows[G.units[x]] = [(0, res.radius_at_center, res.center_error_bound)]
     results = {x: found[x] for x in units}
     if trace is not None:
         trace.update((x, rows[x]) for x in units)
 
     # psi = sigma**1/2 and its inverse per unit, the identity at null-mass
     # units; every arrow is conjugated in one stacked product.
-    ids, n = G._ids, rep.dim
-    s, t = G._arrow_src, G._arrow_tgt
     sigma = {x: results[x].center for x in units}
     S = np.tile(np.eye(n, dtype=np.complex128), (len(G.units), 1, 1))
     Psi, Psi_inv = S.copy(), S.copy()
-    pos = np.flatnonzero(G.mu > 0.0)
     S[pos] = [sigma[x].mat for x in units]
     try:
         _, Psi[pos], Psi_inv[pos] = spectral_calculus(
@@ -318,7 +363,6 @@ def unitarize(
         for i, x in zip(pos, units):  # re-raise naming the first failing unit
             spectral_calculus(S[i], floor=0.0, name=f"sigma[{x}]")
         raise
-    R = _stacked(G, n, rep.rho)
     U = Psi[t] @ R @ Psi_inv[s]
     unitary = make_representation(G, n, dict(zip(ids, U)))
 
@@ -342,6 +386,39 @@ def unitarize(
         all_converged=all(r.converged for r in results.values()),
     )
     return witness, unitary, report
+
+
+def _transport(rep: Representation, R: np.ndarray, h: np.ndarray, grams, res, eps: float):
+    """Certificates at sigma(x) = rho(h)* sigma(r) rho(h) for the units x = src(h).
+
+    ``grams`` is ``_orbit_grams`` of r followed by those units, and ``res``
+    is r's result.  Congruence by rho(h) maps r's Gram point of arrow
+    a . h**-1 to x's point of arrow a, and r's chart at sigma(r) unitarily
+    onto x's at sigma(x), so r's dual weights carried along that pairing
+    bound x's radius from below.  Each x is certified in its own chart of
+    its own Gram set, all from one stacked chart, at the carried weights;
+    at the optimal weights of ``_meb`` instead when a weighted point of r
+    has no kept partner at x, or when the carried bound exceeds ``eps``.
+    """
+    G = rep.groupoid
+    A, keep, H, psets = grams
+    Rh = R[h]
+    centers = spd_stack(
+        adjoint(Rh) @ res.center.mat @ Rh, lambda i: f"sigma[{G.units[G._arrow_src[h[i]]]}]"
+    )
+    lam = np.zeros(A.shape[1])
+    lam[keep[0]] = res.weights
+    at_r = np.full(len(G._ids), -1, dtype=np.intp)
+    at_r[A[0]] = np.arange(A.shape[1])
+    carried = lam[at_r[G._compose_ix(A[1:], G._inv[h][:, None])]]
+    lost = ((carried > 0.0) & ~keep[1:]).any(axis=1)
+    _, W, q, _, _ = chart(np.stack([c.mat for c in centers]), H[1:])
+    return [
+        certified_result(
+            c, ps, eps, 0, at=(W[i, k], q[i, k]), weights=None if lost[i] else carried[i, k]
+        )
+        for i, (c, ps, k) in enumerate(zip(centers, psets[1:], keep[1:]))
+    ]
 
 
 def _same_groupoid(A: FiniteMeasuredGroupoid, B: FiniteMeasuredGroupoid) -> bool:

@@ -177,3 +177,12 @@ def test_chart_is_batch_invariant_bitwise(dim):
         for j in range(1, len(pts)):
             assert np.array_equal(chart(x, P[j:])[2], q[j:])
         assert np.allclose(root @ root, x.mat) and np.allclose(iroot @ x.mat @ iroot, np.eye(dim))
+        # a stack of bases, each with its own points, charts each base as
+        # its own chart does
+        bases = [x] + [random_spd(rng, dim, cond) for _ in range(3)]
+        Ps = np.stack([P] + [np.stack([random_spd(rng, dim, cond).mat for _ in range(7)])
+                             for _ in range(3)])
+        stacked = chart(np.stack([b.mat for b in bases]), Ps)
+        for k, b in enumerate(bases):
+            for got, want in zip(stacked, chart(b, Ps[k])):
+                assert np.array_equal(got[k], want)

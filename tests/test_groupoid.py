@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -356,6 +359,26 @@ def test_restrict_renormalizes_and_validates():
         restrict(G0, ["a"])
 
 
+def test_restrict_lists_the_inverse_in_arrow_order_under_any_hash_seed():
+    code = (
+        "from unitarizer.groupoid import build_action_groupoid, natural_permutation_action,"
+        " restrict\n"
+        "R = restrict(build_action_groupoid(natural_permutation_action(3)), ['x0', 'x1'])\n"
+        "assert list(R.inverse) == [a.id for a in R.arrows]\n"
+        "print(list(R.inverse))"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert len(outs) == 1
+
+
 def test_left_translation_action_is_free_and_transitive():
     spec = left_translation_action(symmetric_group(3))
     G = build_action_groupoid(spec)
@@ -629,12 +652,13 @@ CHECK_CATALOG = [
     lambda: restrict(build_action_groupoid(ordered_pair_action(3)), ["x01", "x10", "x12", "x21"]),
     lambda: _swap_table({}),
 ]
-
-
-@pytest.mark.parametrize("make", CHECK_CATALOG, ids=[
+CHECK_IDS = [
     "Z2-self", "Z3-self", "Z5-self", "S3-natural", "S4-natural", "S3-pairs", "Z4-shift-x2",
     "S3-self", "Z2-trivial", "S5-natural-json", "S3-pairs-restricted", "swap-dict",
-])
+]
+
+
+@pytest.mark.parametrize("make", CHECK_CATALOG, ids=CHECK_IDS)
 def test_check_axioms_scans_every_middle_arrow(make):
     G = make()
     visited = []
@@ -643,6 +667,41 @@ def test_check_axioms_scans_every_middle_arrow(make):
     assert check_axioms(G)
     assert visited == list(range(len(G.arrows)))
     assert "composition" not in vars(G)  # read from the index triples, not the dict
+
+
+def _closure(G, arrows):
+    """Mask of the arrows that products of ``arrows`` reach in G's own table."""
+    have = np.zeros(len(G._ids), dtype=bool)
+    have[arrows] = True
+    while True:
+        a = np.flatnonzero(have)
+        h, g = (m.ravel() for m in np.meshgrid(a, a, indexing="ij"))
+        ok = G._arrow_src[h] == G._arrow_tgt[g]
+        new = G._compose_ix(h[ok], g[ok])
+        if have[new].all():
+            return have
+        have[new] = True
+
+
+@pytest.mark.parametrize("make", CHECK_CATALOG, ids=CHECK_IDS)
+def test_light_test_checks_tree_arrows_their_inverses_and_generators(make):
+    G = make()
+    middles = []
+    middle = G._middle_fails
+    G._middle_fails = lambda b: middles.append(int(b)) or middle(b)
+    assert G._light_test()
+    s = G._arrow_src
+    checked = set(middles)
+    # Per orbit with first unit r, some arrow y -> r of every other unit y
+    # is checked together with its inverse.
+    for r in range(len(G.units)):
+        into = G._into[r]
+        if s[into].min() < r:
+            continue  # r is not the first unit of its orbit
+        for y in set(s[into].tolist()) - {r}:
+            assert any(b in checked and G._inv[b] in checked for b in into[s[into] == y])
+    # The checked arrows generate every arrow under the table's own composition.
+    assert _closure(G, middles).all()
 
 
 def _swap_table(edits, arrows=None, inverse=None):

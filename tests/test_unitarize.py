@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from unitarizer import representation
-from unitarizer.circumcenter import radius_lower_bound
+from test_circumcenter import displaced
+from unitarizer import circumcenter, representation
+from unitarizer.circumcenter import certified_result, certify, radius_at, radius_lower_bound
 from unitarizer.geometry import distance, midpoint
-from unitarizer.linalg import identity_spd, l2_norm, spd
+from unitarizer.linalg import identity_spd, l2_norm, spd, spectral_calculus
 from unitarizer.groupoid import (
+    ActionGroupoidSpec,
+    FiniteGroup,
     build_action_groupoid,
     cyclic_group,
     cyclic_shift_action,
@@ -348,3 +351,142 @@ def test_trace_collects_per_unit_rows():
     assert rows["pt"], "per-unit trace must not be empty"
     ks = [k for k, _, _ in rows["pt"]]
     assert ks == list(range(len(ks)))
+
+
+def s4_self_rep():
+    s4 = symmetric_group(4)
+    return generate_instance(left_translation_action(s4), trivial_base_rep(s4, 2), 2.0, 0)
+
+
+def s3_natural_rep(names=None):
+    # With a trivial base the Gram point of an arrow depends only on its
+    # target, so each unit keeps 3 of its 6 points.  ``names`` renames the
+    # group elements, which reorders the arrow ids.
+    s3 = symmetric_group(3)
+    spec = natural_permutation_action(3)
+    if names:
+        ren = {g: names.get(g, g) for g in s3.elements}
+        s3 = FiniteGroup(
+            tuple(ren[g] for g in s3.elements),
+            {(ren[a], ren[b]): ren[c] for (a, b), c in s3.mult.items()},
+            ren[s3.identity],
+            {ren[a]: ren[b] for a, b in s3.inverses.items()},
+        )
+        spec = ActionGroupoidSpec(
+            s3, spec.units, spec.mu, {(ren[g], x): y for (g, x), y in spec.action.items()}
+        )
+    return generate_instance(spec, trivial_base_rep(s3, 2), 2.0, 0)
+
+
+def z2_32units_rep():
+    return generate_instance(
+        cyclic_shift_action(2, copies=16), cyclic_character_base_rep(2, (0, 1)), 10.0, 0
+    )
+
+
+def orbits(G):
+    """Per orbit, its unit indices: the first unit, then the others."""
+    out, seen = [], set()
+    for r in np.flatnonzero(G.mu > 0.0):
+        if r not in seen:
+            others = sorted(set(G._arrow_src[G._into[r]].tolist()) - {r})
+            out.append(np.array([r] + others))
+            seen.update(out[-1].tolist())
+    return out
+
+
+@pytest.mark.parametrize(
+    "build", [s4_self_rep, s3_natural_rep, z2_32units_rep],
+    ids=["S4-self", "S3-natural", "Z2-32units"],
+)
+def test_orbit_gram_sets_equal_the_one_unit_gram_sets_bitwise(build):
+    rep = build()
+    G = rep.groupoid
+    deduped = 0
+    for xs in orbits(G):
+        _, keep, H, psets = representation._orbit_grams(rep, xs)
+        deduped += int(np.sum(~keep))
+        for x, k, h, ps in zip(xs, keep, H, psets):
+            one = gram_set(rep, G.units[x])
+            assert ps.ball == one.ball and len(ps.points) == len(one.points)
+            for p, q in zip(ps.points, one.points):
+                assert np.array_equal(p.mat, q.mat)
+                assert (p.eig_min, p.eig_max) == (q.eig_min, q.eig_max)
+            assert np.array_equal(h[k], np.stack([p.mat for p in one.points]))
+    assert (deduped > 0) == (build is s3_natural_rep)
+
+
+def meb_calls(monkeypatch):
+    calls = []
+    original = circumcenter._meb
+    monkeypatch.setattr(circumcenter, "_meb", lambda X: calls.append(len(X)) or original(X))
+    return calls
+
+
+@pytest.mark.parametrize("build", [s4_self_rep, s3_natural_rep])
+def test_transported_units_carry_the_solved_units_weights(monkeypatch, build):
+    rep = build()
+    calls = meb_calls(monkeypatch)
+    _, _, report = unitarize(rep, eps=1e-7)
+    (root,) = [r for r in report.unit_results.values() if r.iterations > 0]
+    # one walk per solve iteration and one for the solved unit's certificate
+    assert len(calls) == root.iterations + 1
+    for res in report.unit_results.values():
+        assert res.converged
+        assert np.array_equal(np.sort(res.weights), np.sort(root.weights))
+
+
+@pytest.mark.parametrize("build", [s4_self_rep, s3_natural_rep, s3_self_rep])
+def test_forced_fallback_gives_the_certify_bound_bitwise(build):
+    # below every bound, every carried certificate falls back to the
+    # optimal weights of the chart ball at x
+    rep = build()
+    eps = 1e-30
+    witness, _, report = unitarize(rep, eps=eps)
+    for x, res in report.unit_results.items():
+        if res.iterations:
+            continue
+        ps = gram_set(rep, x)
+        assert res.center_error_bound > eps
+        assert res.center_error_bound == certify(witness.sigma[x], ps)[0]
+        assert res.radius_at_center == radius_at(witness.sigma[x], ps)[0]
+
+
+def test_displaced_transported_centers_are_never_under_reported():
+    rep = s4_self_rep()
+    witness, _, report = unitarize(rep, eps=1e-7)
+    rng = np.random.default_rng(7)
+    transported = [x for x, r in report.unit_results.items() if r.iterations == 0]
+    for x in transported[:6]:
+        res, ps = report.unit_results[x], gram_set(rep, x)
+        # the chart direction toward the farthest point, and one across it
+        _, isq = spectral_calculus(res.center.mat, lambda w: 1.0 / np.sqrt(w))
+        far = ps.points[radius_at(res.center, ps)[1]].mat
+        _, along = spectral_calculus(isq @ far @ isq, np.log)
+        M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        M = M + M.conj().T
+        across = M - np.real(np.vdot(along, M)) / np.real(np.vdot(along, along)) * along
+        for E in (along, across):
+            for delta in (1e-10, 1e-6):
+                mutant = displaced(res.center, E, delta)
+                # eps 1 keeps the carried weights whatever bound they give
+                cert = certified_result(mutant, ps, 1.0, 0, weights=res.weights)
+                assert np.array_equal(cert.weights, res.weights)
+                moved = distance(mutant, res.center)
+                assert cert.center_error_bound >= moved - res.center_error_bound
+
+
+@pytest.mark.parametrize("eps", [1e-7, 10.0])
+def test_unit_whose_dedup_differs_from_the_roots_takes_the_meb_path(monkeypatch, eps):
+    # Renamed so, x1 and x2 keep other arrows of a target than the partners
+    # of the points x0 keeps, so x0's weights have nowhere to go; at eps 10
+    # any weights would give a bound within eps.
+    rep = s3_natural_rep({"201": "210", "210": "201"})
+    calls = meb_calls(monkeypatch)
+    witness, _, report = unitarize(rep, eps=eps)
+    root = report.unit_results["x0"]
+    assert root.iterations > 0
+    assert len(calls) == root.iterations + 1 + 2
+    for x in ("x1", "x2"):
+        res = report.unit_results[x]
+        assert res.center_error_bound == certify(witness.sigma[x], gram_set(rep, x))[0]

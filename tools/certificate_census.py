@@ -1,0 +1,97 @@
+"""What the certificates prove on the acceptance plan and the `degenerate` workload.
+
+Usage (from anywhere)::
+
+    python3 tools/certificate_census.py [--seeds 21]
+
+Runs in process on the checkout that holds this file (its ``src``, the plan
+of ``tests/test_acceptance.py`` and the workloads of ``bench/``), at the
+workloads' eps of 1e-7, and prints:
+
+* over the 52 instances of the acceptance plan: the units certified, the
+  instances with every unit certified, and the median and largest bound;
+* per `degenerate` workload seed 0 .. SEEDS-1: the units certified and the
+  largest bound;
+* the minimal-enclosing-ball subsolves (``circumcenter._meb`` calls) of one
+  `degenerate` ``unitarize`` run, a deterministic count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
+
+from unitarizer import circumcenter  # noqa: E402
+from unitarizer.representation import generate_instance, unitarize  # noqa: E402
+
+
+def plan_census(eps: float) -> str:
+    from test_acceptance import _instance_plan
+
+    units = certified = instances = 0
+    bounds = []
+    plan = _instance_plan()
+    for _, spec, base, cond, seed in plan:
+        _, _, report = unitarize(generate_instance(spec, base, cond, seed), eps=eps)
+        results = report.unit_results.values()
+        units += len(results)
+        certified += sum(r.converged for r in results)
+        instances += report.all_converged
+        bounds += [r.center_error_bound for r in results]
+    return (
+        f"plan: {certified}/{units} units certified, {instances}/{len(plan)} instances"
+        f" all converged, bound median {statistics.median(bounds):.3g} max {max(bounds):.3g}"
+    )
+
+
+def degenerate_runs(seeds: int):
+    """(seed, report) of one ``unitarize`` per `degenerate` workload seed."""
+    import workloads
+
+    wl = workloads.WORKLOADS["degenerate"]
+    for seed in range(seeds):
+        for inst in workloads.set_up(wl, wl.cases(seed), str(ROOT)):
+            _, _, report = unitarize(inst.rep, eps=workloads.EPS, max_iter=wl.max_iter)
+            yield seed, report
+
+
+def meb_calls() -> int:
+    calls = 0
+    meb = circumcenter._meb
+
+    def counted(X):
+        nonlocal calls
+        calls += 1
+        return meb(X)
+
+    circumcenter._meb = counted
+    try:
+        for _ in degenerate_runs(1):
+            pass
+    finally:
+        circumcenter._meb = meb
+    return calls
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=int, default=21, help="degenerate seeds 0 .. SEEDS-1")
+    args = ap.parse_args(argv)
+    print(plan_census(1e-7))
+    for seed, report in degenerate_runs(args.seeds):
+        results = report.unit_results.values()
+        print(
+            f"degenerate seed {seed}: {sum(r.converged for r in results)}/{len(results)}"
+            f" units certified, worst bound {report.max_certificate_bound:.3g}"
+        )
+    print(f"degenerate: {meb_calls()} _meb calls per unitarize run")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
