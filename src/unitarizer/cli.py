@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .errors import ParameterOutOfRange, UnitarizerError
+from .errors import ParameterOutOfRange, ParseError, UnitarizerError
 from .properties import run_geometry_suite
 from .representation import (
     check_representation,
@@ -125,12 +125,15 @@ def cmd_unitarize(args) -> int:
     )
     save_json(unitarization_to_json(rep, witness, unitary, report), args.output)
     if args.trace:
-        with open(args.trace, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["unit_id", "iteration", "radius_at_iterate", "error_bound"])
-            for x in sorted(trace):
-                for k, r, b in trace[x]:
-                    w.writerow([x, k, _fmt(r), _fmt(b)])
+        try:
+            with open(args.trace, "w", newline="") as f:
+                w = csv.writer(f)
+                w.writerow(["unit_id", "iteration", "radius_at_iterate", "error_bound"])
+                for x in sorted(trace):
+                    for k, r, b in trace[x]:
+                        w.writerow([x, k, _fmt(r), _fmt(b)])
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.trace}: {exc}") from exc
     threshold = report.residual_threshold(args.eps, rep.uniform_bound_C)
     print(f"units solved: {len(report.unit_results)}")
     print(f"max unitarity residual: {_fmt(report.max_unitarity_residual)}")

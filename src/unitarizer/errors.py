@@ -92,6 +92,6 @@ class NotUniformlyBounded(UnitarizerError):
 
 
 class ParseError(UnitarizerError):
-    """Malformed or unreadable input file."""
+    """Malformed or unreadable input file, or an output file that cannot be written."""
 
     category = "io"

@@ -16,9 +16,6 @@ import numpy as np
 from .errors import DimensionMismatch, ParameterOutOfRange, SingularTransform
 from .linalg import PD_FLOOR, SpdMatrix, as_square_matrix, spd, spectral_calculus, symmetrize
 
-# Relative tolerance for geodesic identities such as constant speed.
-GEO_TOL = 1e-7
-
 
 @dataclass(frozen=True)
 class GLcBall:

@@ -10,20 +10,21 @@ triple.
 
 The checks run over integer tables built once per groupoid.  Arrows are
 numbered in sorted-id order, and the composition is kept as index triples
-(h, g, hg): the constructor reads its dict once into them, while the JSON
-parser, the action-groupoid builder and ``restrict`` hand them over
-directly.  The composites sit in one flat table with a block per unit y,
-whose rows are y's source fiber and whose columns are its target fiber, so
-the table holds exactly the composable pairs.  The identity of a unit is
-read off its block and each inverse law is one numpy gather over the
-table.  Associativity is proved from generators by Light's test (Clifford
+(h, g, hg): the constructor and the JSON parser map their ``[h, g, hg]``
+id entries to them in one pass, while the action-groupoid builder and
+``restrict`` hand them over directly.  The composites sit in one flat
+table with a block per unit y, whose rows are y's source fiber and whose
+columns are its target fiber, so the table holds exactly the composable
+pairs.  The identity of a unit is read off its block and each inverse law
+is one numpy gather over the table.  Associativity is proved from generators by Light's test (Clifford
 & Preston, *The Algebraic Theory of Semigroups*, vol. 1, 1961): the arrows
 b with (ab)c == a(bc) for all composable a, c include the identities and
 are closed under composition, so it suffices to check such a set of
 arrows that generates the others.  Group tables and action compatibility
-are proved the same way.  Only when a proof fails does an exhaustive scan,
-one gathered block of triples per middle arrow, run to name the first
-failing triple; ``check_axioms`` always runs it.
+are proved by one such test on their integer tables.  Only when a proof
+fails does an exhaustive scan, one gathered block of triples per middle
+arrow, run to name the first failing triple; ``check_axioms`` always runs
+it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, permutations, product, repeat
+from itertools import chain, permutations, product, repeat
 
 import numpy as np
 
@@ -69,20 +70,27 @@ class FiniteMeasuredGroupoid:
 
     The identity arrow of each unit is derived from ``composition`` and kept
     as ``unit_arrows``, a dict unit -> arrow id.  The composition is kept as
-    integer triples; the ``composition`` dict is built from them on first
-    access, in the order its entries were given.
+    integer triples, read from the dict's entries in one pass; the
+    ``composition`` dict is built from them on first access, in the order
+    its entries were given.
     """
 
     def __init__(self, units, mu, arrows, inverse, composition):
         self._setup(units, mu, arrows, inverse)
-        comp = dict(composition)
-        # The one pass over the entries: index triples in dict order, -1 for
-        # an unknown id.
-        idx, m = self._index, len(comp)
-        keys = np.fromiter(map(idx.get, chain.from_iterable(comp), repeat(-1)), np.intp, 2 * m)
-        ih, ig = keys.reshape(m, 2).T
-        ic = np.fromiter(map(idx.get, comp.values(), repeat(-1)), np.intp, m)
-        self._validate((ih, ig, ic), lambda i: next(islice(comp.items(), i, None)))
+        self._read([(*hg, c) for hg, c in dict(composition).items()])
+
+    @classmethod
+    def _from_entries(cls, units, mu, arrows, inverse, entries):
+        """The groupoid whose composition is the ``[h, g, hg]`` id entries.
+
+        Every entry has three elements.  An unknown or non-string id fails
+        validation as an unknown arrow; an unhashable one raises TypeError.
+        Validation and its messages are the constructor's.
+        """
+        G = cls.__new__(cls)
+        G._setup(units, mu, arrows, inverse)
+        G._read(entries)
+        return G
 
     @classmethod
     def _from_triples(cls, units, mu, arrows, inverse, pairs):
@@ -155,6 +163,15 @@ class FiniteMeasuredGroupoid:
         names = np.array(self._ids, dtype=object)
         h, g, c = (names[p].tolist() for p in self._pairs)
         return dict(zip(zip(h, g), c))
+
+    def _read(self, entries):
+        """Validate the ``(h, g, hg)`` id entries as index triples, -1 for an unknown id."""
+        m = len(entries)
+        flat = np.fromiter(
+            map(self._index.get, chain.from_iterable(entries), repeat(-1)), np.intp, 3 * m
+        )
+        pairs = tuple(flat.reshape(m, 3).T)
+        self._validate(pairs, lambda i: (tuple(entries[i][:2]), entries[i][2]))
 
     def _entry(self, i):
         """Entry i of the index triples as ((h, g), c)."""
@@ -326,11 +343,15 @@ class FiniteMeasuredGroupoid:
         own composition.  Per orbit, with r its first unit: one arrow t_y
         from each unit y into r, the inverses of these, and loops at r
         chosen greedily until they and the identity generate every loop at
-        r.  Lookups confirm that the products inv(t_z) . k . t_y, over loops
-        k at r, are every arrow of the orbit.
+        r.  These generate the orbit, given the identity and inverse laws
+        that ``_validate`` has checked: let b: y -> z be an arrow of the
+        orbit and k = (t_z . b) . inv(t_y), a loop at r and so generated.
+        Associativity at the middle inv(t_y), the inverse law and the right
+        identity give k . t_y = t_z . b; associativity at the middle t_z,
+        the inverse law and the left identity give inv(t_z) . (t_z . b) = b.
+        So b = inv(t_z) . (k . t_y) is a product of checked arrows.
         """
         s, unit = self._arrow_src, self._unit
-        covered = np.zeros(len(self._ids), dtype=bool)
         gens = []
         seen = np.zeros(len(self.units), dtype=bool)
         for r in range(len(self.units)):
@@ -347,12 +368,7 @@ class FiniteMeasuredGroupoid:
             local[loops] = np.arange(loops.size)
             iso = local[self._blocks[r][np.ix_(self._srank[loops], self._trank[loops])]]
             picked = loops[_generators(iso, local[unit[r]])]
-            back = self._inv[tree]
-            gens += [tree, back, picked]
-            left = self._compose_ix(back[:, None], loops)
-            covered[self._compose_ix(left[:, :, None], tree)] = True
-        if not covered.all():
-            return False
+            gens += [tree, self._inv[tree], picked]
         middles = np.setdiff1d(np.concatenate(gens), unit)
         return not any(self._middle_fails(b).any() for b in middles)
 
@@ -535,20 +551,31 @@ def _validate_group(group: FiniteGroup) -> tuple:
     if len(group.inverses) != n:
         key = next(k for k in group.inverses if k not in eidx)
         raise InvalidAction(f"inverse given for unknown element {key!r}")
-    # Light's test, as for groupoids: the b with (ab)c == a(bc) for all a
-    # and c (entry [a, c] of each side) include e and are closed under mult,
-    # so checking generators suffices.
     gens = _generators(mult, e)
-    if any((mult[mult[:, b]] != mult[:, mult[b]]).any() for b in gens):
-        # Name the first failing triple: one row a at a time, entry [b, c].
-        for a in range(n):
-            bad = mult[mult[a]] != mult[a][mult]
-            if bad.any():
-                b, c = np.argwhere(bad)[0]
-                raise InvalidAction(
-                    f"associativity fails on triple ({elems[a]!r}, {elems[b]!r}, {elems[c]!r})"
-                )
+    bad = _first_incompatible(mult, mult, gens)
+    if bad is not None:
+        a, b, c = map(elems.__getitem__, bad)
+        raise InvalidAction(f"associativity fails on triple ({a!r}, {b!r}, {c!r})")
     return mult, inv, gens
+
+
+def _first_incompatible(mult, table, gens):
+    """First (a, b, x) with table[mult[a, b], x] != table[a, table[b, x]], or None.
+
+    ``table`` is ``mult`` itself for associativity, or an action table
+    [element, unit] for compatibility.  By Light's test the b with
+    (ab).x == a.(b.x) for all a and x (entry [a, x] of each side) include
+    the identity and are closed under ``mult`` (for an action, given that
+    ``mult`` is associative), so checking the generators ``gens`` suffices.
+    Only when one fails are rows a scanned, entry [b, x], to order the
+    first failing triple by a, then b, then x.
+    """
+    if all((table[mult[:, b]] == table[:, table[b]]).all() for b in gens):
+        return None
+    for a in range(len(mult)):
+        bad = table[mult[a]] != table[a][table]
+        if bad.any():
+            return (a, *np.argwhere(bad)[0])
 
 
 @dataclass(frozen=True)
@@ -590,18 +617,12 @@ def build_action_groupoid(spec: ActionGroupoidSpec) -> FiniteMeasuredGroupoid:
     for x in units:
         if act[(group.identity, x)] != x:
             raise InvalidAction(f"identity does not fix unit {x!r}")
-    # The b with (ab).x == a.(b.x) for all a and x (entry [a, x] of each
-    # side) include the identity and, the group being associative, are
-    # closed under mult, so checking generators suffices.
-    if any((table[mult[:, b]] != table[:, table[b]]).any() for b in gens):
-        # Name the first failing triple: one row a at a time, entry [b, x].
-        for a in range(len(elems)):
-            bad = table[mult[a]] != table[a][table]
-            if bad.any():
-                b, x = np.argwhere(bad)[0]
-                raise InvalidAction(
-                    f"action is not compatible on ({elems[a]!r}, {elems[b]!r}, {units[x]!r})"
-                )
+    bad = _first_incompatible(mult, table, gens)
+    if bad is not None:
+        a, b, x = bad
+        raise InvalidAction(
+            f"action is not compatible on ({elems[a]!r}, {elems[b]!r}, {units[x]!r})"
+        )
 
     # ids[g, x] names the arrow (g, x) from x to g.x; flat index g * nx + x.
     # Arrows and inverses are listed by g, then x; the composition triples

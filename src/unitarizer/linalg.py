@@ -25,13 +25,6 @@ from .errors import (
 # refused as non-Hermitian.
 HERMITIAN_RTOL = 1e-10
 
-# Relative reconstruction tolerance expected from an eigendecomposition.
-SPECTRAL_TOL = 1e-10
-
-# Relative tolerance for functional-calculus identities such as
-# exp(log(a)) = a on well conditioned inputs.
-FUNC_TOL = 1e-8
-
 # eig_min <= PD_FLOOR * eig_max counts as not positive definite.
 PD_FLOOR = 1e-12
 

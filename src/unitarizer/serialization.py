@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -215,60 +214,33 @@ def groupoid_from_json(obj, where: str = "groupoid") -> FiniteMeasuredGroupoid:
     )
     raw_comp = _get(obj, "composition", where)
     _require(isinstance(raw_comp, list), "{}.composition: expected a list", where)
-    pairs = _index_triples(arrows, raw_comp)
-    if pairs is not None:
-        try:
-            return FiniteMeasuredGroupoid._from_triples(units, mu, arrows, raw_inv, pairs)
-        except InvalidGroupoid:
-            pass  # the per-entry path below names the error
-    return FiniteMeasuredGroupoid(
-        units=tuple(units),
-        mu=tuple(mu),
-        arrows=tuple(arrows),
-        inverse=dict(raw_inv),
-        composition=_composition_dict(raw_comp, where),
-    )
-
-
-def _index_triples(arrows, raw_comp):
-    """``raw_comp`` as index triples by sorted arrow id, or None on any anomaly.
-
-    An anomaly is an entry that is not a list of three arrow ids.
-    """
-    if set(map(type, raw_comp)) != {list} or set(map(len, raw_comp)) != {3}:
-        return None
-    index = {g: i for i, g in enumerate(sorted(a.id for a in arrows))}
+    if not (set(map(type, raw_comp)) <= {list} and set(map(len, raw_comp)) <= {3}):
+        _name_bad_entry(raw_comp, where)
+    # One build.  A non-string id fails it as an unknown arrow, and a
+    # repeated pair leaves a slot empty or overfills the table, so the list
+    # is read again, to let a parse error win, only when the build fails.
     try:
-        flat = np.fromiter(
-            map(index.get, chain.from_iterable(raw_comp), repeat(-1)), np.intp, 3 * len(raw_comp)
-        )
-    except TypeError:  # an unhashable element
-        return None
-    if flat.min() < 0:
-        return None
-    return tuple(flat.reshape(-1, 3).T)
+        return FiniteMeasuredGroupoid._from_entries(units, mu, arrows, raw_inv, raw_comp)
+    except (InvalidGroupoid, TypeError):  # TypeError: an unhashable element
+        _name_bad_entry(raw_comp, where)
+        raise
 
 
-def _composition_dict(raw_comp, where: str) -> dict:
-    """``raw_comp`` entry by entry as a dict; the first malformed entry is named."""
-    comp = {}
-    for k, triple in enumerate(raw_comp):
-        if not (isinstance(triple, list) and len(triple) == 3):
+def _name_bad_entry(raw_comp, where: str):
+    """Raise ParseError at the first malformed entry of ``raw_comp`` or repeated pair."""
+    seen = set()
+    for k, t in enumerate(raw_comp):
+        if not (isinstance(t, list) and len(t) == 3):
             break
-        h, g, c = triple
+        h, g, c = t
         if not (isinstance(h, str) and isinstance(g, str) and isinstance(c, str)):
             break
-        comp[h, g] = c
+        if (h, g) in seen:
+            raise ParseError(f"{where}.composition[{k}]: duplicate entry for pair {(h, g)!r}")
+        seen.add((h, g))
     else:
-        k = len(raw_comp)
-    if len(comp) != k:  # a pair repeats before k: name its second occurrence
-        seen = set()
-        for j, (h, g, _) in enumerate(raw_comp):
-            _require((h, g) not in seen, "{}.composition[{}]: duplicate entry for pair {!r}",
-                     where, j, (h, g))
-            seen.add((h, g))
-    _require(k == len(raw_comp), "{}.composition[{}]: expected [h, g, hg] strings", where, k)
-    return comp
+        return
+    raise ParseError(f"{where}.composition[{k}]: expected [h, g, hg] strings")
 
 
 # -- representations --------------------------------------------------------
@@ -338,19 +310,25 @@ def unitarization_to_json(rep, witness, unitary, report) -> dict:
 
 
 def save_json(obj, path: str):
-    """Deterministic, atomic JSON write (sorted keys, temp file + rename)."""
+    """Deterministic, atomic JSON write (sorted keys, temp file + rename).
+
+    A failed write removes the temp file; an OS error raises ParseError.
+    """
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as f:
-            # json.dumps takes the C encoder; json.dump and indent do not.
-            f.write(json.dumps(obj, sort_keys=True))
-            f.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                # json.dumps takes the C encoder; json.dump and indent do not.
+                f.write(json.dumps(obj, sort_keys=True))
+                f.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def load_json(path: str):

@@ -200,8 +200,18 @@ def test_package_and_cli_import_without_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def _malformed(case, tmp_path, rep, out):
-    """Write the malformed input of ``case``; return the CLI arguments that read it."""
+def _malformed(case, tmp_path, rep, out, spec):
+    """Write the malformed input of ``case``; return the CLI arguments that read it.
+
+    The ``nodir`` cases write into a directory that does not exist.
+    """
+    nodir = str(tmp_path / "nodir")
+    if case == "nodir-output":
+        return ["unitarize", rep, "-o", os.path.join(nodir, "out.json")]
+    if case == "nodir-trace":
+        return ["unitarize", rep, "-o", out, "--trace", os.path.join(nodir, "t.csv")]
+    if case == "nodir-generate":
+        return ["generate", spec, "--dim", "2", "-o", os.path.join(nodir, "rep.json")]
     obj = load_json(rep)
     if case == "witness-list":
         path = str(tmp_path / "w.json")
@@ -226,13 +236,16 @@ def _malformed(case, tmp_path, rep, out):
     ("psi-list", "out.json.psi: expected an object"),
     ("matrix-dim-true", "dim must be a positive int"),
     ("rep-dim-true", "dim: must be a positive int"),
+    ("nodir-output", "error:io: cannot write"),
+    ("nodir-trace", "error:io: cannot write"),
+    ("nodir-generate", "error:io: cannot write"),
 ])
 def test_malformed_input_ends_in_one_error_line(spec_file, tmp_path, case, reason):
     rep = str(tmp_path / "rep.json")
     out = str(tmp_path / "out.json")
     main(["generate", spec_file, "--dim", "2", "--seed", "1", "-o", rep])
     main(["unitarize", rep, "-o", out])
-    proc = run_module(*_malformed(case, tmp_path, rep, out))
+    proc = run_module(*_malformed(case, tmp_path, rep, out, spec_file))
     assert proc.returncode in (1, 2, 3), proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr

@@ -704,6 +704,43 @@ def test_light_test_checks_tree_arrows_their_inverses_and_generators(make):
     assert _closure(G, middles).all()
 
 
+def test_light_test_agrees_with_the_exhaustive_scan(monkeypatch):
+    # Tables with one to three composites replaced by arrows with the same
+    # endpoints.  Those that pass the identity and inverse laws are built
+    # with the scan switched off, so construction ends after Light's test.
+    scan = FiniteMeasuredGroupoid._scan_associativity
+    monkeypatch.setattr(FiniteMeasuredGroupoid, "_scan_associativity", lambda G: None)
+    bases = [build_action_groupoid(spec) for spec in (
+        natural_permutation_action(3),
+        natural_permutation_action(4),
+        trivial_action(cyclic_group(3), ("a", "b"), (0.5, 0.5)),
+        trivial_action(symmetric_group(3), ("a",), (1.0,)),
+    )]
+    rng = np.random.default_rng(17)
+    verdicts = []
+    for _ in range(1000):
+        G = bases[rng.integers(len(bases))]
+        s, t = G._arrow_src, G._arrow_tgt
+        ih, ig, ic = G._pairs
+        ic = ic.copy()
+        for k in rng.integers(ic.size, size=rng.integers(1, 4)):
+            same = np.flatnonzero((s == s[ic[k]]) & (t == t[ic[k]]))
+            ic[k] = same[rng.integers(same.size)]
+        pairs = (ih, ig, ic)
+        try:
+            H = FiniteMeasuredGroupoid._from_triples(G.units, G.mu, G.arrows, G.inverse, pairs)
+        except InvalidGroupoid:
+            continue  # an identity or inverse law fails
+        try:
+            scan(H)
+            associative = True
+        except InvalidGroupoid:
+            associative = False
+        assert H._light_test() == associative
+        verdicts.append(associative)
+    assert len(verdicts) > 400 and 100 < sum(verdicts) < len(verdicts) - 100
+
+
 def _swap_table(edits, arrows=None, inverse=None):
     """Swap-groupoid tables with ``edits`` applied to the composition.
 

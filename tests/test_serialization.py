@@ -236,6 +236,49 @@ def test_load_path_matches_the_per_entry_parse():
         assert _load_outcome(groupoid_from_json, obj) == _load_outcome(_reference_load, obj), n
 
 
+def _mixed_loads(seed, count):
+    """Corrupted loads with one well-typed content defect outside the list too.
+
+    Defects: an arrow naming an unknown unit, a duplicate arrow id, an
+    inverse naming an unknown arrow or one that is not an involution, and
+    weights that do not sum to one.  The composition defects are drawn from
+    seed 1 of ``_corrupted_loads``, the content defects from ``seed``.
+    """
+    rng = np.random.default_rng(seed)
+    for obj in _corrupted_loads(1, count):
+        arrows, inverse = obj["arrows"], obj["inverse"]
+        kind, k, j = rng.integers(5), rng.integers(len(arrows)), rng.integers(len(arrows))
+        g, h = arrows[k]["id"], arrows[j]["id"]
+        if kind == 0:
+            arrows[k]["src" if rng.integers(2) else "tgt"] = "nowhere"
+        elif kind == 1:
+            arrows[k]["id"] = h if h != g else arrows[k - 1]["id"]
+        elif kind == 2:
+            inverse[g] = "zz"
+        elif kind == 3:
+            inverse[g] = h if inverse[h] != g else g  # inv(inv(h)) != h either way
+        else:
+            obj["mu"][0] += 0.25
+        yield obj
+
+
+def test_parse_errors_in_the_list_win_over_content_errors():
+    for n, obj in enumerate(_mixed_loads(2, 600)):
+        assert _load_outcome(groupoid_from_json, obj) == _load_outcome(_reference_load, obj), n
+
+
+def test_each_load_builds_at_most_one_groupoid(monkeypatch):
+    builds = []
+    setup = FiniteMeasuredGroupoid._setup
+    monkeypatch.setattr(
+        FiniteMeasuredGroupoid, "_setup", lambda G, *args: builds.append(1) or setup(G, *args)
+    )
+    for obj in (*_corrupted_loads(0, 600), *_mixed_loads(2, 600)):
+        builds.clear()
+        _load_outcome(groupoid_from_json, obj)
+        assert len(builds) <= 1
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda o: o["action"]["r1"].update(c="a"),
      "action given on unknown element or unit ('r1', 'c')"),
@@ -324,6 +367,16 @@ def test_save_json_writes_compact_sorted_json_and_a_newline(tmp_path):
     save_json(obj, str(path))
     assert path.read_text() == json.dumps(obj, sort_keys=True) + "\n"
     assert [p.name for p in tmp_path.iterdir()] == ["rep.json"]  # no temp file left
+
+
+def test_save_json_failures_are_io_errors_and_leave_no_temp_file(tmp_path):
+    (tmp_path / "adir").mkdir()
+    for path in (tmp_path / "nodir" / "x.json", tmp_path / "adir"):
+        with pytest.raises(ParseError) as exc:
+            save_json({"a": 1}, str(path))
+        assert str(exc.value).startswith(f"cannot write {path}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+    assert list((tmp_path / "adir").iterdir()) == []
 
 
 def test_unitarization_output_schema(tmp_path):
