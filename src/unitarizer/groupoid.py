@@ -77,7 +77,12 @@ class FiniteMeasuredGroupoid:
 
     def __init__(self, units, mu, arrows, inverse, composition):
         self._setup(units, mu, arrows, inverse)
-        self._read([(*hg, c) for hg, c in dict(composition).items()])
+        comp = dict(composition)
+        if not (set(map(type, comp)) <= {tuple} and set(map(len, comp)) <= {2}):
+            for hg in comp:
+                if not (isinstance(hg, tuple) and len(hg) == 2):
+                    raise InvalidGroupoid(f"composition key {hg!r} is not an (h, g) pair")
+        self._read([(*hg, c) for hg, c in comp.items()])
 
     @classmethod
     def _from_entries(cls, units, mu, arrows, inverse, entries):
@@ -85,11 +90,22 @@ class FiniteMeasuredGroupoid:
 
         Every entry has three elements.  An unknown or non-string id fails
         validation as an unknown arrow; an unhashable one raises TypeError.
-        Validation and its messages are the constructor's.
+        Validation and its messages are the constructor's.  An
+        InvalidGroupoid raised once the entries are read as index triples
+        carries ``clean_entries``: true when no id was unknown and no
+        (h, g) pair repeats, so that every entry is three known ids and
+        no two entries share a pair.
         """
         G = cls.__new__(cls)
         G._setup(units, mu, arrows, inverse)
-        G._read(entries)
+        try:
+            G._read(entries)
+        except InvalidGroupoid as exc:
+            ih, ig, _ = G._pairs
+            exc.clean_entries = all((p >= 0).all() for p in G._pairs) and (
+                np.unique(ih * len(G._ids) + ig).size == ih.size
+            )
+            raise
         return G
 
     @classmethod

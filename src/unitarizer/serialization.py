@@ -18,8 +18,23 @@ unitarization    representation fields for the unitary output, plus
 
 Malformed structure raises :class:`ParseError` (IO category); content
 that parses but violates groupoid or representation axioms raises the
-corresponding validation error.  Writers are deterministic (sorted keys)
-and atomic (write to a temp file, then rename).
+corresponding validation error.  The parsers take one pass per table:
+one type and length check per nesting level of the composition list and
+of the arrow matrices, one build of the groupoid from index triples, and
+one float array for all arrow matrices.  Only when a pass finds an
+anomaly, or the build fails in a way a malformed entry can cause, is the
+table read entry by entry to name the first bad one.
+
+Writers are deterministic (sorted keys, ``json.dumps``' C encoder) and
+atomic (write to a temp file, then rename).  :func:`save_json` also takes
+a groupoid object, alone or as the ``"groupoid"`` field of an output
+dict, and writes the bytes of its ``groupoid_to_json`` dict without
+building it: each arrow id is encoded once, the sorted index triples
+gather the encoded ids, and each block of rows is joined into one piece
+of the composition text.  The file is written piece by piece, so no
+string holds the whole text.  The CLI hands it its outputs that way; the
+public ``*_to_json`` functions return plain JSON dicts.  Arrow matrices
+are written from one stacked array.
 """
 
 from __future__ import annotations
@@ -27,6 +42,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import chain
 
 import numpy as np
 
@@ -39,6 +55,10 @@ from .groupoid import (
     build_action_groupoid,
 )
 from .representation import Representation, make_representation
+
+# Rows of the composition list written per piece: small enough that no
+# piece holds more than a few hundred kilobytes of text.
+_ROWS_PER_CHUNK = 4096
 
 
 def _require(cond: bool, msg: str, *args):
@@ -90,13 +110,67 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     return parts.view(np.complex128).reshape(dim, dim)
 
 
+def _matrices_to_json(mats: dict) -> dict:
+    """``{key: matrix_to_json(m)}`` in key order, for matrices of one size, from one stack."""
+    keys = sorted(mats)
+    a = np.asarray([mats[k] for k in keys], dtype=np.complex128)
+    _require(a.ndim == 3 and a.shape[1] == a.shape[2], "matrix: not square")
+    dim = int(a.shape[1])
+    rows = np.stack((a.real, a.imag), -1).tolist()
+    return {k: {"dim": dim, "rows": r} for k, r in zip(keys, rows)}
+
+
+def _matrices_from_json(raw: dict, where: str) -> dict:
+    """``{key: matrix_from_json(m, f"{where}[{key!r}]")}``, read as one stack.
+
+    One type and length check per nesting level covers every matrix; on
+    any anomaly the matrices are read one by one, so that the per-matrix
+    parser names it.
+    """
+    stack = _stack_from_json(list(raw.values()))
+    if stack is None:
+        return {k: matrix_from_json(m, f"{where}[{k!r}]") for k, m in raw.items()}
+    return dict(zip(raw, stack))
+
+
+def _stack_from_json(objs: list):
+    """The matrix objects as one (n, dim, dim) complex array, or None.
+
+    None unless every object is a well-formed, finite matrix of one dim.
+    """
+    if set(map(type, objs)) != {dict}:
+        return None
+    dims = [m.get("dim") for m in objs]
+    if set(map(type, dims)) != {int} or len(set(dims)) != 1 or dims[0] < 1:
+        return None
+    dim = dims[0]
+    rows = level = [m.get("rows") for m in objs]
+    for size in (dim, dim, 2):  # rows, entries, [re, im] parts
+        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+            return None
+        level = list(chain.from_iterable(level))
+    if not set(map(type, level)) <= {int, float}:
+        return None
+    try:
+        parts = np.array(rows, dtype=np.float64)
+    except OverflowError:
+        return None
+    if not np.isfinite(parts).all():
+        return None
+    return parts.view(np.complex128).reshape(len(objs), dim, dim)
+
+
 # -- groupoids --------------------------------------------------------------
 
 
 def groupoid_to_json(G: FiniteMeasuredGroupoid) -> dict:
-    # Arrow indices follow sorted ids: sorted index pairs give sorted triples.
-    pairs = np.stack(G._pairs, axis=1)
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    out = _groupoid_head(G)
+    out["composition"] = np.array(G._ids, dtype=object)[_sorted_pairs(G)].tolist()
+    return out
+
+
+def _groupoid_head(G: FiniteMeasuredGroupoid) -> dict:
+    """``groupoid_to_json(G)`` without its composition."""
     return {
         "kind": "explicit",
         "units": list(G.units),
@@ -106,8 +180,40 @@ def groupoid_to_json(G: FiniteMeasuredGroupoid) -> dict:
             for a in sorted(G.arrows, key=lambda a: a.id)
         ],
         "inverse": {g: G.inverse[g] for g in sorted(G.inverse)},
-        "composition": np.array(G._ids, dtype=object)[pairs].tolist(),
     }
+
+
+def _sorted_pairs(G: FiniteMeasuredGroupoid) -> np.ndarray:
+    """The index triples as rows (h, g, hg), sorted by (h, g).
+
+    Arrow indices follow sorted ids, so these rows name the sorted
+    ``[h, g, hg]`` id triples.  Each (h, g) occurs once, so one key sorts.
+    """
+    ih, ig, _ = G._pairs
+    return np.stack(G._pairs, axis=1)[np.argsort(ih * len(G._ids) + ig)]
+
+
+def _composition_chunks(G: FiniteMeasuredGroupoid):
+    """``json.dumps(groupoid_to_json(G)["composition"])`` in pieces, from the index triples.
+
+    Each id is encoded once, in three forms: ``["h", ``, ``"g", `` and
+    ``"hg"], ``.  A gather of the sorted triples picks each row's three
+    pieces, and one join per block of rows writes them.
+    """
+    n = len(G._ids)
+    ids = [json.dumps(g) for g in G._ids]
+    forms = np.array(
+        [f"[{g}, " for g in ids] + [f"{g}, " for g in ids] + [f"{g}], " for g in ids],
+        dtype=object,
+    )
+    rows = _sorted_pairs(G) + (0, n, 2 * n)
+    yield "["
+    for start in range(0, len(rows), _ROWS_PER_CHUNK):
+        pieces = forms[rows[start:start + _ROWS_PER_CHUNK].ravel()].tolist()
+        if start + _ROWS_PER_CHUNK >= len(rows):
+            pieces[-1] = pieces[-1][:-2]  # no separator after the last row
+        yield "".join(pieces)
+    yield "]"
 
 
 def action_spec_to_json(spec: ActionGroupoidSpec) -> dict:
@@ -218,11 +324,17 @@ def groupoid_from_json(obj, where: str = "groupoid") -> FiniteMeasuredGroupoid:
         _name_bad_entry(raw_comp, where)
     # One build.  A non-string id fails it as an unknown arrow, and a
     # repeated pair leaves a slot empty or overfills the table, so the list
-    # is read again, to let a parse error win, only when the build fails.
+    # is read again, to let a parse error win, only when the build fails
+    # with an unhashable element (TypeError), before it read the list, or
+    # with an unknown id or a repeated pair among the index triples.
     try:
         return FiniteMeasuredGroupoid._from_entries(units, mu, arrows, raw_inv, raw_comp)
-    except (InvalidGroupoid, TypeError):  # TypeError: an unhashable element
+    except TypeError:
         _name_bad_entry(raw_comp, where)
+        raise
+    except InvalidGroupoid as exc:
+        if not getattr(exc, "clean_entries", False):
+            _name_bad_entry(raw_comp, where)
         raise
 
 
@@ -247,11 +359,14 @@ def _name_bad_entry(raw_comp, where: str):
 
 
 def representation_to_json(rep: Representation) -> dict:
-    return {
-        "groupoid": groupoid_to_json(rep.groupoid),
-        "dim": rep.dim,
-        "arrows": {g: matrix_to_json(m) for g, m in sorted(rep.rho.items())},
-    }
+    out = _representation_value(rep)
+    out["groupoid"] = groupoid_to_json(rep.groupoid)
+    return out
+
+
+def _representation_value(rep: Representation) -> dict:
+    """``representation_to_json(rep)`` with the groupoid as the object, for :func:`save_json`."""
+    return {"groupoid": rep.groupoid, "dim": rep.dim, "arrows": _matrices_to_json(rep.rho)}
 
 
 def representation_from_json(obj, base_dir: str = ".", where: str = "representation"):
@@ -267,22 +382,26 @@ def representation_from_json(obj, base_dir: str = ".", where: str = "representat
     _require(type(dim) is int and dim >= 1, "{}.dim: must be a positive int", where)
     raw = _get(obj, "arrows", where)
     _require(isinstance(raw, dict), "{}.arrows: expected an object", where)
-    rho = {
-        g: matrix_from_json(m, f"{where}.arrows[{g!r}]") for g, m in raw.items()
-    }
-    return make_representation(G, dim, rho)
+    return make_representation(G, dim, _matrices_from_json(raw, f"{where}.arrows"))
 
 
 def psi_from_json(obj, where: str) -> dict:
     """A witness ``{unit: matrix}`` object as a dict of arrays."""
     _require(isinstance(obj, dict), "{}: expected an object", where)
-    return {x: matrix_from_json(m, f"psi[{x!r}]") for x, m in obj.items()}
+    return _matrices_from_json(obj, "psi")
 
 
 def unitarization_to_json(rep, witness, unitary, report) -> dict:
-    out = representation_to_json(unitary)
-    out["psi"] = {x: matrix_to_json(p.mat) for x, p in sorted(witness.psi.items())}
-    out["sigma"] = {x: matrix_to_json(s.mat) for x, s in sorted(witness.sigma.items())}
+    out = _unitarization_value(rep, witness, unitary, report)
+    out["groupoid"] = groupoid_to_json(unitary.groupoid)
+    return out
+
+
+def _unitarization_value(rep, witness, unitary, report) -> dict:
+    """``unitarization_to_json`` with the groupoid as the object, for :func:`save_json`."""
+    out = _representation_value(unitary)
+    out["psi"] = _matrices_to_json({x: p.mat for x, p in witness.psi.items()})
+    out["sigma"] = _matrices_to_json({x: s.mat for x, s in witness.sigma.items()})
     out["report"] = {
         "uniform_bound": rep.uniform_bound_C,
         "max_unitarity_residual": report.max_unitarity_residual,
@@ -309,18 +428,43 @@ def unitarization_to_json(rep, witness, unitary, report) -> dict:
 # -- files ------------------------------------------------------------------
 
 
+def _json_chunks(obj):
+    """``json.dumps(obj, sort_keys=True)`` in pieces, with groupoid objects written in place.
+
+    A :class:`FiniteMeasuredGroupoid`, as ``obj`` itself or as the value of
+    its top-level ``"groupoid"`` field, is written as ``groupoid_to_json``
+    would give it, with the composition from the index triples.  No piece
+    holds the whole text.
+    """
+    if isinstance(obj, FiniteMeasuredGroupoid):
+        fields = {k: [json.dumps(v, sort_keys=True)] for k, v in _groupoid_head(obj).items()}
+        fields["composition"] = _composition_chunks(obj)
+    elif isinstance(obj, dict) and isinstance(obj.get("groupoid"), FiniteMeasuredGroupoid):
+        fields = {k: _json_chunks(v) for k, v in obj.items()}
+    else:
+        # json.dumps takes the C encoder; json.dump and indent do not.
+        yield json.dumps(obj, sort_keys=True)
+        return
+    sep = "{"
+    for k in sorted(fields):
+        yield f"{sep}{json.dumps(k)}: "
+        yield from fields[k]
+        sep = ", "
+    yield "}"
+
+
 def save_json(obj, path: str):
     """Deterministic, atomic JSON write (sorted keys, temp file + rename).
 
-    A failed write removes the temp file; an OS error raises ParseError.
+    ``obj`` may hold a groupoid object (see :func:`_json_chunks`).  A failed write
+    removes the temp file; an OS error raises ParseError.
     """
     d = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as f:
-                # json.dumps takes the C encoder; json.dump and indent do not.
-                f.write(json.dumps(obj, sort_keys=True))
+                f.writelines(_json_chunks(obj))
                 f.write("\n")
             os.replace(tmp, path)
         except BaseException:

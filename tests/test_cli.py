@@ -8,9 +8,18 @@ import numpy as np
 import pytest
 
 import unitarizer
-from unitarizer.cli import main
+from unitarizer.cli import main, permutation_rep_of_action
 from unitarizer.groupoid import ActionGroupoidSpec, cyclic_group
-from unitarizer.serialization import action_spec_to_json, load_json, save_json
+from unitarizer.representation import generate_instance, unitarize
+from unitarizer.serialization import (
+    action_spec_to_json,
+    load_action_spec,
+    load_json,
+    load_representation,
+    representation_to_json,
+    save_json,
+    unitarization_to_json,
+)
 
 SWAP_SPEC = ActionGroupoidSpec(
     cyclic_group(2),
@@ -107,6 +116,23 @@ def test_unitarize_pipeline_and_exit_zero(spec_file, tmp_path, capsys):
     assert len(rows) > 2
     units_seen = {r[0] for r in rows[1:]}
     assert units_seen == {"a", "b"}
+
+
+def test_output_files_are_the_public_dicts(spec_file, tmp_path, capsys):
+    # The CLI writes its groupoid from the index triples; the bytes are
+    # those of the public *_to_json dicts.
+    spec = load_action_spec(spec_file)
+    rep_path, out = str(tmp_path / "rep.json"), str(tmp_path / "out.json")
+    assert main(["generate", spec_file, "--dim", "2", "--seed", "3", "-o", rep_path]) == 0
+    rep = generate_instance(spec, permutation_rep_of_action(spec), 4.0, 3)  # dim = #units
+    with open(rep_path) as f:
+        assert f.read() == json.dumps(representation_to_json(rep), sort_keys=True) + "\n"
+    assert main(["unitarize", rep_path, "-o", out]) == 0
+    witness, unitary, report = unitarize(load_representation(rep_path), eps=1e-7, max_iter=100_000)
+    with open(out) as f:
+        assert f.read() == json.dumps(
+            unitarization_to_json(rep, witness, unitary, report), sort_keys=True
+        ) + "\n"
 
 
 def test_unitarize_then_verify(spec_file, tmp_path, capsys):

@@ -328,6 +328,18 @@ def test_explicit_groupoid_rejects_broken_tables():
         FiniteMeasuredGroupoid(("x",), (1.0,), arrows, inverse, comp)
 
 
+@pytest.mark.parametrize("bad_key", [("r0@ur0", "r1@ur1", "x"), "ab"], ids=["3-tuple", "string"])
+def test_dict_constructor_names_a_key_that_is_not_a_pair(bad_key):
+    # A 3-tuple key or a bare string would be unpacked into the entries and
+    # shift every later id; the key is named instead.
+    G = build_action_groupoid(left_translation_action(cyclic_group(2)))
+    items = list(G.composition.items())
+    items[1] = (bad_key, items[1][1])
+    with pytest.raises(InvalidGroupoid) as exc:
+        FiniteMeasuredGroupoid(G.units, G.mu, G.arrows, G.inverse, dict(items))
+    assert str(exc.value) == f"composition key {bad_key!r} is not an (h, g) pair"
+
+
 def test_explicit_groupoid_rejects_broken_associativity():
     # Z/3 loop with one corrupted composition entry
     arrows = tuple(Arrow(f"g{k}", "x", "x") for k in range(3))

@@ -1,9 +1,11 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
-from unitarizer.errors import InvalidAction, InvalidGroupoid, ParseError
+from unitarizer import serialization
+from unitarizer.errors import InvalidAction, InvalidGroupoid, ParseError, UnitarizerError
 from unitarizer.groupoid import (
     ActionGroupoidSpec,
     Arrow,
@@ -14,23 +16,30 @@ from unitarizer.groupoid import (
     left_translation_action,
     natural_permutation_action,
     ordered_pair_action,
+    restrict,
     symmetric_group,
 )
 from unitarizer.linalg import l2_norm
 from unitarizer.representation import (
+    Representation,
     generate_instance,
+    make_representation,
     permutation_base_rep,
     unitarize,
 )
 from unitarizer.serialization import (
+    _representation_value,
+    _unitarization_value,
     action_spec_from_json,
     action_spec_to_json,
     groupoid_from_json,
     groupoid_to_json,
     load_groupoid,
+    load_json,
     load_representation,
     matrix_from_json,
     matrix_to_json,
+    psi_from_json,
     representation_from_json,
     representation_to_json,
     save_json,
@@ -279,6 +288,32 @@ def test_each_load_builds_at_most_one_groupoid(monkeypatch):
         assert len(builds) <= 1
 
 
+def test_list_is_read_again_only_when_the_triples_can_hide_a_parse_error(monkeypatch):
+    calls = []
+    name = serialization._name_bad_entry
+    monkeypatch.setattr(
+        serialization, "_name_bad_entry", lambda comp, where: calls.append(1) or name(comp, where)
+    )
+    obj = groupoid_to_json(build_action_groupoid(natural_permutation_action(3)))
+    h, g, c = obj["composition"][5]
+    missing = copy.deepcopy(obj)
+    del missing["composition"][5]
+    with pytest.raises(InvalidGroupoid):
+        groupoid_from_json(missing)
+    assert calls == []
+    duplicate = copy.deepcopy(obj)
+    duplicate["composition"].append([h, g, c])
+    with pytest.raises(ParseError, match="duplicate entry"):
+        groupoid_from_json(duplicate)
+    assert calls == [1]
+    # A build that fails before it reads the list cannot tell: read it again.
+    unweighted = copy.deepcopy(missing)
+    unweighted["mu"][0] += 0.25
+    with pytest.raises(InvalidGroupoid, match="mu sums to"):
+        groupoid_from_json(unweighted)
+    assert calls == [1, 1]
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda o: o["action"]["r1"].update(c="a"),
      "action given on unknown element or unit ('r1', 'c')"),
@@ -450,3 +485,170 @@ def test_groupoid_to_json_composition_is_the_sorted_triples():
     assert groupoid_to_json(H)["composition"] == sorted(
         [h, g, c] for (h, g), c in H.composition.items()
     )
+
+
+# Ids and unit names that JSON escapes: quotes, backslashes, non-ASCII
+# (one outside the basic plane) and control characters.
+AWKWARD = ['q"', "b\\s", "\u00e9", "\u4e2d", "\U0001f600", "\n", "\x01", "\x7f", "\t", "/"]
+
+
+def _renamed(G, prefixes):
+    """G with every arrow id and unit name behind a prefix drawn from ``prefixes``."""
+    ids = {g: prefixes[k % len(prefixes)] + g for k, g in enumerate(G._ids)}
+    units = {x: prefixes[-1 - k % len(prefixes)] + x for k, x in enumerate(G.units)}
+    return FiniteMeasuredGroupoid(
+        [units[x] for x in G.units],
+        G.mu,
+        [Arrow(ids[a.id], units[a.src], units[a.tgt]) for a in G.arrows],
+        {ids[g]: ids[gi] for g, gi in G.inverse.items()},
+        {(ids[h], ids[g]): ids[c] for (h, g), c in G.composition.items()},
+    )
+
+
+def _writer_groupoids():
+    catalog = [
+        build_action_groupoid(spec)
+        for spec in (
+            SWAP_SPEC,
+            natural_permutation_action(4),
+            left_translation_action(symmetric_group(3)),
+            ordered_pair_action(3),
+            cyclic_shift_action(6, copies=2),
+        )
+    ]
+    restricted = [
+        restrict(catalog[1], ["x0", "x2", "x3"]),
+        restrict(catalog[4], ["x0_1", "x1_2", "x0_3"]),
+    ]
+    awkward = [_renamed(G, AWKWARD) for G in (catalog[0], catalog[3], restricted[0])]
+    return catalog + restricted + awkward
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 7, 8, serialization._ROWS_PER_CHUNK])
+def test_save_json_writes_a_groupoid_as_groupoid_to_json_would(tmp_path, monkeypatch,
+                                                               rows_per_chunk):
+    monkeypatch.setattr(serialization, "_ROWS_PER_CHUNK", rows_per_chunk)
+    path = tmp_path / "g.json"
+    for n, G in enumerate(_writer_groupoids()):
+        save_json(G, str(path))
+        want = json.dumps(groupoid_to_json(G), sort_keys=True) + "\n"
+        assert path.read_bytes() == want.encode(), n
+        assert groupoid_from_json(load_json(str(path))).composition == G.composition, n
+
+
+def test_save_json_writes_output_values_as_their_json(tmp_path):
+    path = tmp_path / "out.json"
+    for n, G in enumerate(_writer_groupoids()):
+        dim = 2
+        rng = np.random.default_rng(n)
+        mats = rng.standard_normal((len(G._ids), dim, dim)) + 1j * rng.standard_normal(
+            (len(G._ids), dim, dim)
+        )
+        rep = Representation(G, dim, dict(zip(G._ids, mats)), 1.0)
+        save_json(_representation_value(rep), str(path))
+        want = json.dumps(representation_to_json(rep), sort_keys=True) + "\n"
+        assert path.read_bytes() == want.encode(), n
+    rep = generate_instance(natural_permutation_action(3), permutation_base_rep(symmetric_group(3)),
+                            6.0, seed=4)
+    witness, unitary, report = unitarize(rep, eps=1e-7)
+    save_json(_unitarization_value(rep, witness, unitary, report), str(path))
+    want = json.dumps(unitarization_to_json(rep, witness, unitary, report), sort_keys=True)
+    assert path.read_bytes() == (want + "\n").encode()
+
+
+STACK_REP = generate_instance(
+    natural_permutation_action(3), permutation_base_rep(symmetric_group(3)), 6.0, seed=3
+)
+
+
+def _corrupted_arrows(seed, count):
+    """Representation objects with zero to two defects in their arrow matrices.
+
+    Defects: a ragged row (short or long), a one- or three-element entry, a
+    bool, a string, an integer too large for a float, NaN and Infinity
+    tokens, a missing, non-int or wrong dim, a missing rows list, a matrix
+    of another size, and a matrix that is not an object.  Integer entries that
+    fit a float are no defect.  Each object goes through JSON text, so the
+    non-finite values arrive as the parser reads their tokens.
+    """
+    base = representation_to_json(STACK_REP)
+    dim = STACK_REP.dim
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        obj = copy.deepcopy(base)
+        arrows = obj["arrows"]
+        keys = list(arrows)
+        for _ in range(rng.integers(3)):
+            g = keys[rng.integers(len(keys))]
+            m = arrows[g]
+            if not isinstance(m, dict) or not isinstance(m.get("rows"), list):
+                continue
+            rows = m["rows"]
+            i, j, p = rng.integers(dim), rng.integers(dim), rng.integers(2)
+            kind = rng.integers(14)
+            if kind == 0:
+                rows[i] = rows[i][:-1] if rng.integers(2) else rows[i] + [[0.0, 0.0]]
+            elif kind == 1:
+                rows[i][j] = rows[i][j][:1] if rng.integers(2) else rows[i][j] + [0.0]
+            elif kind == 2:
+                rows[i][j][p] = bool(rng.integers(2))
+            elif kind == 3:
+                rows[i][j][p] = "1.0"
+            elif kind == 4:
+                rows[i][j][p] = 10**400
+            elif kind == 5:
+                rows[i][j][p] = float("nan")
+            elif kind == 6:
+                rows[i][j][p] = float("inf") if rng.integers(2) else float("-inf")
+            elif kind == 7:
+                del m["dim"]
+            elif kind == 8:
+                m["dim"] = [float(dim), str(dim), True, None, [dim], dim + 1, 0][rng.integers(7)]
+            elif kind == 9:
+                del m["rows"]
+            elif kind == 10:
+                k = dim + 1 if rng.integers(2) else dim - 1
+                arrows[g] = matrix_to_json(np.eye(k))
+            elif kind == 11:
+                arrows[g] = [None, "m", rows][rng.integers(3)]
+            else:
+                rows[i][j][p] = int(round(rows[i][j][p]))
+        yield json.loads(json.dumps(obj))
+
+
+def _rep_outcome(load, obj):
+    try:
+        rep = load(obj)
+    except UnitarizerError as exc:
+        return type(exc).__name__, str(exc)
+    return [(g, m.tobytes()) for g, m in rep.rho.items()], rep.uniform_bound_C
+
+
+def _per_matrix_load(obj, where="representation"):
+    """The representation with every arrow matrix parsed on its own."""
+    G = groupoid_from_json(obj["groupoid"], f"{where}.groupoid")
+    rho = {g: matrix_from_json(m, f"{where}.arrows[{g!r}]") for g, m in obj["arrows"].items()}
+    return make_representation(G, obj["dim"], rho)
+
+
+def _matrices_outcome(read, raw):
+    try:
+        mats = read(raw)
+    except ParseError as exc:
+        return str(exc)
+    return [(k, m.shape, m.tobytes()) for k, m in mats.items()]
+
+
+def test_stacked_matrix_read_matches_the_per_matrix_parse():
+    # Same exception type and message, or the same matrices in the same order.
+    defects = 0
+    for n, obj in enumerate(_corrupted_arrows(5, 400)):
+        want = _rep_outcome(_per_matrix_load, obj)
+        assert _rep_outcome(representation_from_json, obj) == want, n
+        defects += isinstance(want[0], str)
+        per_matrix = lambda raw: {x: matrix_from_json(m, f"psi[{x!r}]") for x, m in raw.items()}
+        raw = obj["arrows"]
+        assert _matrices_outcome(lambda raw: psi_from_json(raw, "w"), raw) == _matrices_outcome(
+            per_matrix, raw
+        ), n
+    assert 200 < defects < 400

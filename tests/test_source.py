@@ -29,3 +29,18 @@ def test_every_module_constant_is_read_in_the_package():
         and target.id not in read
     ]
     assert unread == []
+
+
+def test_json_is_written_by_the_c_encoder():
+    # json.dump, and indent= on any JSON writer, run the pure-Python encoder.
+    slow = []
+    for p in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if ast.unparse(node.func) == "json.dump" or (
+                node.func.attr in ("dumps", "JSONEncoder")
+                and any(k.arg == "indent" for k in node.keywords)
+            ):
+                slow.append(f"{p.name}:{node.lineno}: {ast.unparse(node.func)}")
+    assert slow == []

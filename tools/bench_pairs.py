@@ -11,12 +11,13 @@ in each checkout, in a fresh process, the parent first in even pairs and the
 change first in odd pairs.  The file records every run and, per end-to-end
 metric that BENCHMARK.json lists, each side's min, quartiles, median and max,
 the pairs the change won, the ratio of the medians and the parent's
-interquartile range.
+interquartile range.  Each side's revision is recorded (see ``revision``).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -35,12 +36,26 @@ def bench_command(workload: str, seed) -> list:
             "--seconds", str(SECONDS), "--trace", "0"]
 
 
-def git_rev(checkout: Path) -> str:
+def revision(checkout: Path) -> str:
+    """The checkout's git HEAD, with ``+dirty`` when tracked files differ from it.
+
+    A checkout without its own ``.git`` (an export) is named by a digest of
+    the files under its ``src/``, ``src-sha256:<hex>``.
+    """
+    git = ["git", "-C", str(checkout)]
     try:
-        return subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
-                              capture_output=True, text=True, check=True).stdout.strip()
+        if (checkout / ".git").exists():
+            head = subprocess.run([*git, "rev-parse", "HEAD"],
+                                  capture_output=True, text=True, check=True).stdout.strip()
+            dirty = subprocess.run([*git, "status", "--porcelain", "--untracked-files=no"],
+                                   capture_output=True, text=True, check=True).stdout.strip()
+            return head + ("+dirty" if dirty else "")
     except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+        pass
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src").rglob("*.py")):
+        digest.update(str(path.relative_to(checkout)).encode() + b"\0" + path.read_bytes())
+    return "src-sha256:" + digest.hexdigest()
 
 
 def run_once(checkout: Path, workload: str, seed: int, env: dict) -> dict:
@@ -131,7 +146,8 @@ def main(argv=None) -> int:
             "numpy": version("numpy"),
             "python": platform.python_version(),
         },
-        "parent": git_rev(sides["parent"]),
+        "change": revision(sides["change"]),
+        "parent": revision(sides["parent"]),
         "protocol": protocol + (f"; {args.note}" if args.note else ""),
         "runs": runs,
         "seeds": seeds,
