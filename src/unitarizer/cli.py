@@ -38,9 +38,9 @@ from .serialization import (  # noqa: F401
     _representation_value,
     _unitarization_value,
     load_action_spec,
-    load_json,
     load_representation,
     psi_from_json,
+    read_json,
     representation_from_json,
     save_json,
     unitarization_to_json,
@@ -159,13 +159,14 @@ def cmd_unitarize(args) -> int:
 
 def cmd_verify(args) -> int:
     rep1 = load_representation(args.rep1)
-    obj2 = load_json(args.rep2)
+    obj2 = read_json(args.rep2)
     rep2 = representation_from_json(
         obj2, base_dir=os.path.dirname(os.path.abspath(args.rep2)), where=args.rep2
     )
     if args.witness:
-        # a unitarize output file, or a bare {unit: matrix} object
-        raw, where = load_json(args.witness), args.witness
+        # a unitarize output file, whose composition is never read, or a
+        # bare {unit: matrix} object
+        raw, where = read_json(args.witness), args.witness
         if isinstance(raw, dict) and "psi" in raw:
             raw, where = raw["psi"], f"{where}.psi"
         h = psi_from_json(raw, where)

@@ -11,11 +11,12 @@ triple.
 The checks run over integer tables built once per groupoid.  Arrows are
 numbered in sorted-id order, and the composition is kept as index triples
 (h, g, hg): the constructor and the JSON parser map their ``[h, g, hg]``
-id entries to them in one pass, while the action-groupoid builder and
-``restrict`` hand them over directly.  The composites sit in one flat
-table with a block per unit y, whose rows are y's source fiber and whose
-columns are its target fiber, so the table holds exactly the composable
-pairs.  The identity of a unit is read off its block and each inverse law
+id entries to them in one pass (the parser, for a composition left in a
+file's bytes, by a scan of those bytes), while ``build_action_groupoid``
+and ``restrict`` hand them over directly.  The composites sit in one
+flat table with a block per unit y, whose rows are y's source fiber
+and whose columns are its target fiber, so the table holds exactly the
+composable pairs.  The identity of a unit is read off its block and each inverse law
 is one numpy gather over the table.  Associativity is proved from generators by Light's test (Clifford
 & Preston, *The Algebraic Theory of Semigroups*, vol. 1, 1961): the arrows
 b with (ab)c == a(bc) for all composable a, c include the identities and
@@ -55,6 +56,32 @@ class Arrow:
     tgt: str
 
 
+class IdEntries:
+    """A list of ``(h, g, hg)`` id entries, each of three elements, read as
+    ``FiniteMeasuredGroupoid._from_entries`` reads its entries.
+
+    An id that is unknown, or not a string, maps to -1; an unhashable one
+    raises TypeError.
+    """
+
+    def __init__(self, entries):
+        self.entries = entries
+
+    def triples(self, index):
+        m = len(self.entries)
+        flat = np.fromiter(
+            map(index.get, chain.from_iterable(self.entries), repeat(-1)), np.intp, 3 * m
+        )
+        return tuple(flat.reshape(m, 3).T)
+
+    def entry(self, i):
+        h, g, c = self.entries[i]
+        return (h, g), c
+
+    def as_list(self):
+        return self.entries
+
+
 class FiniteMeasuredGroupoid:
     """Explicit-table groupoid with probability weights on its units.
 
@@ -82,15 +109,18 @@ class FiniteMeasuredGroupoid:
             for hg in comp:
                 if not (isinstance(hg, tuple) and len(hg) == 2):
                     raise InvalidGroupoid(f"composition key {hg!r} is not an (h, g) pair")
-        self._read([(*hg, c) for hg, c in comp.items()])
+        entries = IdEntries([(*hg, c) for hg, c in comp.items()])
+        self._validate(entries.triples(self._index), entries.entry)
 
     @classmethod
     def _from_entries(cls, units, mu, arrows, inverse, entries):
         """The groupoid whose composition is the ``[h, g, hg]`` id entries.
 
-        Every entry has three elements.  An unknown or non-string id fails
-        validation as an unknown arrow; an unhashable one raises TypeError.
-        Validation and its messages are the constructor's.  An
+        ``entries`` reads them: ``entries.triples(index)`` maps every entry
+        to index triples ``(ih, ig, ic)`` through ``index``, the groupoid's
+        dict from arrow id to rank, with -1 for an unknown id, and
+        ``entries.entry(i)`` names entry i as ((h, g), c); it is called only
+        to raise.  Validation and its messages are the constructor's.  An
         InvalidGroupoid raised once the entries are read as index triples
         carries ``clean_entries``: true when no id was unknown and no
         (h, g) pair repeats, so that every entry is three known ids and
@@ -98,11 +128,12 @@ class FiniteMeasuredGroupoid:
         """
         G = cls.__new__(cls)
         G._setup(units, mu, arrows, inverse)
+        pairs = entries.triples(G._index)
         try:
-            G._read(entries)
+            G._validate(pairs, entries.entry)
         except InvalidGroupoid as exc:
-            ih, ig, _ = G._pairs
-            exc.clean_entries = all((p >= 0).all() for p in G._pairs) and (
+            ih, ig, _ = pairs
+            exc.clean_entries = all((p >= 0).all() for p in pairs) and (
                 np.unique(ih * len(G._ids) + ig).size == ih.size
             )
             raise
@@ -179,15 +210,6 @@ class FiniteMeasuredGroupoid:
         names = np.array(self._ids, dtype=object)
         h, g, c = (names[p].tolist() for p in self._pairs)
         return dict(zip(zip(h, g), c))
-
-    def _read(self, entries):
-        """Validate the ``(h, g, hg)`` id entries as index triples, -1 for an unknown id."""
-        m = len(entries)
-        flat = np.fromiter(
-            map(self._index.get, chain.from_iterable(entries), repeat(-1)), np.intp, 3 * m
-        )
-        pairs = tuple(flat.reshape(m, 3).T)
-        self._validate(pairs, lambda i: (tuple(entries[i][:2]), entries[i][2]))
 
     def _entry(self, i):
         """Entry i of the index triples as ((h, g), c)."""

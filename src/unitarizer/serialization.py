@@ -25,6 +25,19 @@ one float array for all arrow matrices.  Only when a pass finds an
 anomaly, or the build fails in a way a malformed entry can cause, is the
 table read entry by entry to name the first bad one.
 
+Every input file is read by :func:`read_json`.  When an explicit
+composition list is in the layout ``json.dumps`` writes, in a file with
+no backslash, the reader leaves it in the file's bytes
+(:class:`CompositionSpan`) and ``json.loads`` parses the rest of the
+text; the structural index of that list is the positions of its quotes,
+found by one vectorized scan (after Langdale & Lemire, "Parsing
+gigabytes of JSON per second", VLDB Journal 2019).  The build maps its
+ids to index triples in blocks of rows, matching the 8-byte words at
+each id exactly against the groupoid's own encoded ids, so no id string
+is made.  An entry is decoded, or the list parsed, only to name a
+failure.  Any other file is parsed by :func:`load_json`, with the same
+values and errors.
+
 Writers are deterministic (sorted keys, ``json.dumps``' C encoder) and
 atomic (write to a temp file, then rename).  :func:`save_json` also takes
 a groupoid object, alone or as the ``"groupoid"`` field of an output
@@ -52,13 +65,18 @@ from .groupoid import (
     Arrow,
     FiniteGroup,
     FiniteMeasuredGroupoid,
+    IdEntries,
     build_action_groupoid,
 )
 from .representation import Representation, make_representation
 
-# Rows of the composition list written per piece: small enough that no
-# piece holds more than a few hundred kilobytes of text.
+# Rows of the composition list written per piece, or mapped to index
+# triples per block: small enough that no piece or block holds more than a
+# few hundred kilobytes.
 _ROWS_PER_CHUNK = 4096
+
+# Bytes of a composition list searched for quotes per window.
+_SCAN_BYTES = 1 << 18
 
 
 def _require(cond: bool, msg: str, *args):
@@ -319,23 +337,31 @@ def groupoid_from_json(obj, where: str = "groupoid") -> FiniteMeasuredGroupoid:
         "{}.inverse: expected an object of strings", where,
     )
     raw_comp = _get(obj, "composition", where)
-    _require(isinstance(raw_comp, list), "{}.composition: expected a list", where)
-    if not (set(map(type, raw_comp)) <= {list} and set(map(len, raw_comp)) <= {3}):
-        _name_bad_entry(raw_comp, where)
+    if isinstance(raw_comp, CompositionSpan):
+        span = entries = raw_comp  # string triples, in the layout json.dumps writes
+    else:
+        span = None
+        _require(isinstance(raw_comp, list), "{}.composition: expected a list", where)
+        if not (set(map(type, raw_comp)) <= {list} and set(map(len, raw_comp)) <= {3}):
+            _name_bad_entry(raw_comp, where)
+        entries = IdEntries(raw_comp)
     # One build.  A non-string id fails it as an unknown arrow, and a
     # repeated pair leaves a slot empty or overfills the table, so the list
     # is read again, to let a parse error win, only when the build fails
     # with an unhashable element (TypeError), before it read the list, or
     # with an unknown id or a repeated pair among the index triples.
     try:
-        return FiniteMeasuredGroupoid._from_entries(units, mu, arrows, raw_inv, raw_comp)
+        return FiniteMeasuredGroupoid._from_entries(units, mu, arrows, raw_inv, entries)
     except TypeError:
-        _name_bad_entry(raw_comp, where)
+        _name_bad_entry(entries.as_list(), where)
         raise
     except InvalidGroupoid as exc:
         if not getattr(exc, "clean_entries", False):
-            _name_bad_entry(raw_comp, where)
+            _name_bad_entry(entries.as_list(), where)
         raise
+    finally:
+        if span is not None:
+            span.release()
 
 
 def _name_bad_entry(raw_comp, where: str):
@@ -485,12 +511,242 @@ def load_json(path: str):
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def read_json(path: str, at: str | None = "groupoid"):
+    """``load_json(path)``, with an explicit composition left in the file's bytes.
+
+    The groupoid object is the file's value when ``at`` is None, else its
+    top-level field ``at``.  When the file has no backslash, holds exactly
+    one ``"composition"`` key, in that object, and its list is in the
+    layout ``json.dumps`` writes (see :meth:`CompositionSpan.find`), the
+    list's value is a :class:`CompositionSpan` and the rest of the text is
+    parsed with ``null`` in its place.  Any other file is read by
+    :func:`load_json`, so every value and error is the same either way.
+    """
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    span = None if b"\\" in data else CompositionSpan.find(data)
+    if span is not None:
+        try:
+            obj = json.loads(data[:span.start].decode() + "null" + data[span.end:].decode())
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            return load_json(path)
+        holder = obj if at is None else obj.get(at) if isinstance(obj, dict) else None
+        # The file's one "composition" key is the one at the splice.
+        if isinstance(holder, dict) and "composition" in holder:
+            holder["composition"] = span
+            return obj
+    return load_json(path)
+
+
+class CompositionSpan:
+    """A composition list in the bytes of a file, as ``_from_entries`` reads it.
+
+    The list is ``data[start:end]``; ``quotes`` holds, per entry, the
+    positions of the six quotes of its three ids.  The ids are mapped to
+    index triples by a scan of those bytes (:meth:`triples`); an entry is
+    decoded (:meth:`entry`) and the list parsed (:meth:`as_list`) only to
+    name a failure.  One build reads a span: ``groupoid_from_json`` then
+    releases its bytes, so that they do not outlive the build.
+    """
+
+    _KEY = b'"composition"'
+
+    def __init__(self, data: bytes, start: int, end: int, quotes: np.ndarray):
+        self.data, self.start, self.end, self.quotes = data, start, end, quotes
+
+    @classmethod
+    def find(cls, data: bytes):
+        """The span of the one ``"composition"`` key's list in ``data``, or None.
+
+        None unless the text holds exactly one ``"composition"`` followed by
+        a colon, and its value is ``[]`` or a list of id triples in the
+        layout ``json.dumps`` writes: ``[["h", "g", "hg"], ["h", ...]]``, in
+        valid UTF-8, with no control character in any id.  ``data`` holds
+        no backslash, so no string holds a quote: in valid JSON that text is
+        a key, and every quote of the list opens or closes one of its ids.
+        The caller parses the rest of the text, which fails unless the file
+        is valid JSON.
+        """
+        key, pos = None, 0
+        while (p := data.find(cls._KEY, pos)) >= 0:
+            pos = p + len(cls._KEY)
+            colon = _skip_space(data, pos)
+            if data.startswith(b":", colon):
+                if key is not None:
+                    return None
+                key = colon + 1
+        if key is None:
+            return None
+        start = _skip_space(data, key)
+        if data.startswith(b"[]", start):
+            return cls(data, start, start + 2, np.empty((0, 6), dtype=np.int32))
+        if not data.startswith(b'[["', start):
+            return None
+        # The list ends after the first entry whose sixth quote, the one
+        # that closes its third id, is followed by "]]".
+        buf = np.frombuffer(data, dtype=np.uint8)
+        position = np.int32 if buf.size < 2**31 else np.intp
+        chunks, count, ascii = [], 0, True
+        for lo in range(start, buf.size, _SCAN_BYTES):
+            q = np.flatnonzero(buf[lo:lo + _SCAN_BYTES] == ord('"')).astype(position) + lo
+            sixth = q[(5 - count) % 6::6]
+            last = sixth[buf[np.minimum(sixth + 2, buf.size - 1)] == ord("]")][:1]
+            if last.size:
+                q = q[q <= last[0]]
+            chunks.append(q)
+            count += q.size
+            window = buf[lo:q[-1] + 3] if last.size else buf[lo:lo + _SCAN_BYTES]
+            if ((window - 0x20) >= 0x60).any():  # a control or non-ASCII byte
+                if (window < 0x20).any():
+                    return None
+                ascii = False
+            if last.size:
+                break
+        else:
+            return None
+        end = int(last[0]) + 3
+        if not ascii:
+            try:
+                data[start:end].decode()
+            except UnicodeDecodeError:
+                return None
+        # Every quote of the list now sits in an entry, so the text between
+        # them fixes the layout: ", " inside an entry and "], [" between
+        # entries, after '[["' and before '"]]'.
+        quotes = np.concatenate(chunks).reshape(-1, 6)
+        inner, closing = quotes[:, 1:4:2], quotes[:-1, 5]
+        layout = (
+            data.startswith(b'"]]', end - 3)
+            and (quotes[:, 2:5:2] - inner == 3).all()
+            and (quotes[1:, 0] - closing == 5).all()
+            and (_words_at(data, 2)[inner + 1] == int.from_bytes(b", ", "big")).all()
+            and (_words_at(data, 4)[closing + 1] == int.from_bytes(b"], [", "big")).all()
+        )
+        return cls(data, start, end, quotes) if layout else None
+
+    def triples(self, index):
+        """The entries as index triples ``(ih, ig, ic)``, -1 for an unknown id.
+
+        ``index`` maps each arrow id to its rank, in rank order.  An id of
+        up to 8w bytes is read as w big-endian 8-byte words, zero past its
+        end.  No id read from a file without escapes holds a NUL, so equal
+        words mean equal ids.  The words at each id of a block of entries
+        are gathered from the bytes and looked up in a :class:`_WordTable`
+        of the arrows' encoded ids.
+        """
+        ids = [g.encode() for g in index]
+        m = len(self.quotes)
+        if not ids:
+            return tuple(np.full((3, m), -1, dtype=np.intp))
+        width = -(-max(map(len, ids)) // 8)
+        padded = b"".join(g.ljust(8 * width, b"\0") for g in ids)
+        table = _WordTable(list(np.frombuffer(padded, dtype=">u8").reshape(len(ids), width).T))
+        # A word that would run past the end of the file is read at its
+        # last word and shifted.
+        size = len(self.data)
+        at_byte = _words_at(self.data, 8)
+        keep = np.array([0] + [2**64 - 2 ** (64 - 8 * r) for r in range(1, 9)], dtype=np.uint64)
+        out = np.empty((m, 3), dtype=np.intp)
+        for b in range(0, m, _ROWS_PER_CHUNK):
+            rows = self.quotes[b:b + _ROWS_PER_CHUNK]
+            first = rows[:, 0::2].ravel() + 1
+            length = rows[:, 1::2].ravel() - first
+            words = []
+            for k in range(width):
+                pos = first + 8 * k
+                inside = np.minimum(pos, size - 8)
+                word = at_byte[inside].astype(np.uint64) << (8 * (pos - inside)).astype(np.uint64)
+                words.append(word & keep[np.clip(length - 8 * k, 0, 8)])
+            rank = table.lookup(words)
+            rank[length > 8 * width] = -1
+            out[b:b + len(rows)] = rank.reshape(-1, 3)
+        return tuple(out.T)
+
+    def entry(self, i):
+        o = self.quotes[i].tolist()
+        h, g, c = (self.data[o[k] + 1:o[k + 1]].decode() for k in (0, 2, 4))
+        return (h, g), c
+
+    def as_list(self) -> list:
+        return json.loads(self.data[self.start:self.end].decode())
+
+    def release(self):
+        self.data = self.quotes = None
+
+
+class _WordTable:
+    """Exact lookup of keys made of 64-bit words among n distinct keys.
+
+    A key is given as its columns of words.  The keys are grouped in
+    ``2**bits >= 2n`` buckets by a multiplicative hash, and a query is
+    compared with the keys of its bucket in turn: all queries with the
+    first, then the ones still unmatched with the next, so a lookup takes
+    as many vectorized steps as the fullest bucket holds keys.
+    """
+
+    _MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+    def __init__(self, columns):
+        bits = (2 * len(columns[0]) - 1).bit_length()
+        self.shift = np.uint64(64 - bits)
+        bucket = self._bucket(columns)
+        self.order = np.argsort(bucket, kind="stable")
+        self.columns = [c[self.order] for c in columns]
+        self.first = np.searchsorted(bucket[self.order], np.arange(2**bits + 1))
+
+    def _bucket(self, columns):
+        h = np.zeros(len(columns[0]), dtype=np.uint64)
+        for c in columns:
+            h = (h ^ c) * self._MULTIPLIER
+        return (h >> self.shift).astype(np.intp)
+
+    def _equal(self, at, columns, which=slice(None)):
+        eq = self.columns[0][at] == columns[0][which]
+        for mine, theirs in zip(self.columns[1:], columns[1:]):
+            eq &= mine[at] == theirs[which]
+        return eq
+
+    def lookup(self, columns) -> np.ndarray:
+        """Per query key, the index of the equal key, or -1."""
+        bucket = self._bucket(columns)
+        at, end = self.first[bucket], self.first[bucket + 1]
+        # A key of another bucket differs from the query, so the first
+        # step may compare the queries of empty buckets with any key.
+        first = np.minimum(at, len(self.order) - 1)
+        hit = self._equal(first, columns)
+        out = np.where(hit, self.order[first], -1)
+        todo = np.flatnonzero(~hit & (at + 1 < end))
+        at = at[todo] + 1
+        while todo.size:
+            hit = self._equal(at, columns, todo)
+            out[todo[hit]] = self.order[at[hit]]
+            at += 1
+            more = ~hit & (at < end[todo])
+            todo, at = todo[more], at[more]
+        return out
+
+
+def _words_at(data: bytes, size: int) -> np.ndarray:
+    """The big-endian unsigned word of ``size`` bytes at each byte of ``data``, as a view."""
+    return np.ndarray((len(data) - size + 1,), dtype=f">u{size}", buffer=data, strides=(1,))
+
+
+def _skip_space(data: bytes, pos: int) -> int:
+    """The first position at or after ``pos`` that is not JSON whitespace."""
+    while data[pos:pos + 1] in (b" ", b"\t", b"\n", b"\r"):
+        pos += 1
+    return pos
+
+
 def load_groupoid(path: str) -> FiniteMeasuredGroupoid:
-    return groupoid_from_json(load_json(path), where=path)
+    return groupoid_from_json(read_json(path, at=None), where=path)
 
 
 def load_action_spec(path: str) -> ActionGroupoidSpec:
-    obj = load_json(path)
+    obj = read_json(path, at=None)
     kind = _get(obj, "kind", path)
     _require(kind == "action", "{}: expected an action groupoid, got kind {!r}", path, kind)
     return action_spec_from_json(obj, where=path)
@@ -498,5 +754,5 @@ def load_action_spec(path: str) -> ActionGroupoidSpec:
 
 def load_representation(path: str):
     return representation_from_json(
-        load_json(path), base_dir=os.path.dirname(os.path.abspath(path)), where=path
+        read_json(path), base_dir=os.path.dirname(os.path.abspath(path)), where=path
     )

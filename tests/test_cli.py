@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import unitarizer
+from unitarizer import cli, serialization
 from unitarizer.cli import main, permutation_rep_of_action
 from unitarizer.groupoid import ActionGroupoidSpec, cyclic_group
 from unitarizer.representation import generate_instance, unitarize
@@ -143,6 +144,31 @@ def test_unitarize_then_verify(spec_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", rep, out, "--tol", "1e-6"]) == 0
     assert "-> ok" in capsys.readouterr().out
+
+
+def test_verify_reads_compositions_from_the_bytes(spec_file, tmp_path, capsys, monkeypatch):
+    # Both representations, and a unitarize output given as the witness,
+    # go through the reader; the witness's composition is never mapped.
+    rep, out = str(tmp_path / "rep.json"), str(tmp_path / "out.json")
+    main(["generate", spec_file, "--dim", "2", "--seed", "1", "-o", rep])
+    main(["unitarize", rep, "-o", out])
+    spans, mapped = [], []
+    read_json, triples = serialization.read_json, serialization.CompositionSpan.triples
+
+    def reading(path, *args):
+        obj = read_json(path, *args)
+        spans.append(isinstance(obj["groupoid"]["composition"], serialization.CompositionSpan))
+        return obj
+
+    monkeypatch.setattr(serialization, "read_json", reading)
+    monkeypatch.setattr(cli, "read_json", reading)
+    monkeypatch.setattr(serialization.CompositionSpan, "triples",
+                        lambda span, index: mapped.append(1) or triples(span, index))
+    capsys.readouterr()
+    assert main(["verify", rep, out, "--witness", out, "--tol", "1e-6"]) == 0
+    assert "-> ok" in capsys.readouterr().out
+    assert spans == [True, True, True]
+    assert mapped == [1, 1]
 
 
 def test_verify_identity_witness_fails_on_twisted_pair(spec_file, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import copy
 import json
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -652,3 +654,257 @@ def test_stacked_matrix_read_matches_the_per_matrix_parse():
             per_matrix, raw
         ), n
     assert 200 < defects < 400
+
+
+# -- the file reader --------------------------------------------------------
+
+
+def _groupoid_outcome(load, path):
+    try:
+        G = load(path)
+    except (ParseError, InvalidGroupoid) as exc:
+        return type(exc).__name__, str(exc)
+    return [p.tolist() for p in G._pairs], G.inverse, G.unit_arrows, G.arrows
+
+
+def _representation_outcome(load, path):
+    try:
+        rep = load(path)
+    except UnitarizerError as exc:
+        return type(exc).__name__, str(exc)
+    G = rep.groupoid
+    return [p.tolist() for p in G._pairs], G.unit_arrows, [(g, m.tobytes()) for g, m in rep.rho.items()]
+
+
+def _reference_groupoid(path):
+    return groupoid_from_json(load_json(path), where=path)
+
+
+def _reference_representation(path):
+    return representation_from_json(load_json(path), base_dir=os.path.dirname(path), where=path)
+
+
+ONE = {"dim": 1, "rows": [[[1.0, 0.0]]]}
+
+
+def _reads_from_the_bytes(path, at=None):
+    obj = serialization.read_json(path, at)
+    holder = obj if at is None else obj[at]
+    return isinstance(holder["composition"], serialization.CompositionSpan)
+
+
+def _check_file(tmp_path, data: bytes) -> bool:
+    """Load ``data`` as a groupoid file, and wrapped as a representation file, by the
+    reader and through ``load_json``: the same outcome, and at most one build per
+    load by the reader.  True when the reader read the composition from the bytes."""
+    gpath, rpath = str(tmp_path / "g.json"), str(tmp_path / "rep.json")
+    try:
+        ids = [a["id"] for a in json.loads(data.decode())["arrows"]]
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        ids = []
+    arrows = json.dumps({g: ONE for g in ids}, ensure_ascii=False).encode()
+    with open(gpath, "wb") as f:
+        f.write(data)
+    with open(rpath, "wb") as f:
+        f.write(b'{"arrows": ' + arrows + b', "dim": 1, "groupoid": ' + data + b"}")
+    spans, builds = [], []
+    read, setup = serialization.read_json, FiniteMeasuredGroupoid._setup
+
+    def reading(path, at="groupoid"):
+        spans.append(False)
+        obj = read(path, at)
+        holder = obj if at is None else obj.get(at) if isinstance(obj, dict) else None
+        spans[-1] = isinstance(holder, dict) and isinstance(
+            holder.get("composition"), serialization.CompositionSpan
+        )
+        return obj
+
+    with mock.patch.object(serialization, "read_json", reading), mock.patch.object(
+        FiniteMeasuredGroupoid, "_setup", lambda G, *args: builds.append(1) or setup(G, *args)
+    ):
+        got = _groupoid_outcome(load_groupoid, gpath)
+        assert len(builds) <= 1
+        builds.clear()
+        got_rep = _representation_outcome(load_representation, rpath)
+        assert len(builds) <= 1
+    assert got == _groupoid_outcome(_reference_groupoid, gpath)
+    assert got_rep == _representation_outcome(_reference_representation, rpath)
+    assert spans[0] == spans[1]
+    return spans[0]
+
+
+def test_reader_matches_load_json_on_corrupted_files(tmp_path):
+    # Every object twice: in the layout json.dumps writes (read from the
+    # bytes when its list is one of string triples) and indented (never).
+    fast = 0
+    for n, obj in enumerate((*_corrupted_loads(0, 600), *_mixed_loads(2, 600))):
+        assert not _check_file(tmp_path, json.dumps(obj, indent=1).encode()), n
+        fast += _check_file(tmp_path, json.dumps(obj).encode())
+    assert 600 < fast < 1200
+
+
+def _renamed_ids(G, names):
+    """G with its arrow ids, in sorted order, renamed to ``names``."""
+    ids = dict(zip(G._ids, names))
+    return FiniteMeasuredGroupoid(
+        G.units,
+        G.mu,
+        [Arrow(ids[a.id], a.src, a.tgt) for a in G.arrows],
+        {ids[g]: ids[gi] for g, gi in G.inverse.items()},
+        {(ids[h], ids[g]): ids[c] for (h, g), c in G.composition.items()},
+    )
+
+
+# Ids for the 18 arrows of S3 acting on 3 points: 1, 2, 8, 9 and 17 bytes,
+# some sharing their first 8 or 16 bytes, non-ASCII, brackets, separators.
+EDGE_IDS = [
+    "a", "ab", "abcdefgh", "abcdefghi", "abcdefghj", "abcdefghijklmnopq", "abcdefghijklmnopr",
+    "\u00e9", "\u4e2d", "\U0001f600", "[", "]", ", ", "x]]", "], [", "\x7f", "composit", "z" * 40,
+]
+EDGE_G = _renamed_ids(build_action_groupoid(natural_permutation_action(3)), EDGE_IDS)
+
+
+def _edge_bytes(G=EDGE_G, last=False, **fields) -> bytes:
+    """``G``'s JSON with raw UTF-8, and ``fields`` in place of its own; with the
+    composition as the last key if ``last``."""
+    obj = dict(groupoid_to_json(G), **fields)
+    if last:
+        obj["composition"] = obj.pop("composition")
+    return json.dumps(obj, ensure_ascii=False).encode()
+
+
+def _in_composition(data: bytes, old: bytes, new: bytes) -> bytes:
+    at = data.index(b'"composition": ')
+    assert old in data[at:]
+    return data[:at] + data[at:].replace(old, new, 1)
+
+
+def test_reader_reads_awkward_ids_from_the_bytes(tmp_path):
+    data = _edge_bytes()
+    assert _check_file(tmp_path, data)
+    G = load_groupoid(str(tmp_path / "g.json"))
+    assert sorted(G.composition.items()) == sorted(EDGE_G.composition.items())
+    # Unknown ids that share leading bytes with known ones, or are longer
+    # than any, in each column.
+    unknown = ["abcdefghX", "abcdefghijklmnopX", "abcdefgh\u00e9", "\u00e9\u00e9", "z" * 41, "b"]
+    for k, g in enumerate(unknown):
+        comp = copy.deepcopy(groupoid_to_json(EDGE_G)["composition"])
+        comp[k][k % 3] = g
+        assert _check_file(tmp_path, _edge_bytes(composition=comp))
+    # The composition as the last key, its last id of one byte: the word at
+    # that id runs past the end of the file.
+    comp = sorted(groupoid_to_json(EDGE_G)["composition"], key=lambda t: -len(t[2].encode()))
+    assert len(comp[-1][2]) == 1
+    assert _check_file(tmp_path, _edge_bytes(last=True, composition=comp))
+    G = load_groupoid(str(tmp_path / "g.json"))
+    assert sorted(G.composition.items()) == sorted(EDGE_G.composition.items())
+    for last in (False, True):
+        assert _check_file(tmp_path, _edge_bytes(last=last, composition=[]))
+
+
+@pytest.mark.parametrize("case", [
+    "arrow-named-composition", "second-key", "composition-as-a-value", "escapes", "quote",
+    "control", "invalid-utf8", "bom", "crlf", "trailing-crlf", "truncated-list",
+    "truncated-tail", "key-spacing", "number-between-entries", "number-inside-an-entry",
+    "space-inside-an-entry", "unclosed-list",
+])
+def test_reader_falls_back_or_agrees_on_edge_files(tmp_path, case):
+    data = _edge_bytes()
+    plain = json.dumps(groupoid_to_json(build_action_groupoid(SWAP_SPEC))).encode()
+    fast = case in ("composition-as-a-value", "trailing-crlf", "key-spacing")
+    if case == "arrow-named-composition":
+        data = data.replace(b'"composit"', b'"composition"')
+    elif case == "second-key":
+        data = data.replace(b'"kind": ', b'"extra": {"composition": []}, "kind": ')
+    elif case == "composition-as-a-value":
+        data = data.replace(b'"kind": ', b'"extra": ["composition"], "kind": ')
+    elif case == "escapes":
+        data = json.dumps(groupoid_to_json(EDGE_G)).encode()
+    elif case == "quote":
+        data = _edge_bytes(_renamed_ids(EDGE_G, ['q"'] + EDGE_IDS[1:]))
+    elif case == "control":
+        data = _in_composition(data, b'"ab"', b'"a\x01b"')
+    elif case == "invalid-utf8":
+        data = _in_composition(data, '"\u00e9"'.encode(), b'"\xff"')
+    elif case == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif case == "crlf":
+        data = json.dumps(groupoid_to_json(EDGE_G), indent=1).replace("\n", "\r\n").encode()
+    elif case == "trailing-crlf":
+        data += b"\r\n"
+    elif case == "truncated-list":
+        data = data[:data.index(b'"composition": ') + 400]
+    elif case == "truncated-tail":
+        data = data[:-3]
+    elif case == "key-spacing":
+        data = data.replace(b'"composition": ', b'"composition" \t\n:\r ')
+    elif case == "number-between-entries":  # an entry of four, three of them ids
+        data = _in_composition(plain, b'"], ["', b'"], [5, "')
+    elif case == "number-inside-an-entry":
+        data = _in_composition(plain, b'", "', b'", 5, "')
+    elif case == "space-inside-an-entry":
+        data = _in_composition(plain, b'", "', b'",  "')
+    elif case == "unclosed-list":  # '[["h", "g", "hg" ]' with the rest valid after null
+        assert data.endswith(b'"]]}')
+        data = data[:-4] + b'" ]}'
+    assert _check_file(tmp_path, data) == fast
+
+
+def test_reader_needs_the_composition_in_its_place(tmp_path):
+    # One "composition" key, but not in the groupoid object: no span, and
+    # the loader names the missing key.
+    obj = groupoid_to_json(build_action_groupoid(SWAP_SPEC))
+    comp = obj.pop("composition")
+    gpath, rpath = str(tmp_path / "g.json"), str(tmp_path / "rep.json")
+    with open(gpath, "w") as f:
+        f.write(json.dumps(dict(obj, extra={"composition": comp})))
+    rep = {"arrows": {a["id"]: ONE for a in obj["arrows"]}, "composition": comp, "dim": 1,
+           "groupoid": obj}
+    with open(rpath, "w") as f:
+        f.write(json.dumps(rep))
+    got = _groupoid_outcome(load_groupoid, gpath)
+    assert got == ("ParseError", f"{gpath}: missing key 'composition'")
+    assert got == _groupoid_outcome(_reference_groupoid, gpath)
+    got = _representation_outcome(load_representation, rpath)
+    assert got == ("ParseError", f"{rpath}.groupoid: missing key 'composition'")
+    assert got == _representation_outcome(_reference_representation, rpath)
+
+
+def test_reader_follows_a_groupoid_file_reference(tmp_path):
+    gpath = tmp_path / "g.json"
+    gpath.write_bytes(_edge_bytes())
+    rpath = tmp_path / "rep.json"
+    rpath.write_text(json.dumps({"groupoid": {"file": "g.json"}, "dim": 1,
+                                 "arrows": {g: ONE for g in EDGE_IDS}}))
+    G = load_representation(str(rpath)).groupoid
+    want = _reference_groupoid(str(gpath))
+    assert [p.tolist() for p in G._pairs] == [p.tolist() for p in want._pairs]
+    assert _reads_from_the_bytes(str(gpath))
+
+
+def test_save_json_output_is_read_from_the_bytes(tmp_path, monkeypatch):
+    reads, builds = [], []
+    as_list = serialization.CompositionSpan.as_list
+    monkeypatch.setattr(serialization.CompositionSpan, "as_list",
+                        lambda span: reads.append(1) or as_list(span))
+    setup = FiniteMeasuredGroupoid._setup
+    monkeypatch.setattr(
+        FiniteMeasuredGroupoid, "_setup", lambda G, *args: builds.append(1) or setup(G, *args)
+    )
+    # The catalog and the restricted groupoids, and S5-natural.
+    groupoids = _writer_groupoids()[:7] + [build_action_groupoid(natural_permutation_action(5))]
+    path = str(tmp_path / "g.json")
+    for n, G in enumerate(groupoids):
+        save_json(G, path)
+        assert _reads_from_the_bytes(path), n
+        builds.clear()
+        H = load_groupoid(path)
+        assert len(builds) == 1, n
+        assert H.composition == G.composition and H.unit_arrows == G.unit_arrows, n
+        rho = dict(zip(G._ids, np.ones((len(G._ids), 1, 1))))
+        save_json(_representation_value(Representation(G, 1, rho, 1.0)), path)
+        assert _reads_from_the_bytes(path, "groupoid"), n
+        builds.clear()
+        assert load_representation(path).groupoid.composition == G.composition, n
+        assert len(builds) == 1, n
+    assert reads == []

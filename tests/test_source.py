@@ -44,3 +44,33 @@ def test_json_is_written_by_the_c_encoder():
             ):
                 slow.append(f"{p.name}:{node.lineno}: {ast.unparse(node.func)}")
     assert slow == []
+
+
+def test_input_files_are_parsed_only_by_the_reader():
+    # json.load and json.loads run on input files only inside serialization's
+    # reader (read_json, its general path load_json, and the read-back of a
+    # composition span), and load_json is called only by read_json, so no
+    # loader can bypass the reader.
+    allowed = {
+        ("serialization", "load_json", "json.load"),
+        ("serialization", "read_json", "json.loads"),
+        ("serialization", "read_json", "load_json"),
+        ("serialization", "CompositionSpan.as_list", "json.loads"),
+    }
+    readers = {"json.load", "json.loads", "load_json", "serialization.load_json"}
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func) in readers:
+                found.add((module, ".".join(scope), ast.unparse(child.func)))
+            if isinstance(child, ast.ImportFrom) and child.module == "json":
+                found.add((module, ".".join(scope), "from json import"))
+            visit(child, module, scope)
+
+    for p in sorted(SRC.glob("*.py")):
+        visit(ast.parse(p.read_text()), p.stem, [])
+    assert found == allowed
