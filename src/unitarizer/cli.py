@@ -23,9 +23,11 @@ import sys
 
 import numpy as np
 
-from .errors import ParameterOutOfRange, ParseError, UnitarizerError
+from .errors import InvalidAction, ParameterOutOfRange, ParseError, UnitarizerError
+from .groupoid import _action_table, build_action_groupoid
 from .properties import run_geometry_suite
 from .representation import (
+    _permutation_rep,
     check_representation,
     generate_instance,
     trivial_base_rep,
@@ -96,15 +98,12 @@ def cmd_generate(args) -> int:
 
 def permutation_rep_of_action(spec):
     """Unitary base rep permuting unit coordinates the way the group acts."""
-    index = {x: i for i, x in enumerate(spec.units)}
-    n = len(spec.units)
-    out = {}
-    for g in spec.group.elements:
-        m = np.zeros((n, n), dtype=np.complex128)
-        for x in spec.units:
-            m[index[spec.action[(g, x)]], index[x]] = 1.0
-        out[g] = m
-    return out
+    try:
+        table = _action_table(spec)
+    except InvalidAction:
+        build_action_groupoid(spec)  # raises the spec's first error, as at other dims
+        raise
+    return _permutation_rep(spec.group.elements, table)
 
 
 def cmd_check(args) -> int:

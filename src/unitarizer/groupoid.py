@@ -14,18 +14,19 @@ numbered in sorted-id order, and the composition is kept as index triples
 id entries to them in one pass (the parser, for a composition left in a
 file's bytes, by a scan of those bytes), while ``build_action_groupoid``
 and ``restrict`` hand them over directly.  The composites sit in one
-flat table with a block per unit y, whose rows are y's source fiber
-and whose columns are its target fiber, so the table holds exactly the
-composable pairs.  The identity of a unit is read off its block and each inverse law
-is one numpy gather over the table.  Associativity is proved from generators by Light's test (Clifford
-& Preston, *The Algebraic Theory of Semigroups*, vol. 1, 1961): the arrows
-b with (ab)c == a(bc) for all composable a, c include the identities and
-are closed under composition, so it suffices to check such a set of
-arrows that generates the others.  Group tables and action compatibility
-are proved by one such test on their integer tables.  Only when a proof
-fails does an exhaustive scan, one gathered block of triples per middle
-arrow, run to name the first failing triple; ``check_axioms`` always runs
-it.
+flat table with a block per unit y, whose rows are y's source fiber and
+whose columns are its target fiber, so the table holds exactly the
+composable pairs.  The identity of a unit is read off its block and each
+inverse law is one numpy gather over the table.  Associativity is proved
+from generators by Light's test (Clifford & Preston, *The Algebraic
+Theory of Semigroups*, vol. 1, 1961): the arrows b with (ab)c == a(bc)
+for all composable a, c include the identities and are closed under
+composition, so it suffices to check such a set of arrows that generates
+the others.  Group tables and action compatibility are proved by one
+such test on their integer tables, which one reader, ``_index_table``,
+maps from the string-keyed dicts.  Only when a proof fails does an
+exhaustive scan, one gathered block of triples per middle arrow, run to
+name the first failing triple; ``check_axioms`` always runs it.
 """
 
 from __future__ import annotations
@@ -557,27 +558,49 @@ class FiniteGroup:
     inverses: dict
 
 
+def _index_table(table, rows, cols, incomplete, unknown) -> np.ndarray:
+    """[i, j] = the index in ``cols`` of table[rows[i], cols[j]], from a dict keyed by (row, col).
+
+    InvalidAction names the first cell, in row-major order, that is missing or holds
+    a value outside ``cols`` (``incomplete``), then the first other key (``unknown``).
+    """
+    index = dict(zip(cols, range(len(cols))))
+    cells = map(index.get, map(table.get, product(rows, cols)), repeat(-1))
+    out = np.fromiter(cells, np.intp, len(rows) * len(cols)).reshape(len(rows), len(cols))
+    if (out < 0).any():
+        i, j = np.argwhere(out < 0)[0]
+        raise InvalidAction(incomplete.format(rows[i], cols[j]))
+    if len(table) != out.size:  # every cell has its entry, so a further key is unknown
+        known = set(product(rows, cols))
+        for key in table:  # none when a repeated row or column leaves cells over
+            if key not in known:
+                raise InvalidAction(unknown.format(key))
+    return out
+
+
+def _product_table(group: FiniteGroup) -> np.ndarray:
+    """mult[a, b] = ab, on element indices, as :func:`_index_table` reads it."""
+    return _index_table(group.mult, group.elements, group.elements,
+                        "multiplication table incomplete at ({!r}, {!r})",
+                        "multiplication table has an entry for unknown elements {!r}")
+
+
+def _action_table(spec: ActionGroupoidSpec) -> np.ndarray:
+    """table[g, x] = g.x, on element and unit indices, as :func:`_index_table` reads it."""
+    return _index_table(spec.action, spec.group.elements, tuple(spec.units),
+                        "action incomplete at ({!r}, {!r})",
+                        "action given on unknown element or unit {!r}")
+
+
 def _validate_group(group: FiniteGroup) -> tuple:
     """Check the group axioms; return ``mult``, ``inv`` and generators, on element indices."""
-    elems = group.elements
-    eset = set(elems)
-    if len(eset) != len(elems):
-        raise InvalidAction("duplicate group elements")
-    if group.identity not in eset:
-        raise InvalidAction("group identity is not an element")
-    n = len(elems)
+    elems, n = group.elements, len(group.elements)
     eidx = {a: i for i, a in enumerate(elems)}
-    mult = np.fromiter(
-        (eidx.get(group.mult.get((a, b)), -1) for a in elems for b in elems), np.intp, n * n
-    ).reshape(n, n)
-    if (mult < 0).any():
-        a, b = np.argwhere(mult < 0)[0]
-        raise InvalidAction(f"multiplication table incomplete at ({elems[a]!r}, {elems[b]!r})")
-    # Every pair of elements has its entry, so any further key is unknown.
-    if len(group.mult) != n * n:
-        known = set(product(elems, repeat=2))
-        key = next(k for k in group.mult if k not in known)
-        raise InvalidAction(f"multiplication table has an entry for unknown elements {key!r}")
+    if len(eidx) != n:
+        raise InvalidAction("duplicate group elements")
+    if group.identity not in eidx:
+        raise InvalidAction("group identity is not an element")
+    mult = _product_table(group)
     e = eidx[group.identity]
     r = np.arange(n)
     inv = np.fromiter((eidx.get(group.inverses.get(a), -1) for a in elems), np.intp, n)
@@ -637,23 +660,10 @@ def build_action_groupoid(spec: ActionGroupoidSpec) -> FiniteMeasuredGroupoid:
     units = tuple(spec.units)
     if any("@" in str(s) for s in list(group.elements) + list(units)):
         raise InvalidAction("element and unit names must not contain '@'")
-    act = spec.action
     elems = group.elements
-    uidx = {x: i for i, x in enumerate(units)}
-    table = np.fromiter(
-        (uidx.get(act.get((g, x)), -1) for g in elems for x in units),
-        np.intp,
-        len(elems) * len(units),
-    ).reshape(len(elems), len(units))
-    if (table < 0).any():
-        g, x = np.argwhere(table < 0)[0]
-        raise InvalidAction(f"action incomplete at ({elems[g]!r}, {units[x]!r})")
-    if len(act) != table.size:
-        known = set(product(elems, units))
-        key = next(k for k in act if k not in known)
-        raise InvalidAction(f"action given on unknown element or unit {key!r}")
+    table = _action_table(spec)
     for x in units:
-        if act[(group.identity, x)] != x:
+        if spec.action[(group.identity, x)] != x:
             raise InvalidAction(f"identity does not fix unit {x!r}")
     bad = _first_incompatible(mult, table, gens)
     if bad is not None:
@@ -718,12 +728,9 @@ def left_translation_action(group: FiniteGroup, mu=None) -> ActionGroupoidSpec:
     """The group acting on itself by left multiplication."""
     units = tuple(f"u{e}" for e in group.elements)
     action = {
-        (g, f"u{x}"): f"u{group.mult[(g, x)]}"
-        for g in group.elements
-        for x in group.elements
+        (g, f"u{x}"): f"u{group.mult[(g, x)]}" for g in group.elements for x in group.elements
     }
-    if mu is None:
-        mu = uniform_mu(len(units))
+    mu = uniform_mu(len(units)) if mu is None else mu
     return ActionGroupoidSpec(group, units, tuple(mu), action)
 
 
@@ -731,11 +738,8 @@ def natural_permutation_action(n: int, mu=None) -> ActionGroupoidSpec:
     """S_n acting on the n units x0 .. x{n-1}."""
     group = symmetric_group(n)
     units = tuple(f"x{i}" for i in range(n))
-    action = {
-        (p, f"x{i}"): f"x{int(p[i])}" for p in group.elements for i in range(n)
-    }
-    if mu is None:
-        mu = uniform_mu(n)
+    action = {(p, f"x{i}"): f"x{int(p[i])}" for p in group.elements for i in range(n)}
+    mu = uniform_mu(n) if mu is None else mu
     return ActionGroupoidSpec(group, units, tuple(mu), action)
 
 
@@ -743,13 +747,8 @@ def ordered_pair_action(n: int, mu=None) -> ActionGroupoidSpec:
     """S_n acting on ordered pairs of distinct points (n*(n-1) units)."""
     group = symmetric_group(n)
     units = tuple(f"x{i}{j}" for i in range(n) for j in range(n) if i != j)
-    action = {}
-    for p in group.elements:
-        for x in units:
-            i, j = int(x[1]), int(x[2])
-            action[(p, x)] = f"x{int(p[i])}{int(p[j])}"
-    if mu is None:
-        mu = uniform_mu(len(units))
+    action = {(p, x): f"x{p[int(x[1])]}{p[int(x[2])]}" for p in group.elements for x in units}
+    mu = uniform_mu(len(units)) if mu is None else mu
     return ActionGroupoidSpec(group, units, tuple(mu), action)
 
 
@@ -757,13 +756,11 @@ def cyclic_shift_action(n: int, copies: int = 1, mu=None) -> ActionGroupoidSpec:
     """Z/n shifting ``copies`` disjoint cycles of n units each."""
     group = cyclic_group(n)
     units = tuple(f"x{b}_{i}" for b in range(copies) for i in range(n))
-    action = {}
-    for k in range(n):
-        for b in range(copies):
-            for i in range(n):
-                action[(f"r{k}", f"x{b}_{i}")] = f"x{b}_{(i + k) % n}"
-    if mu is None:
-        mu = uniform_mu(len(units))
+    action = {
+        (f"r{k}", f"x{b}_{i}"): f"x{b}_{(i + k) % n}"
+        for k in range(n) for b in range(copies) for i in range(n)
+    }
+    mu = uniform_mu(len(units)) if mu is None else mu
     return ActionGroupoidSpec(group, units, tuple(mu), action)
 
 

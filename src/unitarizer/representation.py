@@ -49,6 +49,7 @@ from .errors import (
 )
 from .geometry import chart
 from .groupoid import ActionGroupoidSpec, FiniteMeasuredGroupoid, build_action_groupoid
+from .groupoid import _product_table
 from .linalg import (
     PD_FLOOR,
     adjoint,
@@ -136,9 +137,8 @@ def _bad_pairs(G: FiniteMeasuredGroupoid, mats: np.ndarray, tol: float):
     for y in np.flatnonzero(pos):
         rows, cols = pos[G._arrow_tgt[G._out[y]]], pos[G._arrow_src[G._into[y]]]
         ih, ig = G._out[y][rows], G._into[y][cols]
-        block = G._table[G._offset[y]:G._offset[y + 1]].reshape(rows.size, cols.size)
         prod = mats[ih].reshape(-1, d) @ mats[ig].transpose(1, 0, 2).reshape(d, -1)
-        comp = mats[block[rows][:, cols]].transpose(0, 2, 1, 3)
+        comp = mats[G._blocks[y][rows][:, cols]].transpose(0, 2, 1, 3)
         r = np.sqrt(np.sum(np.abs(prod.reshape(comp.shape) - comp) ** 2, axis=(1, 3)) / d)
         out += [((ids[ih[i]], ids[ig[j]]), float(r[i, j])) for i, j in zip(*np.nonzero(r > tol))]
     # Residuals equal in exact arithmetic differ by summation roundoff.
@@ -424,9 +424,7 @@ def _transport(rep: Representation, R: np.ndarray, h: np.ndarray, grams, res, ep
 def _same_groupoid(A: FiniteMeasuredGroupoid, B: FiniteMeasuredGroupoid) -> bool:
     # Equal units, ids and endpoints lay out the composite tables alike, and
     # a groupoid's composition determines its inverses.
-    if A is B:
-        return True
-    return (
+    return A is B or (
         A.units == B.units
         and A._ids == B._ids
         and np.array_equal(A._arrow_src, B._arrow_src)
@@ -480,8 +478,14 @@ def verify_similarity(
 
 
 def check_base_rep(group, base_rep: dict, dim: int):
-    """Validate a unitary group representation given as a dict of matrices."""
-    for g in group.elements:
+    """The matrices, in element order, of a unitary group representation given as a dict.
+
+    Checked element by element (present, of dimension ``dim``, unitary), then for
+    u(a) u(b) = u(ab) on the product table, read as the group check reads it, with
+    one batched product per block of rows.
+    """
+    elems, mats = group.elements, []
+    for g in elems:
         if g not in base_rep:
             raise InvalidBaseRep(f"base representation misses element {g!r}")
         m = as_square_matrix(base_rep[g], f"base[{g}]")
@@ -489,15 +493,17 @@ def check_base_rep(group, base_rep: dict, dim: int):
             raise InvalidBaseRep(f"base matrix for {g!r} has wrong dimension")
         if l2_norm(m.conj().T @ m - np.eye(dim)) > REP_TOL:
             raise InvalidBaseRep(f"base matrix for {g!r} is not unitary")
-    elems = group.elements
-    mats = np.stack([as_square_matrix(base_rep[g]) for g in elems])
-    for a, m in zip(elems, mats):  # one row of the product table at a time
-        ab = np.stack([base_rep[group.mult[(a, b)]] for b in elems])
-        bad = np.flatnonzero(l2_norms(ab - m @ mats) > REP_TOL)
-        if bad.size:
+        mats.append(m)
+    mats, mult = np.stack(mats), _product_table(group)
+    step = max(1, (1 << 22) // mats.nbytes)  # rows per temporary of about 4 MB
+    for a in range(0, len(elems), step):
+        bad = l2_norms(mats[mult[a:a + step]] - mats[a:a + step, None] @ mats) > REP_TOL
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
             raise InvalidBaseRep(
-                f"base representation is not multiplicative on ({a!r}, {elems[bad[0]]!r})"
+                f"base representation is not multiplicative on ({elems[a + i]!r}, {elems[j]!r})"
             )
+    return mats
 
 
 def generate_instance(
@@ -510,8 +516,9 @@ def generate_instance(
 
     rho(gamma, x) = h(gamma . x) u0(gamma) h(x)**-1 with a seeded random
     invertible h per unit (condition number at most ``cond_bound``) and a
-    unitary base representation u0 of the group.  The same seed yields a
-    bit-identical instance; the uniform bound is at most ``cond_bound``.
+    unitary base representation u0 of the group, formed for every arrow
+    in one stacked product.  The same seed yields a bit-identical
+    instance; the uniform bound is at most ``cond_bound``.
     """
     if not cond_bound >= 1.0:
         raise ParameterOutOfRange(f"cond_bound must be at least 1, got {cond_bound}")
@@ -521,21 +528,14 @@ def generate_instance(
     if len(dims) != 1:
         raise InvalidBaseRep("base representation has inconsistent dimensions")
     dim = dims.pop()
-    check_base_rep(group, base_rep, dim)
-    u0 = {g: as_square_matrix(base_rep[g]) for g in group.elements}
+    U0 = check_base_rep(group, base_rep, dim)
 
     rng = np.random.default_rng(seed)
-    h = {}
-    h_inv = {}
-    for x in spec.units:
-        h[x] = random_invertible(rng, dim, float(cond_bound))
-        h_inv[x] = np.linalg.inv(h[x])
-    rho = {}
-    for g in group.elements:
-        for x in spec.units:
-            gx = spec.action[(g, x)]
-            rho[f"{g}@{x}"] = h[gx] @ u0[g] @ h_inv[x]
-    return make_representation(G, dim, rho)
+    H = np.stack([random_invertible(rng, dim, float(cond_bound)) for _ in spec.units])
+    ids = [f"{g}@{x}" for g in group.elements for x in spec.units]  # the arrows (gamma, x)
+    gamma, x = np.divmod(np.arange(len(ids)), len(spec.units))
+    R = H[G._arrow_tgt[[G._index[a] for a in ids]]] @ U0[gamma] @ np.linalg.inv(H)[x]
+    return make_representation(G, dim, dict(zip(ids, R)))
 
 
 # -- base representation builders ------------------------------------------
@@ -543,40 +543,33 @@ def generate_instance(
 
 def trivial_base_rep(group, dim: int) -> dict:
     """Every element acts as the identity."""
-    eye = np.eye(dim, dtype=np.complex128)
-    return {g: eye.copy() for g in group.elements}
+    return {g: np.eye(dim, dtype=np.complex128) for g in group.elements}
 
 
 def permutation_base_rep(group) -> dict:
     """Permutation matrices for a symmetric group (digit-string elements)."""
-    out = {}
-    for name in group.elements:
-        n = len(name)
-        m = np.zeros((n, n), dtype=np.complex128)
-        for i, ch in enumerate(name):
-            m[int(ch), i] = 1.0
-        out[name] = m
-    return out
+    return _permutation_rep(group.elements, [list(map(int, p)) for p in group.elements])
+
+
+def _permutation_rep(elems, table) -> dict:
+    """Per element g, the matrix sending basis vector x to basis vector table[g][x]."""
+    return dict(zip(elems, np.eye(len(table[0]), dtype=np.complex128)[table].swapaxes(1, 2)))
 
 
 def cyclic_character_base_rep(n: int, exponents) -> dict:
     """Direct sum of characters k -> exp(2 pi i k a / n) of Z/n."""
     exps = list(exponents)
-    out = {}
-    for a in range(n):
-        phases = np.exp(2j * np.pi * np.array([(k * a) % n for k in exps]) / n)
-        out[f"r{a}"] = np.diag(phases).astype(np.complex128)
-    return out
+    return {
+        f"r{a}": np.diag(np.exp(2j * np.pi * np.array([k * a % n for k in exps]) / n))
+        for a in range(n)
+    }
 
 
 def direct_sum_base_rep(rep_a: dict, rep_b: dict) -> dict:
     """Blockwise direct sum of two base representations of one group."""
     out = {}
     for g, ma in rep_a.items():
-        mb = rep_b[g]
-        da, db = ma.shape[0], mb.shape[0]
-        m = np.zeros((da + db, da + db), dtype=np.complex128)
-        m[:da, :da] = ma
-        m[da:, da:] = mb
-        out[g] = m
+        da, db = ma.shape[0], rep_b[g].shape[0]
+        out[g] = m = np.zeros((da + db, da + db), dtype=np.complex128)
+        m[:da, :da], m[da:, da:] = ma, rep_b[g]
     return out

@@ -35,8 +35,8 @@ gigabytes of JSON per second", VLDB Journal 2019).  The build maps its
 ids to index triples in blocks of rows, matching the 8-byte words at
 each id exactly against the groupoid's own encoded ids, so no id string
 is made.  An entry is decoded, or the list parsed, only to name a
-failure.  Any other file is parsed by :func:`load_json`, with the same
-values and errors.
+failure.  Any other file's bytes are parsed as :func:`load_json` parses
+the file, with the same values and errors.
 
 Writers are deterministic (sorted keys, ``json.dumps``' C encoder) and
 atomic (write to a temp file, then rename).  :func:`save_json` also takes
@@ -519,8 +519,8 @@ def read_json(path: str, at: str | None = "groupoid"):
     one ``"composition"`` key, in that object, and its list is in the
     layout ``json.dumps`` writes (see :meth:`CompositionSpan.find`), the
     list's value is a :class:`CompositionSpan` and the rest of the text is
-    parsed with ``null`` in its place.  Any other file is read by
-    :func:`load_json`, so every value and error is the same either way.
+    parsed with ``null`` in its place.  Any other file is parsed from the
+    same bytes as :func:`load_json` parses it: every value and error is the same.
     """
     try:
         with open(path, "rb") as f:
@@ -532,13 +532,20 @@ def read_json(path: str, at: str | None = "groupoid"):
         try:
             obj = json.loads(data[:span.start].decode() + "null" + data[span.end:].decode())
         except (json.JSONDecodeError, UnicodeDecodeError):
-            return load_json(path)
+            obj = None
         holder = obj if at is None else obj.get(at) if isinstance(obj, dict) else None
         # The file's one "composition" key is the one at the splice.
         if isinstance(holder, dict) and "composition" in holder:
             holder["composition"] = span
             return obj
-    return load_json(path)
+    try:  # as load_json reads it: UTF-8 text, with "\r\n" and "\r" read as "\n"
+        text = data.decode("utf-8")
+        data = span = obj = holder = None  # hold neither the bytes nor a failed splice
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
 class CompositionSpan:

@@ -264,6 +264,15 @@ def _malformed(case, tmp_path, rep, out, spec):
         return ["unitarize", rep, "-o", out, "--trace", os.path.join(nodir, "t.csv")]
     if case == "nodir-generate":
         return ["generate", spec, "--dim", "2", "-o", os.path.join(nodir, "rep.json")]
+    if case.startswith("action-"):  # --dim 2 is the unit count: the permutation base
+        obj = load_json(spec)
+        if case == "action-missing":
+            del obj["action"]["r1"]["b"]
+        else:  # action-unknown: a cell maps to a unit the spec does not list
+            obj["action"]["r1"]["b"] = "x9"
+        path = str(tmp_path / "bad_spec.json")
+        save_json(obj, path)
+        return ["generate", path, "--dim", "2", "-o", str(tmp_path / "gen.json")]
     obj = load_json(rep)
     if case == "witness-list":
         path = str(tmp_path / "w.json")
@@ -291,6 +300,8 @@ def _malformed(case, tmp_path, rep, out, spec):
     ("nodir-output", "error:io: cannot write"),
     ("nodir-trace", "error:io: cannot write"),
     ("nodir-generate", "error:io: cannot write"),
+    ("action-missing", "error:validation: action incomplete at ('r1', 'b')"),
+    ("action-unknown", "error:validation: action incomplete at ('r1', 'b')"),
 ])
 def test_malformed_input_ends_in_one_error_line(spec_file, tmp_path, case, reason):
     rep = str(tmp_path / "rep.json")

@@ -555,6 +555,16 @@ def test_every_corrupted_action_cell_is_named_exactly(spec):
             assert str(exc.value) == _reference_action_defect(bad)
 
 
+def test_action_spec_with_a_repeated_unit_is_rejected():
+    # Every (element, unit) cell is filled, so the table reader passes the
+    # repeated unit on to the groupoid's own check.
+    spec = natural_permutation_action(3)
+    bad = ActionGroupoidSpec(spec.group, spec.units + ("x0",), spec.mu + (0.0,), spec.action)
+    with pytest.raises(InvalidGroupoid) as exc:
+        build_action_groupoid(bad)
+    assert str(exc.value) == "duplicate unit ids"
+
+
 # A loop (identity and two-sided inverses, not associative) of order 6 in
 # which (ab)c == a(bc) for all a, c holds for b in {l0, l1} only, so a proof
 # from the first generator l1 alone would accept it.

@@ -7,6 +7,7 @@ import pytest
 from unitarizer import representation
 from unitarizer.errors import (
     DimensionMismatch,
+    InvalidAction,
     InvalidBaseRep,
     InvalidMatrix,
     InvalidRepresentation,
@@ -20,13 +21,17 @@ from unitarizer.groupoid import (
     ActionGroupoidSpec,
     build_action_groupoid,
     cyclic_group,
+    cyclic_shift_action,
+    left_translation_action,
     natural_permutation_action,
+    ordered_pair_action,
     symmetric_group,
     trivial_action,
 )
-from unitarizer.linalg import l2_norm, matrix_sqrt, operator_norm
+from unitarizer.linalg import as_square_matrix, l2_norm, l2_norms, matrix_sqrt, operator_norm
 from unitarizer.representation import (
     DEDUP_TOL,
+    REP_TOL,
     Representation,
     check_base_rep,
     check_representation,
@@ -40,6 +45,7 @@ from unitarizer.representation import (
     uniform_bound,
     unitarize,
 )
+from unitarizer.sampling import random_invertible
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 A = np.array([[1.0, 1.0], [0.0, -1.0]], dtype=np.complex128)
@@ -398,6 +404,41 @@ def test_generate_instance_cond_bound_one_is_unitary():
         assert l2_norm(m.conj().T @ m - np.eye(3)) < 1e-12
 
 
+def _reference_instance(spec, base, cond, seed):
+    """rho(gamma, x) = h(gamma . x) u0(gamma) h(x)**-1 formed arrow by arrow."""
+    rng = np.random.default_rng(seed)
+    dim = next(iter(base.values())).shape[0]
+    h = {x: random_invertible(rng, dim, float(cond)) for x in spec.units}
+    return {
+        f"{g}@{x}": h[spec.action[(g, x)]] @ as_square_matrix(base[g]) @ np.linalg.inv(h[x])
+        for g in spec.group.elements
+        for x in spec.units
+    }
+
+
+def test_generate_instance_equals_the_per_arrow_products_bit_for_bit():
+    s3, s4 = symmetric_group(3), symmetric_group(4)
+    perm3, perm4 = permutation_base_rep(s3), permutation_base_rep(s4)
+    catalog = [
+        (natural_permutation_action(3), perm3),
+        (left_translation_action(s3), direct_sum_base_rep(perm3, trivial_base_rep(s3, 1))),
+        (natural_permutation_action(4), trivial_base_rep(s4, 2)),
+        (ordered_pair_action(4), perm4),
+        (cyclic_shift_action(6, copies=2), cyclic_character_base_rep(6, (0, 1, 2))),
+        (left_translation_action(cyclic_group(5)), cyclic_character_base_rep(5, (2,))),
+        (trivial_action(cyclic_group(3), ("p", "q"), (0.5, 0.5)),
+         cyclic_character_base_rep(3, (0, 2))),
+    ]
+    for spec, base in catalog:
+        for seed in (0, 1, 7):
+            for cond in (1.0, 3.0, 50.0):
+                rho = generate_instance(spec, base, cond, seed).rho
+                want = _reference_instance(spec, base, cond, seed)
+                assert rho.keys() == want.keys()
+                for g, m in want.items():
+                    assert rho[g].tobytes() == m.tobytes(), (g, seed, cond)
+
+
 def test_generate_instance_rejects_bad_cond_bound():
     spec = natural_permutation_action(3)
     base = permutation_base_rep(symmetric_group(3))
@@ -432,3 +473,97 @@ def test_check_base_rep_rejections():
     del partial["210"]
     with pytest.raises(InvalidBaseRep):
         check_base_rep(g3, partial, 3)
+
+
+def test_check_base_rep_names_an_incomplete_product_table_as_the_build_does():
+    s3 = symmetric_group(3)
+    mult = dict(s3.mult)
+    del mult[("021", "102")]
+    group = dataclasses.replace(s3, mult=mult)
+    message = "multiplication table incomplete at ('021', '102')"
+    with pytest.raises(InvalidAction) as exc:
+        check_base_rep(group, permutation_base_rep(s3), 3)
+    assert str(exc.value) == message
+    with pytest.raises(InvalidAction) as exc:
+        build_action_groupoid(dataclasses.replace(natural_permutation_action(3), group=group))
+    assert str(exc.value) == message
+
+
+def _reference_check_base_rep(group, base_rep, dim):
+    """``check_base_rep`` as one loop over the elements and one over the table's rows."""
+    for g in group.elements:
+        if g not in base_rep:
+            raise InvalidBaseRep(f"base representation misses element {g!r}")
+        m = as_square_matrix(base_rep[g], f"base[{g}]")
+        if m.shape[0] != dim:
+            raise InvalidBaseRep(f"base matrix for {g!r} has wrong dimension")
+        if l2_norm(m.conj().T @ m - np.eye(dim)) > REP_TOL:
+            raise InvalidBaseRep(f"base matrix for {g!r} is not unitary")
+    elems = group.elements
+    mats = np.stack([as_square_matrix(base_rep[g]) for g in elems])
+    for a, m in zip(elems, mats):
+        ab = np.stack([base_rep[group.mult[(a, b)]] for b in elems])
+        bad = np.flatnonzero(l2_norms(ab - m @ mats) > REP_TOL)
+        if bad.size:
+            raise InvalidBaseRep(
+                f"base representation is not multiplicative on ({a!r}, {elems[bad[0]]!r})"
+            )
+
+
+def _outcome(f, *args):
+    try:
+        f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+BASE_DEFECTS = ("missing", "dimension", "non-finite", "non-unitary", "non-multiplicative")
+
+
+def _corrupt_base(group, base, defects, rng):
+    """``group`` and ``base`` with each of ``defects`` put in at a random place."""
+    clean, base, mult, elems = base, dict(base), dict(group.mult), group.elements
+    for defect in defects:
+        g = elems[rng.integers(len(elems))]
+        m = np.array(clean[g], dtype=np.complex128)
+        if defect == "missing":
+            base.pop(g, None)
+        elif defect == "dimension":
+            base[g] = np.eye(m.shape[0] + rng.choice([-1, 1]) if m.shape[0] > 1 else 2)
+        elif defect == "non-finite":
+            m[tuple(rng.integers(m.shape[0], size=2))] = rng.choice([np.nan, np.inf, -np.inf])
+            base[g] = m
+        elif defect == "non-unitary":
+            base[g] = m * rng.choice([1.0 + 1e-7, 2.0])
+        elif rng.random() < 0.5:  # a cell of the table names another element
+            a, b = elems[rng.integers(len(elems))], elems[rng.integers(len(elems))]
+            mult[a, b] = next(c for c in rng.permutation(elems) if c != mult[a, b])
+        else:  # a matrix moved by a phase stays unitary
+            base[g] = m * np.exp(1j * rng.uniform(0.5, 3.0))
+    return dataclasses.replace(group, mult=mult), base
+
+
+def test_check_base_rep_matches_the_per_row_reference_on_corrupted_inputs():
+    s3, s4 = symmetric_group(3), symmetric_group(4)
+    perm3 = permutation_base_rep(s3)
+    cases = [
+        (s3, perm3, 3),
+        (s3, direct_sum_base_rep(perm3, trivial_base_rep(s3, 1)), 4),
+        (s4, permutation_base_rep(s4), 4),
+        (s4, trivial_base_rep(s4, 2), 2),
+        (cyclic_group(5), cyclic_character_base_rep(5, (0, 1, 2)), 3),
+        (cyclic_group(7), cyclic_character_base_rep(7, (3,)), 1),
+    ]
+    combos = [(d,) for d in BASE_DEFECTS] + [
+        (d, e) for i, d in enumerate(BASE_DEFECTS) for e in BASE_DEFECTS[i + 1:]
+    ]
+    rng = np.random.default_rng(1616)
+    raised = 0
+    for k in range(450):
+        group, base, dim = cases[k % len(cases)]
+        group, base = _corrupt_base(group, base, combos[k % len(combos)], rng)
+        want = _outcome(_reference_check_base_rep, group, base, dim)
+        assert _outcome(check_base_rep, group, base, dim) == want, (k, want)
+        raised += want is not None
+    assert raised >= 400

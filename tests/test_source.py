@@ -48,13 +48,12 @@ def test_json_is_written_by_the_c_encoder():
 
 def test_input_files_are_parsed_only_by_the_reader():
     # json.load and json.loads run on input files only inside serialization's
-    # reader (read_json, its general path load_json, and the read-back of a
-    # composition span), and load_json is called only by read_json, so no
-    # loader can bypass the reader.
+    # reader (read_json, which parses the bytes it read, and the read-back of
+    # a composition span) and in load_json, which nothing in the package
+    # calls, so no loader can bypass the reader.
     allowed = {
         ("serialization", "load_json", "json.load"),
         ("serialization", "read_json", "json.loads"),
-        ("serialization", "read_json", "load_json"),
         ("serialization", "CompositionSpan.as_list", "json.loads"),
     }
     readers = {"json.load", "json.loads", "load_json", "serialization.load_json"}

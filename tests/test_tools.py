@@ -8,6 +8,9 @@ TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 _spec = importlib.util.spec_from_file_location("bench_pairs", TOOLS / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
+_spec = importlib.util.spec_from_file_location("stage_times", TOOLS / "stage_times.py")
+stage_times = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(stage_times)
 
 METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "rate", "better": "higher"},
            {"name": "rare", "better": "lower"}]
@@ -62,3 +65,12 @@ def test_revision_of_a_git_checkout_is_its_head(tmp_path):
     assert bench_pairs.revision(tmp_path) == head
     (tmp_path / "f.txt").write_text("b\n")
     assert bench_pairs.revision(tmp_path) == head + "+dirty"
+
+
+def test_stage_times_reports_every_stage_of_one_instance():
+    row = stage_times.stage_times("S3-natural", 1)
+    assert set(row) == {*stage_times.STAGES, "peak_rss_mb"}
+    assert all(row[s] > 0.0 for s in stage_times.STAGES)
+    assert row["peak_rss_mb"] > 0.0
+    with pytest.raises(ValueError):
+        stage_times.stage_times("S3-self", 1)
