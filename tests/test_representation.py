@@ -196,37 +196,78 @@ def _bad_pairs_reference(G, rho, tol):
             r = l2_norm(rho[c] - rho[h] @ rho[g])
             if r > tol:
                 out.append(((h, g), r))
-    out.sort(key=lambda item: (-item[1], item[0]))
+    # worst first; residuals equal to 12 significant digits in pair-name order
+    out.sort(key=lambda item: (-float(f"{item[1]:.11e}"), item[0]))
     return out
 
 
-def test_functoriality_residuals_match_the_pairwise_reference():
-    # S3 on three points, x2 without mass.  Each corrupted arrow g gets
-    # rho(g) K and its inverse K**-1 rho(g**-1), so identities and inverses
-    # still hold and only functoriality fails.
-    spec = natural_permutation_action(3, mu=(0.5, 0.5, 0.0))
-    G = build_action_groupoid(spec)
-    rep = generate_instance(spec, permutation_base_rep(spec.group), 3.0, 5)
+def s3_three_orbits(mu):
+    """S3 on three points, on the two cosets of A3 and on one fixed point."""
+    s3 = symmetric_group(3)
+    odd = {p for p in s3.elements if sum(a > b for i, a in enumerate(p) for b in p[i + 1:]) % 2}
+    action = {}
+    for p in s3.elements:
+        action.update({(p, f"x{i}"): f"x{p[i]}" for i in range(3)})
+        action.update({(p, f"s{i}"): f"s{i ^ (p in odd)}" for i in range(2)})
+        action[(p, "f")] = "f"
+    return ActionGroupoidSpec(s3, ("x0", "x1", "x2", "s0", "s1", "f"), mu, action)
+
+
+def test_functoriality_residuals_match_the_pairwise_reference(monkeypatch):
+    # Each corrupted arrow g, a non-identity arrow between positive-mass units
+    # that is not its own inverse, gets rho(g) K and its inverse K**-1
+    # rho(g**-1), so identities and inverses still hold and only
+    # functoriality fails.
+    s3 = symmetric_group(3)
+    perm3 = permutation_base_rep(s3)
+    cases = [
+        # one orbit, x2 without mass
+        (natural_permutation_action(3, mu=(0.5, 0.5, 0.0)), perm3, 3.0),
+        # three orbits with 4x4, 3x3 and 6x6 blocks, two units without mass
+        (s3_three_orbits((0.2, 0.2, 0.0, 0.2, 0.0, 0.4)),
+         direct_sum_base_rep(perm3, trivial_base_rep(s3, 1)), 3.0),
+        (s3_three_orbits((0.1, 0.3, 0.2, 0.0, 0.3, 0.1)), trivial_base_rep(s3, 1), 2.0),
+        # one 64x64 block that spans several row blocks of the kernel
+        (trivial_action(cyclic_group(64), ("pt",), (1.0,)),
+         cyclic_character_base_rep(64, (0, 1, 5, 9)), 3.0),
+    ]
+    blocks = []
+    kernel = representation._residuals
+
+    def counting(*args):
+        for a, r in kernel(*args):
+            blocks.append(len(r))
+            yield a, r
+
+    monkeypatch.setattr(representation, "_residuals", counting)
     rng = np.random.default_rng(7)
-    rho = dict(rep.rho)
-    for g in ["120@x0", "201@x0", "102@x1"]:
-        K = np.eye(3) + 1e-3 * rng.standard_normal((3, 3))
-        gi = G.inv(g)
-        rho[g], rho[gi] = rho[g] @ K, np.linalg.inv(K) @ rho[gi]
-    want = _bad_pairs_reference(G, rho, 1e-9)
-    got = check_representation(Representation(G, 3, rho, rep.uniform_bound_C))
-    assert len(want) > 10 and len(got) == len(want)
-    # the same pairs at the same residuals up to summation order, worst first
-    ref = dict(want)
-    assert all(r == pytest.approx(ref[pair], rel=1e-12, abs=0.0) for pair, r in got)
-    assert got == sorted(got, key=lambda item: (-item[1], item[0]))
-    (h, g), r = want[0]
-    assert want[1][1] < r * (1.0 - 1e-9)  # a clear worst pair
-    assert got[0][0] == (h, g)
-    with pytest.raises(InvalidRepresentation) as exc:
-        make_representation(G, 3, rho)
-    assert str(exc.value).startswith(f"functoriality fails on pair ({h!r}, {g!r}) with residual")
-    assert check_representation(rep) == []
+    for spec, base, cond in cases:
+        G = build_action_groupoid(spec)
+        rep = generate_instance(spec, base, cond, 5)
+        dim, rho = rep.dim, dict(rep.rho)
+        pos = {x for x in G.units if G.unit_weight(x) > 0.0}
+        free = [
+            g for g in G._ids
+            if G.src(g) in pos and G.tgt(g) in pos and G.inv(g) != g
+        ]
+        for g in rng.choice(free, 3, replace=False):
+            K = np.eye(dim) + 1e-3 * rng.standard_normal((dim, dim))
+            gi = G.inv(g)
+            rho[g], rho[gi] = rho[g] @ K, np.linalg.inv(K) @ rho[gi]
+        want = _bad_pairs_reference(G, rho, 1e-9)
+        blocks.clear()
+        got = check_representation(Representation(G, dim, rho, rep.uniform_bound_C))
+        # the same pairs in the same order, at the same residuals up to summation order
+        assert len(want) > 10
+        assert [pair for pair, _ in got] == [pair for pair, _ in want]
+        assert all(r == pytest.approx(s, rel=1e-12, abs=0.0) for (_, r), (_, s) in zip(got, want))
+        if len(G.units) == 1:
+            assert len(blocks) > 1 and sum(blocks) == 64
+        (h, g), _ = want[0]
+        with pytest.raises(InvalidRepresentation) as exc:
+            make_representation(G, dim, rho)
+        assert str(exc.value).startswith(f"functoriality fails on pair ({h!r}, {g!r}) with residual")
+        assert check_representation(rep) == []
 
 
 def test_tied_functoriality_residuals_are_listed_in_name_order():
@@ -516,6 +557,20 @@ def _outcome(f, *args):
     except Exception as exc:
         return type(exc), str(exc)
     return None
+
+
+def test_check_base_rep_names_a_pair_in_every_row_block():
+    # Z/64 at dim 4 spans several row blocks of the kernel; a wrong cell of
+    # the product table is named by its own row in each of them.
+    z64 = cyclic_group(64)
+    base = cyclic_character_base_rep(64, (0, 1, 5, 9))
+    for a, b in ((5, 60), (20, 7), (40, 0), (63, 33)):
+        mult = dict(z64.mult)
+        mult[f"r{a}", f"r{b}"] = f"r{(a + b + 1) % 64}"
+        group = dataclasses.replace(z64, mult=mult)
+        want = _outcome(_reference_check_base_rep, group, base, 4)
+        assert want == (InvalidBaseRep, f"base representation is not multiplicative on ('r{a}', 'r{b}')")
+        assert _outcome(check_base_rep, group, base, 4) == want
 
 
 BASE_DEFECTS = ("missing", "dimension", "non-finite", "non-unitary", "non-multiplicative")

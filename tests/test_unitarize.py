@@ -231,16 +231,21 @@ def test_one_solve_per_orbit(monkeypatch, build, orbits):
 
 
 def test_transported_certificate_is_sound_against_own_gram_set():
-    rep = s3_self_rep()
-    witness, _, report = unitarize(rep, eps=1e-7)
-    transported = [x for x, r in report.unit_results.items() if r.iterations == 0]
-    assert len(transported) == len(rep.groupoid.positive_units) - 1
-    for x in transported:
-        res = report.unit_results[x]
-        dists = [distance(witness.sigma[x], p) for p in gram_set(rep, x).points]
-        assert max(dists) <= res.radius_at_center
-        assert res.radius_lower_bound <= res.radius_at_center
-        assert res.converged == (res.center_error_bound <= 1e-7)
+    # A transported unit's radius is read from the orbit's stacked chart; it is
+    # bitwise the distance to its farthest own Gram point, also where dedup
+    # keeps fewer points than there are arrows (S3-natural, trivial base).
+    for build in (s3_self_rep, s4_self_rep, s3_natural_rep):
+        rep = build()
+        witness, _, report = unitarize(rep, eps=1e-7)
+        transported = [x for x, r in report.unit_results.items() if r.iterations == 0]
+        assert len(transported) == len(rep.groupoid.positive_units) - 1
+        for x in transported:
+            res = report.unit_results[x]
+            dists = [distance(witness.sigma[x], p) for p in gram_set(rep, x).points]
+            assert max(dists) == res.radius_at_center
+            assert res.radius_lower_bound <= res.radius_at_center
+            assert res.converged == (res.center_error_bound <= 1e-7)
+    assert len(gram_set(rep, x).points) < len(rep.groupoid.source_fiber(x))
 
 
 def test_s4_self_certifies_every_unit():

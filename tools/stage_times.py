@@ -14,7 +14,11 @@ stage on the same inputs, as the minimum over 5 calls:
   the spec and ``check_base_rep`` on the base;
 * ``generate_instance``, which runs the three above and then
   ``make_representation`` on what it generates;
-* ``make_representation`` on the generated matrices, and ``unitarize``.
+* ``make_representation`` on the generated matrices;
+* ``check_representation`` on the generated representation: the
+  functoriality kernel alone, which ``make_representation`` runs on input
+  and ``unitarize`` on output;
+* ``unitarize``.
 
 One row per instance gives the times in ms and the child's peak resident
 set in MB (``getrusage``), which includes the imports and every stage.
@@ -38,6 +42,7 @@ STAGES = (
     "check_base_rep",
     "generate_instance",
     "make_representation",
+    "check_representation",
     "unitarize",
 )
 DIM, COND, SEED = 2, 4.0, 0
@@ -70,6 +75,7 @@ def stage_times(name: str, repeat: int) -> dict:
         "check_base_rep": lambda: rp.check_base_rep(spec.group, base, DIM),
         "generate_instance": lambda: rp.generate_instance(spec, base, COND, SEED),
         "make_representation": lambda: rp.make_representation(rep.groupoid, DIM, rep.rho),
+        "check_representation": lambda: rp.check_representation(rep),
         "unitarize": lambda: rp.unitarize(rep),
     }
     out = {stage: _best(calls[stage], repeat) for stage in STAGES}
