@@ -58,11 +58,12 @@ class Arrow:
 
 
 class IdEntries:
-    """A list of ``(h, g, hg)`` id entries, each of three elements, read as
-    ``FiniteMeasuredGroupoid._from_entries`` reads its entries.
+    """A list of ``(h, g, hg)`` id entries, each of three elements.
 
-    An id that is unknown, or not a string, maps to -1; an unhashable one
-    raises TypeError.
+    ``triples(index)`` maps them to the index triples ``_from_triples``
+    takes, through ``index``, a dict from arrow id to rank: an id that is
+    unknown, or not a string, maps to -1, and an unhashable one raises
+    TypeError.  ``entry(i)`` names entry i as ((h, g), c).
     """
 
     def __init__(self, entries):
@@ -114,43 +115,19 @@ class FiniteMeasuredGroupoid:
         self._validate(entries.triples(self._index), entries.entry)
 
     @classmethod
-    def _from_entries(cls, units, mu, arrows, inverse, entries):
-        """The groupoid whose composition is the ``[h, g, hg]`` id entries.
-
-        ``entries`` reads them: ``entries.triples(index)`` maps every entry
-        to index triples ``(ih, ig, ic)`` through ``index``, the groupoid's
-        dict from arrow id to rank, with -1 for an unknown id, and
-        ``entries.entry(i)`` names entry i as ((h, g), c); it is called only
-        to raise.  Validation and its messages are the constructor's.  An
-        InvalidGroupoid raised once the entries are read as index triples
-        carries ``clean_entries``: true when no id was unknown and no
-        (h, g) pair repeats, so that every entry is three known ids and
-        no two entries share a pair.
-        """
-        G = cls.__new__(cls)
-        G._setup(units, mu, arrows, inverse)
-        pairs = entries.triples(G._index)
-        try:
-            G._validate(pairs, entries.entry)
-        except InvalidGroupoid as exc:
-            ih, ig, _ = pairs
-            exc.clean_entries = all((p >= 0).all() for p in pairs) and (
-                np.unique(ih * len(G._ids) + ig).size == ih.size
-            )
-            raise
-        return G
-
-    @classmethod
-    def _from_triples(cls, units, mu, arrows, inverse, pairs):
+    def _from_triples(cls, units, mu, arrows, inverse, pairs, entry=None):
         """The groupoid whose composition is the index triples ``pairs``.
 
         ``pairs`` is ``(ih, ig, ic)``: entry k says that arrow ``ih[k]``
-        after ``ig[k]`` is ``ic[k]``, each a rank in sorted arrow-id order.
-        Validation and its messages are the constructor's.
+        after ``ig[k]`` is ``ic[k]``, each a rank in sorted arrow-id order,
+        or -1 for an id that names no arrow.  ``entry(i)`` names entry i as
+        ((h, g), c) and is called only to raise; without it, the ids at the
+        entry's ranks name it.  Validation and its messages are the
+        constructor's.
         """
         G = cls.__new__(cls)
         G._setup(units, mu, arrows, inverse)
-        G._validate(pairs, G._entry)
+        G._validate(pairs, entry or G._entry)
         return G
 
     def _setup(self, units, mu, arrows, inverse):

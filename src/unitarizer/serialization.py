@@ -338,30 +338,33 @@ def groupoid_from_json(obj, where: str = "groupoid") -> FiniteMeasuredGroupoid:
     )
     raw_comp = _get(obj, "composition", where)
     if isinstance(raw_comp, CompositionSpan):
-        span = entries = raw_comp  # string triples, in the layout json.dumps writes
+        entries = raw_comp  # string triples, in the layout json.dumps writes
     else:
-        span = None
         _require(isinstance(raw_comp, list), "{}.composition: expected a list", where)
         if not (set(map(type, raw_comp)) <= {list} and set(map(len, raw_comp)) <= {3}):
             _name_bad_entry(raw_comp, where)
         entries = IdEntries(raw_comp)
-    # One build.  A non-string id fails it as an unknown arrow, and a
-    # repeated pair leaves a slot empty or overfills the table, so the list
-    # is read again, to let a parse error win, only when the build fails
-    # with an unhashable element (TypeError), before it read the list, or
-    # with an unknown id or a repeated pair among the index triples.
+    # One build, from the entries' index triples at sorted-id ranks.  A
+    # non-string id maps to -1, as an unknown one does, and a repeated pair
+    # repeats its ranks, so the list is read again, to let a parse error
+    # win, only when an unhashable element fails the mapping (TypeError),
+    # or when the build fails and the triples show either.
+    index = {g: i for i, g in enumerate(sorted({a.id for a in arrows}))}
     try:
-        return FiniteMeasuredGroupoid._from_entries(units, mu, arrows, raw_inv, entries)
+        pairs = ih, ig, _ = entries.triples(index)
+        return FiniteMeasuredGroupoid._from_triples(
+            units, mu, arrows, raw_inv, pairs, entries.entry
+        )
     except TypeError:
         _name_bad_entry(entries.as_list(), where)
         raise
-    except InvalidGroupoid as exc:
-        if not getattr(exc, "clean_entries", False):
+    except InvalidGroupoid:
+        if np.less(pairs, 0).any() or np.unique(ih * len(index) + ig).size < ih.size:
             _name_bad_entry(entries.as_list(), where)
         raise
     finally:
-        if span is not None:
-            span.release()
+        if isinstance(entries, CompositionSpan):
+            entries.release()
 
 
 def _name_bad_entry(raw_comp, where: str):
@@ -549,7 +552,7 @@ def read_json(path: str, at: str | None = "groupoid"):
 
 
 class CompositionSpan:
-    """A composition list in the bytes of a file, as ``_from_entries`` reads it.
+    """A composition list in the bytes of a file, read as :class:`IdEntries` reads a list.
 
     The list is ``data[start:end]``; ``quotes`` holds, per entry, the
     positions of the six quotes of its three ids.  The ids are mapped to

@@ -8,6 +8,7 @@ from unitarizer.circumcenter import (
     TIE_RTOL,
     CircumcenterResult,
     _meb,
+    certified_result,
     certify,
     point_set,
     radius_at,
@@ -17,6 +18,7 @@ from unitarizer.circumcenter import (
 from unitarizer.errors import (
     DimensionMismatch,
     EmptySet,
+    NumericalEscape,
     ParameterOutOfRange,
 )
 from unitarizer.geometry import congruence, distance, midpoint
@@ -48,11 +50,31 @@ def test_point_set_auto_ball_contains_points():
 
 def test_singleton_set():
     p = spd(np.diag([3.0, 0.7]))
-    res = solve(point_set([p]), 1e-9)
+    trace = []
+    res = solve(point_set([p]), 1e-9, trace=trace)
     assert res.converged
     assert res.radius_at_center == 0.0
     assert res.center_error_bound == 0.0
     assert res.center is p
+    assert trace == [(0, 0.0, 0.0)]
+
+
+def test_certify_at_the_one_point_is_exact(monkeypatch):
+    # The chart of the identity at itself is exactly zero, so the ball
+    # subsolve takes its zero-radius exit.
+    radii = []
+    meb = _meb
+    monkeypatch.setattr(
+        "unitarizer.circumcenter._meb", lambda X: radii.append(np.abs(X).max()) or meb(X)
+    )
+    assert certify(identity_spd(2), point_set([identity_spd(2)])) == (0.0, 0.0)
+    assert radii == [0.0]
+
+
+def test_certified_result_rejects_a_center_outside_the_ball():
+    with pytest.raises(NumericalEscape) as exc:
+        certified_result(spd(np.diag([10.0, 1.0])), point_set([identity_spd(2)]), 1e-7, 0)
+    assert str(exc.value) == "center escaped GL_c with c = 1"
 
 
 def test_two_point_sets_hit_the_midpoint():

@@ -11,7 +11,12 @@ import unitarizer
 from unitarizer import cli, serialization
 from unitarizer.cli import main, permutation_rep_of_action
 from unitarizer.groupoid import ActionGroupoidSpec, cyclic_group
-from unitarizer.representation import generate_instance, unitarize
+from unitarizer.representation import (
+    check_representation,
+    generate_instance,
+    trivial_base_rep,
+    unitarize,
+)
 from unitarizer.serialization import (
     action_spec_to_json,
     load_action_spec,
@@ -205,7 +210,7 @@ def test_invalid_spec_exit_code(tmp_path, capsys):
     assert "error:validation:" in capsys.readouterr().err
 
 
-def test_env_seed_fallback(spec_file, tmp_path, monkeypatch):
+def test_env_seed_fallback(spec_file, tmp_path, monkeypatch, capsys):
     out1 = str(tmp_path / "a.json")
     out2 = str(tmp_path / "b.json")
     monkeypatch.setenv("UNITARIZER_SEED", "77")
@@ -213,6 +218,56 @@ def test_env_seed_fallback(spec_file, tmp_path, monkeypatch):
     monkeypatch.delenv("UNITARIZER_SEED")
     main(["generate", spec_file, "--dim", "2", "--seed", "77", "-o", out2])
     assert open(out1, "rb").read() == open(out2, "rb").read()
+    out3 = tmp_path / "c.json"
+    monkeypatch.setenv("UNITARIZER_SEED", "abc")
+    capsys.readouterr()
+    assert main(["generate", spec_file, "--dim", "2", "-o", str(out3)]) == 1
+    assert capsys.readouterr().err == (
+        "error:validation: UNITARIZER_SEED must be an integer, got 'abc'\n"
+    )
+    assert not out3.exists()
+
+
+def test_check_at_zero_tolerance_lists_every_violation(spec_file, tmp_path, capsys):
+    rep = str(tmp_path / "rep.json")
+    main(["generate", spec_file, "--dim", "2", "--seed", "2", "-o", rep])
+    capsys.readouterr()
+    assert main(["check", rep, "--tol", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    violations = check_representation(load_representation(rep), tol=0.0)
+    assert violations and len({pair for pair, _ in violations}) == len(violations)
+    assert lines[1:-1] == [f"violation {h} {g} {cli._fmt(r)}" for (h, g), r in violations]
+    assert lines[-1] == f"check: {len(violations)} functoriality violations above 0"
+
+
+def test_unitarize_below_reach_writes_its_output_and_exits_two(spec_file, tmp_path, capsys):
+    rep, out = str(tmp_path / "rep.json"), str(tmp_path / "out.json")
+    main(["generate", spec_file, "--dim", "2", "--seed", "2", "-o", rep])
+    capsys.readouterr()
+    assert main(["unitarize", rep, "--eps", "1e-300", "-o", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:numerical: ")
+    assert load_json(out)["report"]["all_converged"] is False
+
+
+def test_verify_without_a_witness_uses_the_identity(spec_file, tmp_path, capsys):
+    rep = str(tmp_path / "rep.json")
+    main(["generate", spec_file, "--dim", "2", "--seed", "2", "-o", rep])
+    capsys.readouterr()
+    assert main(["verify", rep, rep]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"residual {g} 0" for g in ("r0@a", "r0@b", "r1@a", "r1@b")] + [
+        f"verify: max residual 0 tol {cli._fmt(1e-7)} -> ok"
+    ]
+
+
+def test_generate_at_another_dim_takes_the_trivial_base(spec_file, tmp_path):
+    out = str(tmp_path / "rep.json")
+    assert main(["generate", spec_file, "--dim", "3", "--seed", "4", "-o", out]) == 0
+    spec = load_action_spec(spec_file)
+    rep = generate_instance(spec, trivial_base_rep(spec.group, 3), 4.0, 4)
+    with open(out) as f:
+        assert f.read() == json.dumps(representation_to_json(rep), sort_keys=True) + "\n"
 
 
 def run_module(*args):

@@ -156,6 +156,12 @@ def test_dim_mismatch_between_points():
     b = identity_spd(3)
     with pytest.raises(DimensionMismatch):
         distance(a, b)
+    with pytest.raises(DimensionMismatch) as exc:
+        congruence(np.eye(3), a)
+    assert str(exc.value) == "transform dimension 3 does not match point dimension 2"
+    with pytest.raises(DimensionMismatch) as exc:
+        in_ball(b, GLcBall(2.0, 2))
+    assert str(exc.value) == "point dimension 3 does not match ball dimension 2"
 
 
 @pytest.mark.parametrize("dim", range(1, 9))

@@ -15,11 +15,13 @@ from unitarizer.errors import (
     InvalidAction,
     InvalidGroupoid,
     ParameterOutOfRange,
+    UnitarizerError,
     UnknownUnit,
     ZeroMassRestriction,
 )
 from unitarizer.groupoid import (
     ActionGroupoidSpec,
+    _validate_group,
     Arrow,
     FiniteGroup,
     FiniteMeasuredGroupoid,
@@ -282,6 +284,34 @@ def test_mu_must_be_probability():
         swap_groupoid((0.5, 0.6))
     with pytest.raises(InvalidGroupoid):
         swap_groupoid((-0.1, 1.1))
+
+
+Z2 = cyclic_group(2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda G: FiniteMeasuredGroupoid(G.units, (1.0,), G.arrows, G.inverse, G.composition),
+     InvalidGroupoid, "mu must assign one weight per unit"),
+    (lambda G: FiniteMeasuredGroupoid(
+        G.units, G.mu, (*G.arrows, Arrow("", "a", "a")), G.inverse, G.composition
+    ), InvalidGroupoid, "arrow id '' must be a nonempty string"),
+    (lambda G: G.arrow("zz"), InvalidGroupoid, "unknown arrow id 'zz'"),
+    (lambda G: G.unit_weight("zz"), UnknownUnit, "unknown unit 'zz'"),
+    (lambda G: G.source_fiber("zz"), UnknownUnit, "unknown unit 'zz'"),
+    (lambda G: G.target_fiber("zz"), UnknownUnit, "unknown unit 'zz'"),
+    (lambda G: _validate_group(FiniteGroup(("r0", "r0"), Z2.mult, "r0", Z2.inverses)),
+     InvalidAction, "duplicate group elements"),
+    (lambda G: _validate_group(FiniteGroup(Z2.elements, Z2.mult, "zz", Z2.inverses)),
+     InvalidAction, "group identity is not an element"),
+    (lambda G: cyclic_group(0), InvalidAction, "cyclic group order must be positive"),
+    (lambda G: symmetric_group(10), InvalidAction, "symmetric group supported for 1 <= n <= 9"),
+], ids=["mu-length", "empty-arrow-id", "arrow", "unit_weight", "source_fiber",
+        "target_fiber", "duplicate-elements", "identity-not-an-element", "cyclic-0",
+        "symmetric-10"])
+def test_bad_arguments_are_rejected_by_type_and_message(call, error, message):
+    with pytest.raises(UnitarizerError) as exc:
+        call(swap_groupoid((0.5, 0.5)))
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_action_validation():

@@ -15,6 +15,7 @@ from unitarizer.errors import (
     NotHermitian,
     NotPositiveDefinite,
     ParameterOutOfRange,
+    SingularTransform,
     UnknownUnit,
 )
 from unitarizer.groupoid import (
@@ -44,6 +45,7 @@ from unitarizer.representation import (
     trivial_base_rep,
     uniform_bound,
     unitarize,
+    verify_similarity,
 )
 from unitarizer.sampling import random_invertible
 
@@ -485,6 +487,34 @@ def test_generate_instance_rejects_bad_cond_bound():
     base = permutation_base_rep(symmetric_group(3))
     with pytest.raises(ParameterOutOfRange):
         generate_instance(spec, base, 0.5, seed=1)
+
+
+def _z3_rep():
+    G = build_action_groupoid(trivial_action(cyclic_group(3), ("pt",), (1.0,)))
+    return make_representation(G, 2, {g: np.eye(2) for g in G.inverse})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda rep: verify_similarity(rep, make_representation(
+        rep.groupoid, 1, {"r0@pt": np.eye(1), "r1@pt": -np.eye(1)}), {"pt": np.eye(2)}, 1e-7),
+     DimensionMismatch, "dimensions differ: 2 vs 1"),
+    (lambda rep: verify_similarity(rep, _z3_rep(), {"pt": np.eye(2)}, 1e-7),
+     InvalidRepresentation, "representations live on different groupoids"),
+    (lambda rep: verify_similarity(rep, rep, {}, 1e-7),
+     UnknownUnit, "witness misses positive-mass unit 'pt'"),
+    (lambda rep: verify_similarity(rep, rep, {"pt": np.eye(3)}, 1e-7),
+     DimensionMismatch, "witness at 'pt' has wrong dimension"),
+    (lambda rep: verify_similarity(rep, rep, {"pt": np.zeros((2, 2))}, 1e-7),
+     SingularTransform, "witness at 'pt' is numerically singular"),
+    (lambda rep: generate_instance(trivial_action(cyclic_group(2), ("pt",), (1.0,)),
+                                   {"r0": np.eye(2), "r1": np.eye(3)}, 4.0, 0),
+     InvalidBaseRep, "base representation has inconsistent dimensions"),
+], ids=["dims", "groupoids", "witness-unit", "witness-dim", "witness-singular",
+        "base-dims"])
+def test_similarity_and_generation_reject_mismatched_inputs(call, error, message):
+    with pytest.raises(error) as exc:
+        call(z2_rep())
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_base_rep_builders():

@@ -308,12 +308,40 @@ def test_list_is_read_again_only_when_the_triples_can_hide_a_parse_error(monkeyp
     with pytest.raises(ParseError, match="duplicate entry"):
         groupoid_from_json(duplicate)
     assert calls == [1]
-    # A build that fails before it reads the list cannot tell: read it again.
+    # The parser maps the list before the build, so a build that fails
+    # before it reads the triples is still judged by them: clean triples
+    # hide no parse error, and the list is not read again.
     unweighted = copy.deepcopy(missing)
     unweighted["mu"][0] += 0.25
     with pytest.raises(InvalidGroupoid, match="mu sums to"):
         groupoid_from_json(unweighted)
-    assert calls == [1, 1]
+    assert calls == [1]
+    # A non-string id maps to -1: the list is read once, and its parse error wins.
+    calls.clear()
+    typed = copy.deepcopy(unweighted)
+    typed["composition"][2][1] = 7
+    with pytest.raises(ParseError, match=r"composition\[2\]: expected \[h, g, hg\] strings"):
+        groupoid_from_json(typed)
+    assert calls == [1]
+    # An unknown id string also maps to -1: one read finds no parse error.
+    calls.clear()
+    unknown = copy.deepcopy(unweighted)
+    unknown["composition"][2][1] = "zz"
+    with pytest.raises(InvalidGroupoid, match="mu sums to"):
+        groupoid_from_json(unknown)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda o: o["arrows"].__setitem__(1, "r0@b"), "groupoid.arrows[1]: expected an object"),
+    (lambda o: o["arrows"][1].update(id=5), "groupoid.arrows[1]: id/src/tgt must be strings"),
+], ids=["not-an-object", "id-not-a-string"])
+def test_malformed_arrow_entries_are_parse_errors(edit, message):
+    obj = groupoid_to_json(build_action_groupoid(SWAP_SPEC))
+    edit(obj)
+    with pytest.raises(ParseError) as exc:
+        groupoid_from_json(obj)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -806,12 +834,12 @@ def test_reader_reads_awkward_ids_from_the_bytes(tmp_path):
     "arrow-named-composition", "second-key", "composition-as-a-value", "escapes", "quote",
     "control", "invalid-utf8", "bom", "crlf", "trailing-crlf", "truncated-list",
     "truncated-tail", "key-spacing", "number-between-entries", "number-inside-an-entry",
-    "space-inside-an-entry", "unclosed-list",
+    "space-inside-an-entry", "unclosed-list", "no-arrows",
 ])
 def test_reader_falls_back_or_agrees_on_edge_files(tmp_path, case):
     data = _edge_bytes()
     plain = json.dumps(groupoid_to_json(build_action_groupoid(SWAP_SPEC))).encode()
-    fast = case in ("composition-as-a-value", "trailing-crlf", "key-spacing")
+    fast = case in ("composition-as-a-value", "trailing-crlf", "key-spacing", "no-arrows")
     if case == "arrow-named-composition":
         data = data.replace(b'"composit"', b'"composition"')
     elif case == "second-key":
@@ -847,6 +875,8 @@ def test_reader_falls_back_or_agrees_on_edge_files(tmp_path, case):
     elif case == "unclosed-list":  # '[["h", "g", "hg" ]' with the rest valid after null
         assert data.endswith(b'"]]}')
         data = data[:-4] + b'" ]}'
+    elif case == "no-arrows":  # every id of the list is unknown
+        data = _edge_bytes(arrows=[])
     assert _check_file(tmp_path, data) == fast
 
 

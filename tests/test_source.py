@@ -73,3 +73,23 @@ def test_input_files_are_parsed_only_by_the_reader():
     for p in sorted(SRC.glob("*.py")):
         visit(ast.parse(p.read_text()), p.stem, [])
     assert found == allowed
+
+
+def test_no_handler_sets_state_on_the_exception_it_caught():
+    # An error is its type and message; a flag set on a caught exception for
+    # a caller to read back is state that its raise site does not show.
+    found = []
+    for p in sorted(SRC.glob("*.py")):
+        for handler in ast.walk(ast.parse(p.read_text())):
+            if not (isinstance(handler, ast.ExceptHandler) and handler.name):
+                continue
+            for node in ast.walk(handler):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    owner = node.value
+                elif isinstance(node, ast.Call) and ast.unparse(node.func) == "setattr":
+                    owner = node.args[0] if node.args else None
+                else:
+                    continue
+                if isinstance(owner, ast.Name) and owner.id == handler.name:
+                    found.append(f"{p.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []

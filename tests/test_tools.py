@@ -1,6 +1,7 @@
 import importlib.util
 import pathlib
 import subprocess
+import sys
 
 import pytest
 
@@ -74,3 +75,16 @@ def test_stage_times_reports_every_stage_of_one_instance():
     assert row["peak_rss_mb"] > 0.0
     with pytest.raises(ValueError):
         stage_times.stage_times("S3-self", 1)
+
+
+def test_certificate_census_runs_one_degenerate_seed(monkeypatch):
+    # The tool puts src, tests and bench on the path when it is loaded.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("certificate_census",
+                                                  TOOLS / "certificate_census.py")
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    runs = list(census.degenerate_runs(1))
+    assert [seed for seed, _ in runs] == [0] * len(runs) and runs
+    assert all(report.unit_results for _, report in runs)
+    assert census.meb_calls() > 0
