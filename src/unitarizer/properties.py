@@ -18,6 +18,9 @@ from .geometry import congruence, distance, geodesic, midpoint
 from .linalg import SpdMatrix
 from .sampling import random_invertible, random_spd, rng_from_seed
 
+# Condition number bound of the random points and congruences.
+_COND_BOUND = 1e3
+
 
 @dataclass(frozen=True)
 class GeometryReport:
@@ -41,13 +44,7 @@ def semi_parallelogram_gap(a: SpdMatrix, b: SpdMatrix, z: SpdMatrix) -> float:
     return lhs - rhs
 
 
-def run_geometry_suite(
-    dim: int,
-    trials: int,
-    seed,
-    tol: float = 1e-8,
-    cond_bound: float = 1e3,
-) -> GeometryReport:
+def run_geometry_suite(dim: int, trials: int, seed, tol: float = 1e-8) -> GeometryReport:
     """Random triples (a, b, z): check the metric identities within ``tol``.
 
     Geodesic speed is checked at t in {0.25, 0.5, 0.75} with tolerance
@@ -57,9 +54,9 @@ def run_geometry_suite(
     rng = rng_from_seed(seed)
     worst_sp = worst_cong = worst_tri = worst_speed = 0.0
     for k in range(trials):
-        a = random_spd(rng, dim, cond_bound)
-        b = random_spd(rng, dim, cond_bound)
-        z = random_spd(rng, dim, cond_bound)
+        a = random_spd(rng, dim, _COND_BOUND)
+        b = random_spd(rng, dim, _COND_BOUND)
+        z = random_spd(rng, dim, _COND_BOUND)
         d_ab = distance(a, b)
 
         gap = semi_parallelogram_gap(a, b, z)
@@ -69,7 +66,7 @@ def run_geometry_suite(
                 f"semi-parallelogram violated by {gap:.3e} at trial {k}"
             )
 
-        g = random_invertible(rng, dim, cond_bound)
+        g = random_invertible(rng, dim, _COND_BOUND)
         drift = abs(distance(congruence(g, a), congruence(g, b)) - d_ab)
         worst_cong = max(worst_cong, drift)
         if drift > tol * (1.0 + d_ab):

@@ -27,16 +27,15 @@ table read entry by entry to name the first bad one.
 
 Every input file is read by :func:`read_json`.  When an explicit
 composition list is in the layout ``json.dumps`` writes, in a file with
-no backslash, the reader leaves it in the file's bytes
-(:class:`CompositionSpan`) and ``json.loads`` parses the rest of the
-text; the structural index of that list is the positions of its quotes,
-found by one vectorized scan (after Langdale & Lemire, "Parsing
-gigabytes of JSON per second", VLDB Journal 2019).  The build maps its
-ids to index triples in blocks of rows, matching the 8-byte words at
-each id exactly against the groupoid's own encoded ids, so no id string
-is made.  An entry is decoded, or the list parsed, only to name a
-failure.  Any other file's bytes are parsed as :func:`load_json` parses
-the file, with the same values and errors.
+no backslash, and sits in the file's value or its ``"groupoid"`` field,
+the reader leaves it in the file's bytes (:class:`CompositionSpan`) and
+``json.loads`` parses the rest of the text; the structural index of that
+list is the positions of its quotes, found by one vectorized scan (after
+Langdale & Lemire, "Parsing gigabytes of JSON per second", VLDB Journal
+2019).  The build maps its ids to index triples in blocks of rows,
+matching the 8-byte words at each id exactly against the groupoid's own
+encoded ids, so no id string is made.  An entry is decoded, or the list
+parsed, only to name a failure.  Any other file is read by :func:`load_json`.
 
 Writers are deterministic (sorted keys, ``json.dumps``' C encoder) and
 atomic (write to a temp file, then rename).  :func:`save_json` also takes
@@ -417,7 +416,7 @@ def representation_from_json(obj, base_dir: str = ".", where: str = "representat
 def psi_from_json(obj, where: str) -> dict:
     """A witness ``{unit: matrix}`` object as a dict of arrays."""
     _require(isinstance(obj, dict), "{}: expected an object", where)
-    return _matrices_from_json(obj, "psi")
+    return _matrices_from_json(obj, where)
 
 
 def unitarization_to_json(rep, witness, unitary, report) -> dict:
@@ -514,16 +513,16 @@ def load_json(path: str):
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def read_json(path: str, at: str | None = "groupoid"):
+def read_json(path: str):
     """``load_json(path)``, with an explicit composition left in the file's bytes.
 
-    The groupoid object is the file's value when ``at`` is None, else its
-    top-level field ``at``.  When the file has no backslash, holds exactly
-    one ``"composition"`` key, in that object, and its list is in the
-    layout ``json.dumps`` writes (see :meth:`CompositionSpan.find`), the
-    list's value is a :class:`CompositionSpan` and the rest of the text is
-    parsed with ``null`` in its place.  Any other file is parsed from the
-    same bytes as :func:`load_json` parses it: every value and error is the same.
+    When the file has no backslash and holds exactly one ``"composition"``
+    key, whose list is in the layout ``json.dumps`` writes (see
+    :meth:`CompositionSpan.find`), the rest of the text is parsed with
+    ``null`` in the list's place.  If that parses and the key sits in the
+    file's value, or else in its top-level ``"groupoid"`` field, the key's
+    value is a :class:`CompositionSpan`.  Any other file is read again by
+    :func:`load_json`, so every value and error is the same.
     """
     try:
         with open(path, "rb") as f:
@@ -536,19 +535,14 @@ def read_json(path: str, at: str | None = "groupoid"):
             obj = json.loads(data[:span.start].decode() + "null" + data[span.end:].decode())
         except (json.JSONDecodeError, UnicodeDecodeError):
             obj = None
-        holder = obj if at is None else obj.get(at) if isinstance(obj, dict) else None
-        # The file's one "composition" key is the one at the splice.
-        if isinstance(holder, dict) and "composition" in holder:
-            holder["composition"] = span
-            return obj
-    try:  # as load_json reads it: UTF-8 text, with "\r\n" and "\r" read as "\n"
-        text = data.decode("utf-8")
-        data = span = obj = holder = None  # hold neither the bytes nor a failed splice
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        return json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+        if isinstance(obj, dict):
+            holder = obj if "composition" in obj else obj.get("groupoid")
+            # The file's one "composition" key is the one at the splice.
+            if isinstance(holder, dict) and "composition" in holder:
+                holder["composition"] = span
+                return obj
+    data = span = obj = None  # hold neither the bytes nor a failed splice
+    return load_json(path)
 
 
 class CompositionSpan:
@@ -572,9 +566,9 @@ class CompositionSpan:
         """The span of the one ``"composition"`` key's list in ``data``, or None.
 
         None unless the text holds exactly one ``"composition"`` followed by
-        a colon, and its value is ``[]`` or a list of id triples in the
-        layout ``json.dumps`` writes: ``[["h", "g", "hg"], ["h", ...]]``, in
-        valid UTF-8, with no control character in any id.  ``data`` holds
+        a colon, and its value is a list of id triples in the layout
+        ``json.dumps`` writes: ``[["h", "g", "hg"], ["h", ...]]``, in valid
+        UTF-8, with no control character in any id.  ``data`` holds
         no backslash, so no string holds a quote: in valid JSON that text is
         a key, and every quote of the list opens or closes one of its ids.
         The caller parses the rest of the text, which fails unless the file
@@ -591,8 +585,6 @@ class CompositionSpan:
         if key is None:
             return None
         start = _skip_space(data, key)
-        if data.startswith(b"[]", start):
-            return cls(data, start, start + 2, np.empty((0, 6), dtype=np.int32))
         if not data.startswith(b'[["', start):
             return None
         # The list ends after the first entry whose sixth quote, the one
@@ -752,11 +744,11 @@ def _skip_space(data: bytes, pos: int) -> int:
 
 
 def load_groupoid(path: str) -> FiniteMeasuredGroupoid:
-    return groupoid_from_json(read_json(path, at=None), where=path)
+    return groupoid_from_json(read_json(path), where=path)
 
 
 def load_action_spec(path: str) -> ActionGroupoidSpec:
-    obj = read_json(path, at=None)
+    obj = read_json(path)
     kind = _get(obj, "kind", path)
     _require(kind == "action", "{}: expected an action groupoid, got kind {!r}", path, kind)
     return action_spec_from_json(obj, where=path)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import welzl_center
+from unitarizer import circumcenter
 from unitarizer.circumcenter import (
     TIE_RTOL,
     CircumcenterResult,
+    PointSet,
+    _max_sq_dist,
     _meb,
     certified_result,
     certify,
@@ -18,10 +21,11 @@ from unitarizer.circumcenter import (
 from unitarizer.errors import (
     DimensionMismatch,
     EmptySet,
+    NotPositiveDefinite,
     NumericalEscape,
     ParameterOutOfRange,
 )
-from unitarizer.geometry import congruence, distance, midpoint
+from unitarizer.geometry import GLcBall, congruence, distance, midpoint
 from unitarizer.linalg import identity_spd, l2_norm, spd, spectral_calculus
 from unitarizer.sampling import random_invertible, random_spd, rng_from_seed
 
@@ -298,6 +302,35 @@ def test_solve_parameter_validation():
         solve(ps, -1e-3)
     with pytest.raises(ParameterOutOfRange):
         solve(ps, 1e-7, max_iter=0)
+
+
+def test_solve_rejects_an_empty_point_set():
+    with pytest.raises(EmptySet, match="^cannot solve an empty point set$"):
+        solve(PointSet((), GLcBall(2.0, 2)), 1e-7)
+
+
+def test_max_sq_dist_rejects_a_relative_spectrum_that_is_not_positive():
+    M = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+    with pytest.raises(NotPositiveDefinite, match="^relative spectrum lost positivity$"):
+        _max_sq_dist(np.eye(2), M)
+
+
+def test_line_search_halves_the_step_when_the_trial_point_leaves_the_cone(monkeypatch):
+    rng = rng_from_seed(5)
+    ps = point_set([random_spd(rng, 3, 20.0) for _ in range(5)])
+    want = solve(ps, 1e-7)
+    calls = []
+
+    def max_sq_dist(E_half, M):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NotPositiveDefinite("relative spectrum lost positivity")
+        return _max_sq_dist(E_half, M)
+
+    monkeypatch.setattr(circumcenter, "_max_sq_dist", max_sq_dist)
+    got = solve(ps, 1e-7)
+    assert len(calls) > 1
+    assert l2_norm(got.center.mat - want.center.mat) <= 1e-12
 
 
 def test_collinear_family_center_between_extremes():

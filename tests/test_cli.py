@@ -160,8 +160,8 @@ def test_verify_reads_compositions_from_the_bytes(spec_file, tmp_path, capsys, m
     spans, mapped = [], []
     read_json, triples = serialization.read_json, serialization.CompositionSpan.triples
 
-    def reading(path, *args):
-        obj = read_json(path, *args)
+    def reading(path):
+        obj = read_json(path)
         spans.append(isinstance(obj["groupoid"]["composition"], serialization.CompositionSpan))
         return obj
 
@@ -333,6 +333,12 @@ def _malformed(case, tmp_path, rep, out, spec):
         path = str(tmp_path / "w.json")
         save_json([1, 2], path)
         return ["verify", rep, out, "--witness", path]
+    if case == "witness-matrix":  # a unitarize output whose psi['a'] has "dim": true
+        unit = load_json(out)
+        unit["psi"]["a"]["dim"] = True
+        path = str(tmp_path / "w.json")
+        save_json(unit, path)
+        return ["verify", rep, out, "--witness", path]
     if case == "psi-list":
         unit = load_json(out)
         unit["psi"] = [1, 2]
@@ -349,6 +355,7 @@ def _malformed(case, tmp_path, rep, out, spec):
 
 @pytest.mark.parametrize("case, reason", [
     ("witness-list", "w.json: expected an object"),
+    ("witness-matrix", "w.json.psi['a']: dim must be a positive int"),
     ("psi-list", "out.json.psi: expected an object"),
     ("matrix-dim-true", "dim must be a positive int"),
     ("rep-dim-true", "dim: must be a positive int"),

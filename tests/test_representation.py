@@ -14,6 +14,7 @@ from unitarizer.errors import (
     MissingArrow,
     NotHermitian,
     NotPositiveDefinite,
+    NotUniformlyBounded,
     ParameterOutOfRange,
     SingularTransform,
     UnknownUnit,
@@ -318,6 +319,13 @@ def test_uniform_bound_values():
         G, 2, {"r0@pt": np.eye(2), "r1@pt": np.diag([1.0, -1.0])}
     )
     assert unit.uniform_bound_C == pytest.approx(1.0, abs=1e-12)
+
+
+def test_uniform_bound_rejects_finite_entries_whose_norm_overflows():
+    big = np.full((2, 2), 1e308)
+    with pytest.raises(NotUniformlyBounded,
+                       match="^representation has no finite uniform bound$"):
+        uniform_bound(z2_point_groupoid(), {"r0@pt": big, "r1@pt": big})
 
 
 def test_gram_set_z2_hand_value():

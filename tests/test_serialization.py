@@ -473,6 +473,13 @@ def test_load_rejects_bad_json(tmp_path):
         load_groupoid(str(tmp_path / "missing.json"))
 
 
+def test_load_json_names_a_file_it_cannot_read(tmp_path):
+    path = tmp_path / "missing.json"
+    with pytest.raises(ParseError) as exc:
+        load_json(str(path))
+    assert str(exc.value) == f"cannot read {path}: [Errno 2] No such file or directory: '{path}'"
+
+
 def test_invalid_representation_content_is_not_a_parse_error(tmp_path):
     rep = generate_instance(SWAP_SPEC, permutation_base_rep_of_swap(), 3.0, seed=7)
     obj = representation_to_json(rep)
@@ -676,7 +683,7 @@ def test_stacked_matrix_read_matches_the_per_matrix_parse():
         want = _rep_outcome(_per_matrix_load, obj)
         assert _rep_outcome(representation_from_json, obj) == want, n
         defects += isinstance(want[0], str)
-        per_matrix = lambda raw: {x: matrix_from_json(m, f"psi[{x!r}]") for x, m in raw.items()}
+        per_matrix = lambda raw: {x: matrix_from_json(m, f"w[{x!r}]") for x, m in raw.items()}
         raw = obj["arrows"]
         assert _matrices_outcome(lambda raw: psi_from_json(raw, "w"), raw) == _matrices_outcome(
             per_matrix, raw
@@ -715,10 +722,20 @@ def _reference_representation(path):
 ONE = {"dim": 1, "rows": [[[1.0, 0.0]]]}
 
 
-def _reads_from_the_bytes(path, at=None):
-    obj = serialization.read_json(path, at)
-    holder = obj if at is None else obj[at]
-    return isinstance(holder["composition"], serialization.CompositionSpan)
+def _spliced(obj) -> bool:
+    """True when the reader's ``obj`` holds a composition span where the reader
+    puts one: in the value if it has a ``"composition"`` key, else in its
+    ``"groupoid"`` field."""
+    if not isinstance(obj, dict):
+        return False
+    holder = obj if "composition" in obj else obj.get("groupoid")
+    return isinstance(holder, dict) and isinstance(
+        holder.get("composition"), serialization.CompositionSpan
+    )
+
+
+def _reads_from_the_bytes(path):
+    return _spliced(serialization.read_json(path))
 
 
 def _check_file(tmp_path, data: bytes) -> bool:
@@ -738,13 +755,10 @@ def _check_file(tmp_path, data: bytes) -> bool:
     spans, builds = [], []
     read, setup = serialization.read_json, FiniteMeasuredGroupoid._setup
 
-    def reading(path, at="groupoid"):
+    def reading(path):
         spans.append(False)
-        obj = read(path, at)
-        holder = obj if at is None else obj.get(at) if isinstance(obj, dict) else None
-        spans[-1] = isinstance(holder, dict) and isinstance(
-            holder.get("composition"), serialization.CompositionSpan
-        )
+        obj = read(path)
+        spans[-1] = _spliced(obj)
         return obj
 
     with mock.patch.object(serialization, "read_json", reading), mock.patch.object(
@@ -827,7 +841,7 @@ def test_reader_reads_awkward_ids_from_the_bytes(tmp_path):
     G = load_groupoid(str(tmp_path / "g.json"))
     assert sorted(G.composition.items()) == sorted(EDGE_G.composition.items())
     for last in (False, True):
-        assert _check_file(tmp_path, _edge_bytes(last=last, composition=[]))
+        assert not _check_file(tmp_path, _edge_bytes(last=last, composition=[]))
 
 
 @pytest.mark.parametrize("case", [
@@ -933,8 +947,29 @@ def test_save_json_output_is_read_from_the_bytes(tmp_path, monkeypatch):
         assert H.composition == G.composition and H.unit_arrows == G.unit_arrows, n
         rho = dict(zip(G._ids, np.ones((len(G._ids), 1, 1))))
         save_json(_representation_value(Representation(G, 1, rho, 1.0)), path)
-        assert _reads_from_the_bytes(path, "groupoid"), n
+        assert _reads_from_the_bytes(path), n
         builds.clear()
         assert load_representation(path).groupoid.composition == G.composition, n
         assert len(builds) == 1, n
     assert reads == []
+
+
+def test_only_files_the_reader_cannot_splice_reach_load_json(tmp_path, monkeypatch):
+    # A file in the layout json.dumps writes is read once, from its bytes; an
+    # indented one is read again by load_json, once.
+    calls = []
+    load = serialization.load_json
+    monkeypatch.setattr(serialization, "load_json", lambda path: calls.append(path) or load(path))
+    G = build_action_groupoid(SWAP_SPEC)
+    gobj = groupoid_to_json(G)
+    rep = {"arrows": {g: ONE for g in G._ids}, "dim": 1, "groupoid": gobj}
+    gpath, rpath = str(tmp_path / "g.json"), str(tmp_path / "rep.json")
+    for indent in (None, 1):
+        with open(gpath, "w") as f:
+            f.write(json.dumps(gobj, indent=indent))
+        with open(rpath, "w") as f:
+            f.write(json.dumps(rep, indent=indent))
+        calls.clear()
+        assert load_groupoid(gpath).composition == G.composition
+        assert load_representation(rpath).groupoid.composition == G.composition
+        assert calls == ([] if indent is None else [gpath, rpath])

@@ -48,12 +48,14 @@ def test_json_is_written_by_the_c_encoder():
 
 def test_input_files_are_parsed_only_by_the_reader():
     # json.load and json.loads run on input files only inside serialization's
-    # reader (read_json, which parses the bytes it read, and the read-back of
-    # a composition span) and in load_json, which nothing in the package
-    # calls, so no loader can bypass the reader.
+    # reader: read_json, which parses the bytes it read around a composition
+    # span and hands every other file to load_json, and the read-back of a
+    # span.  Nothing else in the package calls load_json, so no loader can
+    # bypass the reader.
     allowed = {
         ("serialization", "load_json", "json.load"),
         ("serialization", "read_json", "json.loads"),
+        ("serialization", "read_json", "load_json"),
         ("serialization", "CompositionSpan.as_list", "json.loads"),
     }
     readers = {"json.load", "json.loads", "load_json", "serialization.load_json"}

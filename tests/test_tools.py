@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import pathlib
 import subprocess
 import sys
@@ -77,7 +78,7 @@ def test_stage_times_reports_every_stage_of_one_instance():
         stage_times.stage_times("S3-self", 1)
 
 
-def test_certificate_census_runs_one_degenerate_seed(monkeypatch):
+def test_certificate_census_runs_one_degenerate_seed(monkeypatch, capsys):
     # The tool puts src, tests and bench on the path when it is loaded.
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("certificate_census",
@@ -87,4 +88,30 @@ def test_certificate_census_runs_one_degenerate_seed(monkeypatch):
     runs = list(census.degenerate_runs(1))
     assert [seed for seed, _ in runs] == [0] * len(runs) and runs
     assert all(report.unit_results for _, report in runs)
-    assert census.meb_calls() > 0
+    # The whole output, on one seed and the first rows of the plan: its last
+    # line holds every figure of the lines above it.
+    acceptance = importlib.import_module("test_acceptance")
+    plan = acceptance._instance_plan()[:3]
+    monkeypatch.setattr(acceptance, "_instance_plan", lambda: plan)
+    monkeypatch.setattr(census, "SEEDS", 1)
+    assert census.main([]) == 0
+    *lines, last = capsys.readouterr().out.splitlines()
+    figures = json.loads(last)
+    p = figures["plan"]
+    assert p["instances"] == 3 and 0 < p["certified"] <= p["units"]
+    assert lines[0] == (
+        f"plan: {p['certified']}/{p['units']} units certified,"
+        f" {p['all_converged']}/3 instances all converged,"
+        f" bound median {p['bound_median']:.3g} max {p['bound_max']:.3g}"
+    )
+    assert [row["seed"] for row in figures["degenerate"]] == [0] * len(runs)
+    assert [row["worst_bound"] for row in figures["degenerate"]] == [
+        report.max_certificate_bound for _, report in runs
+    ]
+    assert lines[1:-1] == [
+        f"degenerate seed 0: {row['certified']}/{row['units']} units certified,"
+        f" worst bound {row['worst_bound']:.3g}"
+        for row in figures["degenerate"]
+    ]
+    assert figures["meb_calls"] > 0
+    assert lines[-1] == f"degenerate: {figures['meb_calls']} _meb calls per unitarize run"

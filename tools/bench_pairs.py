@@ -3,9 +3,10 @@
 Usage (from anywhere)::
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload large-groupoid \
-        --seed 301 --pairs 10 --pr 11 [--out DIR] [--note TEXT]
+        --seed 301 --pr 11 [--out DIR] [--note TEXT]
 
-PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Pair i runs
+PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Pair i of
+``PAIRS`` = 10 runs
 ``python3 bench/run.py --workload W --seed S+i --seconds 5 --trace 0`` once
 in each checkout, in a fresh process, the parent first in even pairs and the
 change first in odd pairs.  The file records every run and, per end-to-end
@@ -29,6 +30,7 @@ from pathlib import Path
 
 BLAS_THREAD_VARS = ("MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 SECONDS = 5
+PAIRS = 10
 
 
 def bench_command(workload: str, seed) -> list:
@@ -114,7 +116,6 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path, help="checkout of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--pr", required=True, help="number in the output file name")
     ap.add_argument("--out", type=Path, default=Path("."), help="directory of the output file")
     ap.add_argument("--note", default="", help="appended to the protocol text")
@@ -122,7 +123,7 @@ def main(argv=None) -> int:
 
     env = dict(os.environ, **{v: "1" for v in BLAS_THREAD_VARS})
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    seeds = list(range(args.seed, args.seed + args.pairs))
+    seeds = list(range(args.seed, args.seed + PAIRS))
     runs = []
     for pair, seed in enumerate(seeds):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -135,7 +136,7 @@ def main(argv=None) -> int:
     with open(sides["change"] / "BENCHMARK.json") as f:
         metrics = json.load(f)["end_to_end"]
     protocol = (
-        f"{args.pairs} pairs at seeds {seeds[0]}-{seeds[-1]}; the parent ran first in even"
+        f"{PAIRS} pairs at seeds {seeds[0]}-{seeds[-1]}; the parent ran first in even"
         " pairs and the change first in odd pairs; each side ran from its own copy of the files"
     )
     result = {

@@ -14,12 +14,15 @@ workloads' eps of 1e-7, and prints:
   project's certificate figures quote: the units certified and the largest
   bound;
 * the minimal-enclosing-ball subsolves (``circumcenter._meb`` calls) of one
-  `degenerate` ``unitarize`` run, a deterministic count.
+  `degenerate` ``unitarize`` run, a deterministic count;
+
+and ends with one JSON line that holds every figure printed above it.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import statistics
 import sys
 from pathlib import Path
@@ -33,7 +36,8 @@ from unitarizer.representation import generate_instance, unitarize  # noqa: E402
 SEEDS = 21
 
 
-def plan_census(eps: float) -> str:
+def plan_census(eps: float) -> dict:
+    """Units and instances of the acceptance plan, certified, and the bounds."""
     from test_acceptance import _instance_plan
 
     units = certified = instances = 0
@@ -46,10 +50,11 @@ def plan_census(eps: float) -> str:
         certified += sum(r.converged for r in results)
         instances += report.all_converged
         bounds += [r.center_error_bound for r in results]
-    return (
-        f"plan: {certified}/{units} units certified, {instances}/{len(plan)} instances"
-        f" all converged, bound median {statistics.median(bounds):.3g} max {max(bounds):.3g}"
-    )
+    return {
+        "units": units, "certified": certified, "instances": len(plan),
+        "all_converged": instances, "bound_median": statistics.median(bounds),
+        "bound_max": max(bounds),
+    }
 
 
 def degenerate_runs(seeds: int):
@@ -83,14 +88,27 @@ def meb_calls() -> int:
 
 def main(argv=None) -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
-    print(plan_census(1e-7))
+    plan = plan_census(1e-7)
+    print(
+        f"plan: {plan['certified']}/{plan['units']} units certified,"
+        f" {plan['all_converged']}/{plan['instances']} instances all converged,"
+        f" bound median {plan['bound_median']:.3g} max {plan['bound_max']:.3g}"
+    )
+    degenerate = []
     for seed, report in degenerate_runs(SEEDS):
         results = report.unit_results.values()
+        row = {"seed": seed, "units": len(results),
+               "certified": sum(r.converged for r in results),
+               "worst_bound": report.max_certificate_bound}
+        degenerate.append(row)
         print(
-            f"degenerate seed {seed}: {sum(r.converged for r in results)}/{len(results)}"
-            f" units certified, worst bound {report.max_certificate_bound:.3g}"
+            f"degenerate seed {seed}: {row['certified']}/{row['units']}"
+            f" units certified, worst bound {row['worst_bound']:.3g}"
         )
-    print(f"degenerate: {meb_calls()} _meb calls per unitarize run")
+    calls = meb_calls()
+    print(f"degenerate: {calls} _meb calls per unitarize run")
+    print(json.dumps({"plan": plan, "degenerate": degenerate, "meb_calls": calls},
+                     sort_keys=True))
     return 0
 
 
