@@ -17,8 +17,9 @@ is still sound; ``unitarize`` certifies the units it transports a center
 to that way, at the weights of the solved unit's certificate, which every
 result keeps as ``weights``.  ``_meb`` returns the dual at its optimal
 weights, so the bound costs one chart and one subsolve, and it is tight
-at the circumcenter.  The pairwise bound ``radius_lower_bound`` is kept as
-an oracle.
+at the circumcenter; a solve that stops at the iterate it last charted
+certifies from that chart and its subsolve, at no further cost.  The
+pairwise bound ``radius_lower_bound`` is kept as an oracle.
 
 The iteration is a tangent-space fixed point started at the first point:
 pull the points to the chart at the current iterate, take the Euclidean
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +55,7 @@ from .errors import (
     NumericalEscape,
     ParameterOutOfRange,
 )
-from .geometry import GLcBall, chart, distance, in_ball
+from .geometry import GLcBall, _check_ball, chart, distance, in_ball
 from .linalg import SpdMatrix, spectral_calculus, symmetrize
 
 # Distances within this relative band of the maximum count as ties; the
@@ -69,42 +71,68 @@ _STALL_RTOL = 1e-13
 _STALL_STEPS = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """A finite set of positive definite points inside a common ball."""
+    """A finite set of positive definite points inside a common ball, as one stack.
 
-    points: tuple
+    ``mats`` holds the points, shape (m, n, n), and ``eig_min`` and
+    ``eig_max`` their extreme eigenvalues, shape (m,).  Every kernel reads
+    the stack; ``points`` wraps the points as :class:`SpdMatrix` values
+    only when a reader asks for them.
+    """
+
+    mats: np.ndarray
+    eig_min: np.ndarray
+    eig_max: np.ndarray
     ball: GLcBall
+
+    @property
+    def dim(self) -> int:
+        return self.mats.shape[-1]
+
+    def point(self, i: int) -> SpdMatrix:
+        """Point ``i`` as an :class:`SpdMatrix` that views the stack."""
+        return SpdMatrix(self.mats[i], float(self.eig_min[i]), float(self.eig_max[i]))
+
+    @cached_property
+    def points(self) -> tuple:
+        """Every point as an :class:`SpdMatrix`, built on first use."""
+        return tuple(self.point(i) for i in range(len(self.mats)))
 
 
 def point_set(points, c: float | None = None) -> PointSet:
-    """Build a :class:`PointSet`, deriving the enclosing ball if needed.
+    """Validate :class:`SpdMatrix` values and stack them as a :class:`PointSet`.
 
     Parameters
     ----------
     points : iterable of SpdMatrix
+        Kept as the set's ``points``.
     c : float, optional
         Ball bound.  When omitted, the smallest bound covering all spectra
         (with a hair of headroom) is used.  When given, every point must
-        lie inside GL_c up to relative slack 1e-9.
+        lie inside GL_c up to relative slack 1e-9; the first that does not
+        is named.
     """
     pts = tuple(points)
     if not pts:
         raise EmptySet("a point set must contain at least one point")
     dim = pts[0].dim
-    for p in pts:
-        if p.dim != dim:
-            raise DimensionMismatch("points of mixed dimensions")
-    spread = max(max(p.eig_max, 1.0 / p.eig_min) for p in pts)
+    if any(p.dim != dim for p in pts):
+        raise DimensionMismatch("points of mixed dimensions")
+    lo = np.array([p.eig_min for p in pts])
+    hi = np.array([p.eig_max for p in pts])
     if c is None:
-        c = max(spread, 1.0) * (1.0 + 1e-9)
+        c = max(float(np.maximum(hi, 1.0 / lo).max()), 1.0) * (1.0 + 1e-9)
     ball = GLcBall(float(c), dim)
-    for i, p in enumerate(pts):
-        if not in_ball(p, ball, slack=1e-9):
-            raise ParameterOutOfRange(
-                f"point {i} lies outside GL_c with c = {ball.c:g}"
-            )
-    return PointSet(pts, ball)
+    top = ball.c * (1.0 + 1e-9)  # in_ball's test at slack 1e-9
+    outside = np.flatnonzero(~((lo >= 1.0 / top) & (hi <= top)))
+    if outside.size:
+        raise ParameterOutOfRange(
+            f"point {outside[0]} lies outside GL_c with c = {ball.c:g}"
+        )
+    pset = PointSet(np.stack([p.mat for p in pts]), lo, hi, ball)
+    pset.__dict__["points"] = pts  # the cached ``points`` are the caller's own values
+    return pset
 
 
 @dataclass(frozen=True)
@@ -121,19 +149,26 @@ class CircumcenterResult:
     weights: np.ndarray = field(compare=False, repr=False)
 
 
-def _stack(pset: PointSet) -> np.ndarray:
-    return np.stack([p.mat for p in pset.points])
-
-
 def _farthest(theta: SpdMatrix, pset: PointSet, q: np.ndarray) -> float:
     """sqrt(q.max()) for a chart at ``theta``, as ``distance`` to the farthest point.
 
     Only the paths that chart ``theta`` themselves call it: a solve's own
     certificate, ``certify`` and ``radius_at``.  It is bitwise sqrt(q.max()),
     but the benchmark's self-check needs one traced ``distance`` call per
-    solve; a certificate handed its chart (``at``) reads sqrt(q.max()).
+    solve; a certificate handed its chart (``at``) reads the radius from it.
     """
-    return distance(theta, pset.points[int(np.argmax(q))])
+    return distance(theta, pset.point(int(np.argmax(q))))
+
+
+def _chart(x: SpdMatrix, pset: PointSet):
+    """The chart logs W, squared distances q and radius at a candidate ``x``.
+
+    The one place that charts a candidate against a set: a candidate of
+    another dimension raises the :class:`DimensionMismatch` of ``in_ball``.
+    """
+    _check_ball(x, pset.ball)
+    W, q = chart(x, pset.mats)[1:3]
+    return W, q, _farthest(x, pset, q)
 
 
 def radius_at(theta: SpdMatrix, pset: PointSet):
@@ -142,10 +177,9 @@ def radius_at(theta: SpdMatrix, pset: PointSet):
     Ties within relative ``TIE_RTOL`` of the maximum resolve to the
     smallest index.  One chart at ``theta`` gives every distance.
     """
-    q = chart(theta, _stack(pset))[2]
+    _, q, r = _chart(theta, pset)
     d = np.sqrt(q)
-    far = int(np.argmax(d >= d.max() * (1.0 - TIE_RTOL)))
-    return _farthest(theta, pset, q), far
+    return r, int(np.argmax(d >= d.max() * (1.0 - TIE_RTOL)))
 
 
 def radius_lower_bound(pset: PointSet) -> float:
@@ -153,8 +187,8 @@ def radius_lower_bound(pset: PointSet) -> float:
 
     One ``chart`` per point against the later ones: bitwise the ``distance`` loop.
     """
-    pts, P = pset.points, _stack(pset)
-    best = max((chart(pts[i], P[i + 1:])[2].max() for i in range(len(pts) - 1)), default=0.0)
+    P = pset.mats
+    best = max((chart(P[i], P[i + 1:])[2].max() for i in range(len(P) - 1)), default=0.0)
     return 0.5 * math.sqrt(best)
 
 
@@ -170,27 +204,9 @@ def _dual_gap(r2: float, lam: np.ndarray, X: np.ndarray) -> float:
     return max(r2 - float(lam @ np.einsum("ij,ij->i", X, X)), 0.0) + float(v @ v)
 
 
-def _certificate(x: SpdMatrix, pset: PointSet, eps: float = 0.0, at=None, weights=None):
-    """Radius at ``x``, the lower bound, the error bound and the dual weights.
-
-    The chart at ``x`` is ``at = (W, q)`` when given, and the radius is then
-    read from it as sqrt(q.max()).  ``weights`` are tried
-    first when given; the optimal weights of ``_meb`` replace them when the
-    bound they give exceeds ``eps``, so the bound at the weights returned is
-    within ``eps`` exactly when the optimal one is, up to roundoff.
-    """
-    if at is None:
-        W, q = chart(x, _stack(pset))[1:3]
-        r = _farthest(x, pset, q)
-    else:
-        W, q = at
-        r = math.sqrt(q.max())
-    X = _tangent(W)
-    gap = None if weights is None else _dual_gap(r * r, weights, X)
-    if gap is None or math.sqrt(2.0 * gap) > eps:
-        weights = _meb(X)[0]
-        gap = _dual_gap(r * r, weights, X)
-    return r, math.sqrt(max(r * r - gap, 0.0)), math.sqrt(2.0 * gap), weights
+def _bounds(r: float, gap: float):
+    """The lower bound and the error bound of a chart of radius ``r`` with dual gap ``gap``."""
+    return math.sqrt(max(r * r - gap, 0.0)), math.sqrt(2.0 * gap)
 
 
 def certify(candidate: SpdMatrix, pset: PointSet):
@@ -204,8 +220,21 @@ def certify(candidate: SpdMatrix, pset: PointSet):
     log(candidate**-1/2 b candidate**-1/2), formed as in ``_dual_gap`` and
     at most the radius (lowering a lower bound keeps it sound).
     """
-    r, lb, bound, _ = _certificate(candidate, pset)
-    return bound, r * r - lb * lb
+    W, _, r = _chart(candidate, pset)
+    X = _tangent(W)
+    lower, bound = _bounds(r, _dual_gap(r * r, _meb(X)[0], X))
+    return bound, r * r - lower * lower
+
+
+def _check_center(center: SpdMatrix, pset: PointSet):
+    if not in_ball(center, pset.ball, _ITERATE_SLACK):
+        raise NumericalEscape(f"center escaped GL_c with c = {pset.ball.c:g}")
+
+
+def _result(center, eps: float, iterations: int, r: float, gap: float, lam: np.ndarray):
+    """The result at ``center`` from its chart radius ``r`` and dual gap ``gap`` at ``lam``."""
+    lower, bound = _bounds(r, gap)
+    return CircumcenterResult(center, r, lower, bound, iterations, bound <= eps, lam)
 
 
 def certified_result(
@@ -220,15 +249,22 @@ def certified_result(
 
     Raises :class:`NumericalEscape` when the center lies outside the set's
     ball; ``converged`` is True exactly when the bound is at most ``eps``.
-    ``at = (W, q)`` is the chart at ``center`` when the caller has it.
-    ``weights``, simplex weights on the points, give the bound when it is
-    at most ``eps``; otherwise, and without them, the optimal weights of
-    the chart ball do.
+    ``at = (W, r)`` is the chart at ``center`` when the caller has it: its
+    logs and the radius the caller read from it.  ``weights``, simplex
+    weights on the points, give the bound when it is at most ``eps``;
+    otherwise, and without them, the optimal weights of the chart ball do.
     """
-    if not in_ball(center, pset.ball, _ITERATE_SLACK):
-        raise NumericalEscape(f"center escaped GL_c with c = {pset.ball.c:g}")
-    radius, lower, bound, lam = _certificate(center, pset, eps, at, weights)
-    return CircumcenterResult(center, radius, lower, bound, iterations, bound <= eps, lam)
+    _check_center(center, pset)
+    if at is None:
+        W, _, r = _chart(center, pset)
+    else:
+        W, r = at
+    X = _tangent(W)
+    gap = None if weights is None else _dual_gap(r * r, weights, X)
+    if gap is None or math.sqrt(2.0 * gap) > eps:
+        weights = _meb(X)[0]
+        gap = _dual_gap(r * r, weights, X)
+    return _result(center, eps, iterations, r, gap, weights)
 
 
 def _meb(X: np.ndarray):
@@ -386,30 +422,37 @@ def solve(
     The iterate keeps polishing until the tangent step stalls at roundoff
     rather than stopping the moment the certificate is met, so returned
     centers are usually accurate to far better than the certificate.
+
+    The solve reads the set as its stack ``pset.mats``.  Three exits stop
+    at the iterate that the last iteration charted: the target radius, the
+    stationary rule and an exhausted line search.  They certify from that
+    chart and that iteration's chart-ball weights, bitwise what
+    :func:`certified_result` gives at the returned center.  The stall rule
+    and the cap stop at a new iterate, which is charted once more.
     """
     if not (eps > 0.0 and np.isfinite(eps)):
         raise ParameterOutOfRange(f"eps must be positive, got {eps}")
     if max_iter < 1:
         raise ParameterOutOfRange(f"max_iter must be at least 1, got {max_iter}")
-    pts = pset.points
-    if not pts:
+    P = pset.mats
+    if not len(P):
         raise EmptySet("cannot solve an empty point set")
-    if len(pts) == 1:
+    if len(P) == 1:
         if trace is not None:
             trace.append((0, 0.0, 0.0))
-        return CircumcenterResult(pts[0], 0.0, 0.0, 0.0, 0, True, np.ones(1))
+        return CircumcenterResult(pset.points[0], 0.0, 0.0, 0.0, 0, True, np.ones(1))
 
-    n = pts[0].dim
-    P = _stack(pset)
+    n = pset.dim
     hi = pset.ball.c * (1.0 + _ITERATE_SLACK)
 
-    x = pts[0]
+    x = pset.point(0)
     stall = 0
     iterations = 0
     last = None
     for k in range(max_iter):
         iterations = k + 1
         M, W, q, sq, isq = chart(x, P)
+        charted = True
         r2 = float(q.max())
         r_k = math.sqrt(r2)
         # Tangent minimal-enclosing-ball direction; r2_tan is the chart dual.
@@ -459,7 +502,7 @@ def solve(
             t *= 0.5
         if accepted is None:
             break  # line search exhausted: iterate is stationary
-        x = accepted
+        x, charted = accepted, False
         last = (half, v, t)
         if t * vnorm <= _STALL_RTOL * (1.0 + r_k):
             stall += 1
@@ -469,4 +512,9 @@ def solve(
             stall = 0
 
     # Certifying the iterate of least radius instead certifies no more solves.
-    return certified_result(x, pset, eps, iterations)
+    if not charted:  # the stall rule or the cap stopped at a new iterate
+        return certified_result(x, pset, eps, iterations)
+    # The last chart is at x, and lam its chart ball's optimal weights.
+    _check_center(x, pset)
+    r = _farthest(x, pset, q)
+    return _result(x, eps, iterations, r, _dual_gap(r * r, lam, X), lam)

@@ -105,11 +105,15 @@ def congruence(g, a: SpdMatrix) -> SpdMatrix:
     return spd(gm.conj().T @ a.mat @ gm)
 
 
-def in_ball(a: SpdMatrix, ball: GLcBall, slack: float = 0.0) -> bool:
-    """Whether ``a`` satisfies 1/c <= a <= c up to multiplicative ``slack``."""
+def _check_ball(a: SpdMatrix, ball: GLcBall):
     if a.dim != ball.dim:
         raise DimensionMismatch(
             f"point dimension {a.dim} does not match ball dimension {ball.dim}"
         )
+
+
+def in_ball(a: SpdMatrix, ball: GLcBall, slack: float = 0.0) -> bool:
+    """Whether ``a`` satisfies 1/c <= a <= c up to multiplicative ``slack``."""
+    _check_ball(a, ball)
     hi = ball.c * (1.0 + slack)
     return bool(a.eig_min >= 1.0 / hi and a.eig_max <= hi)

@@ -187,13 +187,14 @@ def spd(a, name: str = "matrix") -> SpdMatrix:
     return spd_stack(as_square_matrix(a, name)[None], lambda i: name)[0]
 
 
-def spd_stack(a, name) -> list:
-    """Validate every matrix of a stack as :func:`spd`, in one pass.
+def spd_arrays(a, name):
+    """Validate every matrix of a stack as :func:`spd`, in one pass, without wrapping.
 
     One asymmetry check, one batched ``eigvalsh`` and one positive definite
     test (eig_max <= 0 fails it too) cover the whole stack.  Only when one
     fails are the matrices checked one by one, and the first failing one
-    raises the error of :func:`spd`, named ``name(i)``.
+    raises the error of :func:`spd`, named ``name(i)``.  Returns the
+    symmetrized stack h and its ascending eigenvalues w, shape (m, n).
     """
     a = np.asarray(a, dtype=np.complex128)
     h = symmetrize(a)
@@ -207,6 +208,12 @@ def spd_stack(a, name) -> list:
     ):
         for i, m in enumerate(a):  # the same checks, one matrix at a time
             spectral_calculus(hermitian_part(m, name(i)), floor=PD_FLOOR, name=name(i))
+    return h, w
+
+
+def spd_stack(a, name) -> list:
+    """Validate every matrix of a stack as :func:`spd_arrays` does, and wrap each."""
+    h, w = spd_arrays(a, name)
     return [SpdMatrix(m, float(lo), float(hi)) for m, lo, hi in zip(h, w[:, 0], w[:, -1])]
 
 

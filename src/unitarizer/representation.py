@@ -31,11 +31,15 @@ residuals along with all certificates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circumcenter import PointSet, certified_result, point_set, solve
+from .circumcenter import PointSet, certified_result, solve
+# point_set is not called here, but bench/tracing.py wraps it under this
+# module's name.
+from .circumcenter import point_set  # noqa: F401
 from .errors import (
     DimensionMismatch,
     InvalidBaseRep,
@@ -47,7 +51,7 @@ from .errors import (
     SingularTransform,
     UnknownUnit,
 )
-from .geometry import chart
+from .geometry import GLcBall, chart
 from .groupoid import ActionGroupoidSpec, FiniteMeasuredGroupoid, build_action_groupoid
 from .groupoid import _product_table
 from .linalg import (
@@ -56,6 +60,7 @@ from .linalg import (
     as_square_matrix,
     l2_norm,
     l2_norms,
+    spd_arrays,
     spd_stack,
     spectral_calculus,
     symmetrize,
@@ -244,21 +249,30 @@ def gram_set(rep: Representation, x: str) -> PointSet:
     return _orbit_grams(rep, [G._unit_index[x]])[-1][0]
 
 
-def _orbit_grams(rep: Representation, xs):
+def _orbit_grams(rep: Representation, xs, R: np.ndarray | None = None):
     """Gram sets, as ``gram_set``, of the positive-mass units ``xs`` of one orbit.
 
-    ``xs`` are unit indices.  Arrow congruences pair the source fibers of
-    an orbit's units, so each unit has the same number m of Gram arrows,
-    and every step runs once on the stack of all of them.  Returns the Gram
-    arrows A, shape (k, m), per unit in id order; the mask of the points
-    kept after dedup; the Gram matrices, symmetrized as the points are,
-    shape (k, m, n, n); and the point sets.
+    ``xs`` are unit indices, and ``R`` is the stack of arrow matrices in id
+    order when the caller holds it (``unitarize`` does); without it, the
+    Gram arrows alone are read from ``rep.rho``.  Arrow congruences
+    pair the source fibers of an orbit's units, so each unit has the same
+    number m of Gram arrows, and every step runs once on the stack of all
+    of them.  The Gram points are validated in one pass, and each unit's
+    :class:`PointSet` is cut from that stack without wrapping a point, with
+    a ball that covers its points' spectra by construction.  Returns the
+    Gram arrows A, shape (k, m), per unit in id order; the mask of the
+    points kept after dedup; the Gram matrices, symmetrized as the points
+    are, shape (k, m, n, n); and the point sets.
     """
     G, n = rep.groupoid, rep.dim
     pos, ids = G.mu > 0.0, G._ids
     A = np.stack([G._out[x][pos[G._arrow_tgt[G._out[x]]]] for x in xs])
-    R = np.array([rep.rho[ids[i]] for i in A.flat]).reshape(*A.shape, n, n)
-    B = adjoint(R) @ R
+    if R is None:  # gather the Gram arrows alone, as _stacked would
+        RA = np.array([rep.rho[ids[i]] for i in A.flat], dtype=np.complex128)
+        RA = RA.reshape(*A.shape, n, n)
+    else:
+        RA = R[A]
+    B = adjoint(RA) @ RA
     # Normalized L2 distances by direct differences (the Gram-matrix trick
     # cannot resolve DEDUP_TOL), summed one real entry at a time so that no
     # (k, m, m, n*n) difference stack is held.
@@ -271,13 +285,17 @@ def _orbit_grams(rep: Representation, xs):
     for j in np.flatnonzero(np.triu(near, 1).any(axis=(0, 1))):
         keep[:, j] = ~(near[:, :j, j] & keep[:, :j]).any(axis=1)
     kept = A[keep]
-    pts = spd_stack(B[keep], lambda i: f"gram[{ids[kept[i]]}]")
+    h, w = spd_arrays(B[keep], lambda i: f"gram[{ids[kept[i]]}]")
+    lo, hi = w[:, 0], w[:, -1]
+    counts = keep.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    spread = np.maximum.reduceat(np.maximum(hi, 1.0 / lo), starts)
     C = rep.uniform_bound_C
-    psets, start = [], 0
-    for count in keep.sum(axis=1):
-        unit, start = pts[start:start + count], start + count
-        spread = max(max(p.eig_max, 1.0 / p.eig_min) for p in unit)
-        psets.append(point_set(unit, c=max(C * C, spread) * (1.0 + 1e-9)))
+    c = np.maximum(C * C, spread) * (1.0 + 1e-9)
+    psets = [
+        PointSet(h[a:a + k], lo[a:a + k], hi[a:a + k], GLcBall(float(ck), n))
+        for a, k, ck in zip(starts, counts, c)
+    ]
     return A, keep, symmetrize(B), psets
 
 
@@ -364,7 +382,7 @@ def unitarize(
         into = G._into[ri]
         h = into[np.sort(np.unique(s[into], return_index=True)[1])]
         h = h[(G.mu[s[h]] > 0.0) & (s[h] != ri)]
-        grams = _orbit_grams(rep, np.concatenate(([ri], s[h])))
+        grams = _orbit_grams(rep, np.concatenate(([ri], s[h])), R)
         rows[r] = [] if trace is not None else None
         found[r] = solve(grams[-1][0], eps, max_iter=max_iter, trace=rows[r])
         if h.size:
@@ -441,7 +459,8 @@ def _transport(rep: Representation, R: np.ndarray, h: np.ndarray, grams, res, ep
     _, W, q, _, _ = chart(np.stack([c.mat for c in centers]), H[1:])
     return [
         certified_result(
-            c, ps, eps, 0, at=(W[i, k], q[i, k]), weights=None if lost[i] else carried[i, k]
+            c, ps, eps, 0, at=(W[i, k], math.sqrt(q[i, k].max())),
+            weights=None if lost[i] else carried[i, k],
         )
         for i, (c, ps, k) in enumerate(zip(centers, psets[1:], keep[1:]))
     ]
@@ -474,28 +493,43 @@ def verify_similarity(
     -------
     ok : bool
     residuals : dict arrow id -> residual
+
+    The witnesses are checked as one stack, with one batched SVD; only when
+    that check fails are they checked unit by unit, in unit order, and the
+    first failing unit raises.
     """
     if rep1.dim != rep2.dim:
         raise DimensionMismatch(f"dimensions differ: {rep1.dim} vs {rep2.dim}")
     if not _same_groupoid(rep1.groupoid, rep2.groupoid):
         raise InvalidRepresentation("representations live on different groupoids")
-    G = rep1.groupoid
+    G, n = rep1.groupoid, rep1.dim
+    units = G.positive_units
+    try:
+        W = np.array([h[x] for x in units], dtype=np.complex128)
+        square = W.shape[1:] == (n, n) and np.isfinite(W).all()
+        sv = np.linalg.svd(W, compute_uv=False) if square else None
+    except (KeyError, TypeError, ValueError, np.linalg.LinAlgError):
+        sv = None
+    if sv is None or not np.all(sv[:, -1] > PD_FLOOR * sv[:, 0]):
+        checked = []
+        for x in units:  # the same checks, one unit at a time
+            if x not in h:
+                raise UnknownUnit(f"witness misses positive-mass unit {x!r}")
+            m = as_square_matrix(h[x], f"h[{x}]")
+            if m.shape[0] != n:
+                raise DimensionMismatch(f"witness at {x!r} has wrong dimension")
+            sv = np.linalg.svd(m, compute_uv=False)
+            if sv[-1] <= PD_FLOOR * sv[0]:
+                raise SingularTransform(f"witness at {x!r} is numerically singular")
+            checked.append(m)
+        W = np.stack(checked)
     # One witness and one inverse per unit, the identity at null-mass units;
     # the arrows gather theirs by endpoint.
-    H = np.tile(np.eye(rep1.dim, dtype=np.complex128), (len(G.units), 1, 1))
-    for i, x in zip(np.flatnonzero(G.mu > 0.0), G.positive_units):
-        if x not in h:
-            raise UnknownUnit(f"witness misses positive-mass unit {x!r}")
-        m = as_square_matrix(h[x], f"h[{x}]")
-        if m.shape[0] != rep1.dim:
-            raise DimensionMismatch(f"witness at {x!r} has wrong dimension")
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv[-1] <= PD_FLOOR * sv[0]:
-            raise SingularTransform(f"witness at {x!r} is numerically singular")
-        H[i] = m
+    H = np.tile(np.eye(n, dtype=np.complex128), (len(G.units), 1, 1))
+    H[G.mu > 0.0] = W
     ix = _positive_ix(G)
     ids = [G._ids[i] for i in ix]
-    R1, R2 = (np.stack([rho[g] for g in ids]) for rho in (rep1.rho, rep2.rho))
+    R1, R2 = (np.array([rho[g] for g in ids]) for rho in (rep1.rho, rep2.rho))
     r = l2_norms(R2 - H[G._arrow_tgt[ix]] @ R1 @ np.linalg.inv(H)[G._arrow_src[ix]])
     return bool(r.max() <= tol), dict(zip(ids, r.tolist()))
 

@@ -25,7 +25,7 @@ from unitarizer.errors import (
     NumericalEscape,
     ParameterOutOfRange,
 )
-from unitarizer.geometry import GLcBall, congruence, distance, midpoint
+from unitarizer.geometry import GLcBall, congruence, distance, in_ball, midpoint
 from unitarizer.linalg import identity_spd, l2_norm, spd, spectral_calculus
 from unitarizer.sampling import random_invertible, random_spd, rng_from_seed
 
@@ -79,6 +79,16 @@ def test_certified_result_rejects_a_center_outside_the_ball():
     with pytest.raises(NumericalEscape) as exc:
         certified_result(spd(np.diag([10.0, 1.0])), point_set([identity_spd(2)]), 1e-7, 0)
     assert str(exc.value) == "center escaped GL_c with c = 1"
+
+
+def test_a_candidate_of_another_dimension_raises_in_balls_error():
+    ps = point_set(diag_points([[0.0, 0.0], [1.0, -1.0]]))
+    with pytest.raises(DimensionMismatch) as want:
+        in_ball(identity_spd(3), ps.ball)
+    for call in (certify, radius_at, lambda x, s: certified_result(x, s, 1e-7, 0)):
+        with pytest.raises(DimensionMismatch) as exc:
+            call(identity_spd(3), ps)
+        assert str(exc.value) == str(want.value)
 
 
 def test_two_point_sets_hit_the_midpoint():
@@ -306,7 +316,7 @@ def test_solve_parameter_validation():
 
 def test_solve_rejects_an_empty_point_set():
     with pytest.raises(EmptySet, match="^cannot solve an empty point set$"):
-        solve(PointSet((), GLcBall(2.0, 2)), 1e-7)
+        solve(PointSet(np.zeros((0, 2, 2)), np.zeros(0), np.zeros(0), GLcBall(2.0, 2)), 1e-7)
 
 
 def test_max_sq_dist_rejects_a_relative_spectrum_that_is_not_positive():

@@ -502,6 +502,13 @@ def _z3_rep():
     return make_representation(G, 2, {g: np.eye(2) for g in G.inverse})
 
 
+def _verify_s3(witness):
+    """verify_similarity of the S3-natural representation (units x0, x1, x2) with itself."""
+    s3 = symmetric_group(3)
+    rep = generate_instance(natural_permutation_action(3), trivial_base_rep(s3, 2), 2.0, 0)
+    return verify_similarity(rep, rep, witness, 1e-7)
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda rep: verify_similarity(rep, make_representation(
         rep.groupoid, 1, {"r0@pt": np.eye(1), "r1@pt": -np.eye(1)}), {"pt": np.eye(2)}, 1e-7),
@@ -514,11 +521,16 @@ def _z3_rep():
      DimensionMismatch, "witness at 'pt' has wrong dimension"),
     (lambda rep: verify_similarity(rep, rep, {"pt": np.zeros((2, 2))}, 1e-7),
      SingularTransform, "witness at 'pt' is numerically singular"),
+    # two failing units: the first in unit order is named
+    (lambda rep: _verify_s3({"x0": np.eye(2), "x1": np.zeros((2, 2))}),
+     SingularTransform, "witness at 'x1' is numerically singular"),
+    (lambda rep: _verify_s3({"x0": np.eye(2), "x2": np.zeros((2, 2))}),
+     UnknownUnit, "witness misses positive-mass unit 'x1'"),
     (lambda rep: generate_instance(trivial_action(cyclic_group(2), ("pt",), (1.0,)),
                                    {"r0": np.eye(2), "r1": np.eye(3)}, 4.0, 0),
      InvalidBaseRep, "base representation has inconsistent dimensions"),
 ], ids=["dims", "groupoids", "witness-unit", "witness-dim", "witness-singular",
-        "base-dims"])
+        "witness-singular-then-missing", "witness-missing-then-singular", "base-dims"])
 def test_similarity_and_generation_reject_mismatched_inputs(call, error, message):
     with pytest.raises(error) as exc:
         call(z2_rep())

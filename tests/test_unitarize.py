@@ -3,9 +3,15 @@ import pytest
 
 from test_circumcenter import displaced
 from unitarizer import circumcenter, representation
-from unitarizer.circumcenter import certified_result, certify, radius_at, radius_lower_bound
+from unitarizer.circumcenter import (
+    certified_result,
+    certify,
+    radius_at,
+    radius_lower_bound,
+    solve,
+)
 from unitarizer.geometry import distance, midpoint
-from unitarizer.linalg import identity_spd, l2_norm, spd, spectral_calculus
+from unitarizer.linalg import SpdMatrix, identity_spd, l2_norm, spd, spectral_calculus
 from unitarizer.groupoid import (
     ActionGroupoidSpec,
     FiniteGroup,
@@ -434,8 +440,9 @@ def test_transported_units_carry_the_solved_units_weights(monkeypatch, build):
     calls = meb_calls(monkeypatch)
     _, _, report = unitarize(rep, eps=1e-7)
     (root,) = [r for r in report.unit_results.values() if r.iterations > 0]
-    # one walk per solve iteration and one for the solved unit's certificate
-    assert len(calls) == root.iterations + 1
+    # one walk per solve iteration; the solved unit's certificate reuses the
+    # last one, at the iterate that iteration charted
+    assert len(calls) == root.iterations
     for res in report.unit_results.values():
         assert res.converged
         assert np.array_equal(np.sort(res.weights), np.sort(root.weights))
@@ -491,7 +498,52 @@ def test_unit_whose_dedup_differs_from_the_roots_takes_the_meb_path(monkeypatch,
     witness, _, report = unitarize(rep, eps=eps)
     root = report.unit_results["x0"]
     assert root.iterations > 0
-    assert len(calls) == root.iterations + 1 + 2
+    assert len(calls) == root.iterations + 2
     for x in ("x1", "x2"):
         res = report.unit_results[x]
         assert res.center_error_bound == certify(witness.sigma[x], gram_set(rep, x))[0]
+
+
+def s3_natural_cond100_rep():
+    s3 = symmetric_group(3)
+    return generate_instance(natural_permutation_action(3), permutation_base_rep(s3), 100.0, 0)
+
+
+@pytest.mark.parametrize("build, max_iter", [
+    (s4_self_rep, 100_000),
+    (s3_natural_rep, 100_000),
+    (s3_self_rep, 100_000),
+    # uncertified: an exhausted line search stops it before 200 iterations,
+    # and the cap at 5
+    (s3_natural_cond100_rep, 200),
+    (s3_natural_cond100_rep, 5),
+], ids=["S4-self", "S3-natural", "S3-self", "cond100-line-search", "cond100-cap"])
+def test_solve_certifies_its_last_iterate_as_certified_result_does(build, max_iter):
+    rep = build()
+    ps = gram_set(rep, rep.groupoid.positive_units[0])
+    res = solve(ps, 1e-7, max_iter=max_iter)
+    if build is s3_natural_cond100_rep:
+        assert not res.converged and (res.iterations < max_iter) == (max_iter == 200)
+    want = certified_result(res.center, ps, 1e-7, res.iterations)
+    got = (res.radius_at_center, res.radius_lower_bound, res.center_error_bound, res.converged)
+    assert got == (want.radius_at_center, want.radius_lower_bound,
+                   want.center_error_bound, want.converged)
+    assert np.array_equal(res.weights, want.weights)
+
+
+def test_unitarize_wraps_no_gram_point_of_a_transported_unit(monkeypatch):
+    wrapped = []
+    init = SpdMatrix.__init__
+
+    def recorded(self, mat, *args):
+        wrapped.append(np.asarray(mat).tobytes())
+        init(self, mat, *args)
+
+    rep = s4_self_rep()
+    monkeypatch.setattr(SpdMatrix, "__init__", recorded)
+    _, _, report = unitarize(rep, eps=1e-7)
+    monkeypatch.undo()
+    transported = [x for x, r in report.unit_results.items() if r.iterations == 0]
+    assert len(transported) == 23
+    points = {p.mat.tobytes() for x in transported for p in gram_set(rep, x).points}
+    assert len(points) == 23 * 24 and not points & set(wrapped)

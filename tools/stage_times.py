@@ -18,7 +18,10 @@ stage on the same inputs, as the minimum over 5 calls:
 * ``check_representation`` on the generated representation: the
   functoriality kernel alone, which ``make_representation`` runs on input
   and ``unitarize`` on output;
-* ``unitarize``.
+* ``unitarize``;
+* ``verify_similarity`` of the input and ``unitarize``'s output under its
+  witness, at tolerance ``VERIFY_TOL``: the stacked witness check and the
+  residual of every positive-mass arrow.
 
 One row per instance gives the times in ms and the child's peak resident
 set in MB (``getrusage``), which includes the imports and every stage.
@@ -44,8 +47,10 @@ STAGES = (
     "make_representation",
     "check_representation",
     "unitarize",
+    "verify_similarity",
 )
 DIM, COND, SEED = 2, 4.0, 0
+VERIFY_TOL = 1e-5  # the benchmark gate's tolerance
 INSTANCES, REPEAT = ("S5-natural", "S6-natural"), 5
 
 
@@ -69,6 +74,8 @@ def stage_times(name: str, repeat: int) -> dict:
     spec = groupoid.natural_permutation_action(int(match[1]))
     base = rp.trivial_base_rep(spec.group, DIM)
     rep = rp.generate_instance(spec, base, COND, SEED)
+    witness, unitary, _ = rp.unitarize(rep)
+    psi = {x: p.mat for x, p in witness.psi.items()}
     calls = {
         "_validate_group": lambda: groupoid._validate_group(spec.group),
         "build_action_groupoid": lambda: groupoid.build_action_groupoid(spec),
@@ -77,6 +84,7 @@ def stage_times(name: str, repeat: int) -> dict:
         "make_representation": lambda: rp.make_representation(rep.groupoid, DIM, rep.rho),
         "check_representation": lambda: rp.check_representation(rep),
         "unitarize": lambda: rp.unitarize(rep),
+        "verify_similarity": lambda: rp.verify_similarity(rep, unitary, psi, VERIFY_TOL),
     }
     out = {stage: _best(calls[stage], repeat) for stage in STAGES}
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
