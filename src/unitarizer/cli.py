@@ -90,7 +90,7 @@ def cmd_generate(args) -> int:
     rep = generate_instance(spec, base, args.cond_bound, seed)
     save_json(_representation_value(rep), args.output)
     print(
-        f"wrote {args.output}: {len(rep.rho)} arrows, dim {rep.dim},"
+        f"wrote {args.output}: {len(rep.mats)} arrows, dim {rep.dim},"
         f" uniform bound {_fmt(rep.uniform_bound_C)}"
     )
     return 0
@@ -109,7 +109,7 @@ def permutation_rep_of_action(spec):
 def cmd_check(args) -> int:
     rep = load_representation(args.rep)
     violations = check_representation(rep, tol=args.tol)
-    print(f"arrows {len(rep.rho)} dim {rep.dim} uniform_bound {_fmt(rep.uniform_bound_C)}")
+    print(f"arrows {len(rep.mats)} dim {rep.dim} uniform_bound {_fmt(rep.uniform_bound_C)}")
     for (h, g), r in violations:
         print(f"violation {h} {g} {_fmt(r)}")
     if violations:

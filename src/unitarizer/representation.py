@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,12 +78,17 @@ DEDUP_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """A matrix representation of a finite measured groupoid."""
+    """A matrix representation of a finite measured groupoid, not mutated after construction."""
 
     groupoid: FiniteMeasuredGroupoid
     dim: int
     rho: dict
     uniform_bound_C: float
+
+    @cached_property
+    def mats(self) -> np.ndarray:
+        """``rho`` as one stack in id order: seeded, else (as after ``replace``) ``_stacked``'s."""
+        return _stacked(self.groupoid, self.dim, self.rho)
 
 
 def _positive_ix(G: FiniteMeasuredGroupoid) -> np.ndarray:
@@ -104,12 +110,18 @@ def uniform_bound(G: FiniteMeasuredGroupoid, rho: dict) -> float:
     Because inverses are arrows too, this simultaneously bounds all
     inverse matrices of a valid representation.
     """
-    mats = np.stack([as_square_matrix(rho[G._ids[i]]) for i in _positive_ix(G)])
-    return _finite_bound(np.linalg.svd(mats, compute_uv=False)[:, 0])
+    # Sized by the first arrow, so that _stacked names the first of another size.
+    mats = _stacked(G, (np.shape(rho.get(G._ids[0])) + (0,))[0], rho)
+    return _finite_bound(np.linalg.svd(mats[_positive_ix(G)], compute_uv=False)[:, 0])
 
 
-def _stacked(G: FiniteMeasuredGroupoid, dim: int, rho: dict):
-    """The arrow matrices in id order, checked arrow by arrow only to name a failure."""
+def _stacked(G: FiniteMeasuredGroupoid, dim: int, rho: dict) -> np.ndarray:
+    """The matrices of ``rho``, one per arrow and no other, finite and dim x dim, in one stack."""
+    if rho.keys() != G._by_id.keys():
+        if missing := sorted(G._by_id.keys() - rho.keys()):
+            raise MissingArrow(f"matrices missing for arrows {missing[:5]}")
+        extra = sorted(rho.keys() - G._by_id.keys())
+        raise InvalidRepresentation(f"matrices for unknown arrows {extra[:5]}")
     mats = [rho[g] for g in G._ids]
     try:
         stack = np.array(mats, dtype=np.complex128)
@@ -131,7 +143,7 @@ def check_representation(rep: Representation, tol: float = REP_TOL):
     ``residual = l2_norm(rho(hg) - rho(h) rho(g))``, worst first; residuals
     equal to 12 significant digits are listed in pair-name order.
     """
-    return _bad_pairs(rep.groupoid, _stacked(rep.groupoid, rep.dim, rep.rho), tol)
+    return _bad_pairs(rep.groupoid, rep.mats, tol)
 
 
 def _bad_pairs(G: FiniteMeasuredGroupoid, mats: np.ndarray, tol: float):
@@ -180,19 +192,14 @@ def _residuals(T: np.ndarray, left: np.ndarray, right: np.ndarray, table: np.nda
 def make_representation(G: FiniteMeasuredGroupoid, dim: int, rho: dict) -> Representation:
     """Validate a matrix assignment and wrap it as a :class:`Representation`.
 
-    Checks arrow coverage, then on the positive-mass part, in the normalized
-    L2 norm: identity arrows within ``REP_TOL`` of the identity (absolute);
-    every matrix nonsingular (sigma_min > ``PD_FLOOR`` * sigma_max); inverses
-    with ``l2_norm(rho(g**-1) rho(g) - 1) <= REP_TOL * (1 + l2_norm(rho(g**-1))
-    * l2_norm(rho(g)))``; and functoriality with ``l2_norm(rho(hg) - rho(h)
-    rho(g)) <= REP_TOL`` on every composable pair (absolute).
+    Checks the table by ``_stacked``, then on the positive-mass part, in
+    the normalized L2 norm: identity arrows within ``REP_TOL`` of the
+    identity (absolute); every matrix nonsingular (sigma_min > ``PD_FLOOR``
+    * sigma_max); inverses with ``l2_norm(rho(g**-1) rho(g) - 1) <= REP_TOL
+    * (1 + l2_norm(rho(g**-1)) * l2_norm(rho(g)))``; and functoriality with
+    ``l2_norm(rho(hg) - rho(h) rho(g)) <= REP_TOL`` on every composable pair
+    (absolute).  The checked stack is ``mats``, and ``rho`` holds its views.
     """
-    missing = [g for g in G._by_id if g not in rho]
-    if missing:
-        raise MissingArrow(f"matrices missing for arrows {sorted(missing)[:5]}")
-    extra = [g for g in rho if g not in G._by_id]
-    if extra:
-        raise InvalidRepresentation(f"matrices for unknown arrows {sorted(extra)[:5]}")
     ids = G._ids
     mats = _stacked(G, dim, rho)
 
@@ -230,7 +237,9 @@ def make_representation(G: FiniteMeasuredGroupoid, dim: int, rho: dict) -> Repre
         raise InvalidRepresentation(
             f"functoriality fails on pair ({h!r}, {g!r}) with residual {r:.3e}"
         )
-    return Representation(G, dim, dict(zip(ids, mats)), _finite_bound(sv[:, 0]))
+    rep = Representation(G, dim, dict(zip(ids, mats)), _finite_bound(sv[:, 0]))
+    rep.__dict__["mats"] = mats  # the stack just checked, of which ``rho`` holds views
+    return rep
 
 
 def gram_set(rep: Representation, x: str) -> PointSet:
@@ -249,29 +258,24 @@ def gram_set(rep: Representation, x: str) -> PointSet:
     return _orbit_grams(rep, [G._unit_index[x]])[-1][0]
 
 
-def _orbit_grams(rep: Representation, xs, R: np.ndarray | None = None):
+def _orbit_grams(rep: Representation, xs):
     """Gram sets, as ``gram_set``, of the positive-mass units ``xs`` of one orbit.
 
-    ``xs`` are unit indices, and ``R`` is the stack of arrow matrices in id
-    order when the caller holds it (``unitarize`` does); without it, the
-    Gram arrows alone are read from ``rep.rho``.  Arrow congruences
-    pair the source fibers of an orbit's units, so each unit has the same
-    number m of Gram arrows, and every step runs once on the stack of all
-    of them.  The Gram points are validated in one pass, and each unit's
-    :class:`PointSet` is cut from that stack without wrapping a point, with
-    a ball that covers its points' spectra by construction.  Returns the
-    Gram arrows A, shape (k, m), per unit in id order; the mask of the
-    points kept after dedup; the Gram matrices, symmetrized as the points
-    are, shape (k, m, n, n); and the point sets.
+    ``xs`` are unit indices; the Gram arrows' matrices are gathered from
+    ``rep.mats``.  Arrow congruences pair the source fibers of an orbit's
+    units, so each unit has the same number m of Gram arrows, and every
+    step runs once on the stack of all of them.  The Gram points are
+    validated in one pass, and each unit's :class:`PointSet` is cut from
+    that stack without wrapping a point, with a ball that covers its
+    points' spectra by construction.  Returns the Gram arrows A, shape
+    (k, m), per unit in id order; the mask of the points kept after dedup;
+    the Gram matrices, symmetrized as the points are, shape (k, m, n, n);
+    and the point sets.
     """
     G, n = rep.groupoid, rep.dim
     pos, ids = G.mu > 0.0, G._ids
     A = np.stack([G._out[x][pos[G._arrow_tgt[G._out[x]]]] for x in xs])
-    if R is None:  # gather the Gram arrows alone, as _stacked would
-        RA = np.array([rep.rho[ids[i]] for i in A.flat], dtype=np.complex128)
-        RA = RA.reshape(*A.shape, n, n)
-    else:
-        RA = R[A]
+    RA = rep.mats[A]
     B = adjoint(RA) @ RA
     # Normalized L2 distances by direct differences (the Gram-matrix trick
     # cannot resolve DEDUP_TOL), summed one real entry at a time so that no
@@ -370,7 +374,6 @@ def unitarize(
     ids, n = G._ids, rep.dim
     s, t = G._arrow_src, G._arrow_tgt
     pos = np.flatnonzero(G.mu > 0.0)
-    R = _stacked(G, n, rep.rho)
     found: dict = {}
     rows: dict = {}
     for ri in pos:
@@ -382,11 +385,11 @@ def unitarize(
         into = G._into[ri]
         h = into[np.sort(np.unique(s[into], return_index=True)[1])]
         h = h[(G.mu[s[h]] > 0.0) & (s[h] != ri)]
-        grams = _orbit_grams(rep, np.concatenate(([ri], s[h])), R)
+        grams = _orbit_grams(rep, np.concatenate(([ri], s[h])))
         rows[r] = [] if trace is not None else None
         found[r] = solve(grams[-1][0], eps, max_iter=max_iter, trace=rows[r])
         if h.size:
-            for x, res in zip(s[h], _transport(rep, R, h, grams, found[r], eps)):
+            for x, res in zip(s[h], _transport(rep, h, grams, found[r], eps)):
                 found[G.units[x]] = res
                 rows[G.units[x]] = [(0, res.radius_at_center, res.center_error_bound)]
     results = {x: found[x] for x in units}
@@ -407,11 +410,11 @@ def unitarize(
         for i, x in zip(pos, units):  # re-raise naming the first failing unit
             spectral_calculus(S[i], floor=0.0, name=f"sigma[{x}]")
         raise
-    U = Psi[t] @ R @ Psi_inv[s]
+    U = Psi[t] @ rep.mats @ Psi_inv[s]
     unitary = make_representation(G, n, dict(zip(ids, U)))
 
     ix = _positive_ix(G)
-    Ux, Rx = U[ix], R[ix]
+    Ux, Rx = U[ix], rep.mats[ix]
     run = l2_norms(adjoint(Ux) @ Ux - np.eye(n))
     req = l2_norms(adjoint(Rx) @ S[t[ix]] @ Rx - S[s[ix]])
     per_arrow = {ids[i]: (float(a), float(b)) for i, a, b in zip(ix, run, req)}
@@ -432,21 +435,22 @@ def unitarize(
     return witness, unitary, report
 
 
-def _transport(rep: Representation, R: np.ndarray, h: np.ndarray, grams, res, eps: float):
+def _transport(rep: Representation, h: np.ndarray, grams, res, eps: float):
     """Certificates at sigma(x) = rho(h)* sigma(r) rho(h) for the units x = src(h).
 
-    ``grams`` is ``_orbit_grams`` of r followed by those units, and ``res``
-    is r's result.  Congruence by rho(h) maps r's Gram point of arrow
-    a . h**-1 to x's point of arrow a, and r's chart at sigma(r) unitarily
-    onto x's at sigma(x), so r's dual weights carried along that pairing
-    bound x's radius from below.  Each x is certified in its own chart of
-    its own Gram set, all from one stacked chart, at the carried weights;
-    at the optimal weights of ``_meb`` instead when a weighted point of r
-    has no kept partner at x, or when the carried bound exceeds ``eps``.
+    ``h`` indexes ``rep.mats``, ``grams`` is ``_orbit_grams`` of r followed
+    by those units, and ``res`` is r's result.  Congruence by rho(h) maps
+    r's Gram point of arrow a . h**-1 to x's point of arrow a, and r's
+    chart at sigma(r) unitarily onto x's at sigma(x), so r's dual weights
+    carried along that pairing bound x's radius from below.  Each x is
+    certified in its own chart of its own Gram set, all from one stacked
+    chart, at the carried weights; at the optimal weights of ``_meb``
+    instead when a weighted point of r has no kept partner at x, or when
+    the carried bound exceeds ``eps``.
     """
     G = rep.groupoid
     A, keep, H, psets = grams
-    Rh = R[h]
+    Rh = rep.mats[h]
     centers = spd_stack(
         adjoint(Rh) @ res.center.mat @ Rh, lambda i: f"sigma[{G.units[G._arrow_src[h[i]]]}]"
     )
@@ -496,7 +500,7 @@ def verify_similarity(
 
     The witnesses are checked as one stack, with one batched SVD; only when
     that check fails are they checked unit by unit, in unit order, and the
-    first failing unit raises.
+    first failing unit raises.  The arrows are read from each ``mats``.
     """
     if rep1.dim != rep2.dim:
         raise DimensionMismatch(f"dimensions differ: {rep1.dim} vs {rep2.dim}")
@@ -528,10 +532,9 @@ def verify_similarity(
     H = np.tile(np.eye(n, dtype=np.complex128), (len(G.units), 1, 1))
     H[G.mu > 0.0] = W
     ix = _positive_ix(G)
-    ids = [G._ids[i] for i in ix]
-    R1, R2 = (np.array([rho[g] for g in ids]) for rho in (rep1.rho, rep2.rho))
+    R1, R2 = rep1.mats[ix], rep2.mats[ix]
     r = l2_norms(R2 - H[G._arrow_tgt[ix]] @ R1 @ np.linalg.inv(H)[G._arrow_src[ix]])
-    return bool(r.max() <= tol), dict(zip(ids, r.tolist()))
+    return bool(r.max() <= tol), dict(zip([G._ids[i] for i in ix], r.tolist()))
 
 
 # -- instance generation ---------------------------------------------------
@@ -583,10 +586,11 @@ def generate_instance(
         raise ParameterOutOfRange(f"cond_bound must be at least 1, got {cond_bound}")
     G = build_action_groupoid(spec)
     group = spec.group
-    dims = {np.asarray(base_rep[g]).shape[0] for g in group.elements if g in base_rep}
-    if len(dims) != 1:
+    # A scalar reads as size 0; check_base_rep names it, or a missing element.
+    dims = {(np.shape(base_rep[g]) + (0,))[0] for g in group.elements if g in base_rep}
+    if len(dims) > 1:
         raise InvalidBaseRep("base representation has inconsistent dimensions")
-    dim = dims.pop()
+    dim = max(dims, default=0)
     U0 = check_base_rep(group, base_rep, dim)
 
     rng = np.random.default_rng(seed)

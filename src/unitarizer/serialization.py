@@ -45,8 +45,8 @@ building it: each arrow id is encoded once, the sorted index triples
 gather the encoded ids, and each block of rows is joined into one piece
 of the composition text.  The file is written piece by piece, so no
 string holds the whole text.  The CLI hands it its outputs that way; the
-public ``*_to_json`` functions return plain JSON dicts.  Arrow matrices
-are written from one stacked array.
+public ``*_to_json`` functions return plain JSON dicts.  Matrices are
+written from one stack, a representation's arrows from its ``mats``.
 """
 
 from __future__ import annotations
@@ -94,12 +94,8 @@ def _get(obj: dict, key: str, where: str):
 
 
 def matrix_to_json(m) -> dict:
-    a = np.asarray(m, dtype=np.complex128)
-    _require(a.ndim == 2 and a.shape[0] == a.shape[1], "matrix: not square")
-    return {
-        "dim": int(a.shape[0]),
-        "rows": np.stack((a.real, a.imag), -1).tolist(),
-    }
+    """``{"dim": n, "rows": ...}`` of one n x n matrix, by :func:`_matrices_to_json`."""
+    return _matrices_to_json([0], np.asarray(m, dtype=np.complex128)[None])[0]
 
 
 def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
@@ -127,14 +123,12 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     return parts.view(np.complex128).reshape(dim, dim)
 
 
-def _matrices_to_json(mats: dict) -> dict:
-    """``{key: matrix_to_json(m)}`` in key order, for matrices of one size, from one stack."""
-    keys = sorted(mats)
-    a = np.asarray([mats[k] for k in keys], dtype=np.complex128)
+def _matrices_to_json(keys, stack) -> dict:
+    """``{key: matrix object}`` over ``keys`` and a stack of n x n matrices: the one encoder."""
+    a = np.asarray(stack, dtype=np.complex128)
     _require(a.ndim == 3 and a.shape[1] == a.shape[2], "matrix: not square")
-    dim = int(a.shape[1])
     rows = np.stack((a.real, a.imag), -1).tolist()
-    return {k: {"dim": dim, "rows": r} for k, r in zip(keys, rows)}
+    return {k: {"dim": a.shape[1], "rows": r} for k, r in zip(keys, rows)}
 
 
 def _matrices_from_json(raw: dict, where: str) -> dict:
@@ -394,7 +388,8 @@ def representation_to_json(rep: Representation) -> dict:
 
 def _representation_value(rep: Representation) -> dict:
     """``representation_to_json(rep)`` with the groupoid as the object, for :func:`save_json`."""
-    return {"groupoid": rep.groupoid, "dim": rep.dim, "arrows": _matrices_to_json(rep.rho)}
+    arrows = _matrices_to_json(rep.groupoid._ids, rep.mats)  # in sorted id order
+    return {"groupoid": rep.groupoid, "dim": rep.dim, "arrows": arrows}
 
 
 def representation_from_json(obj, base_dir: str = ".", where: str = "representation"):
@@ -428,8 +423,9 @@ def unitarization_to_json(rep, witness, unitary, report) -> dict:
 def _unitarization_value(rep, witness, unitary, report) -> dict:
     """``unitarization_to_json`` with the groupoid as the object, for :func:`save_json`."""
     out = _representation_value(unitary)
-    out["psi"] = _matrices_to_json({x: p.mat for x, p in witness.psi.items()})
-    out["sigma"] = _matrices_to_json({x: s.mat for x, s in witness.sigma.items()})
+    units = sorted(witness.psi)
+    out["psi"] = _matrices_to_json(units, [witness.psi[x].mat for x in units])
+    out["sigma"] = _matrices_to_json(units, [witness.sigma[x].mat for x in units])
     out["report"] = {
         "uniform_bound": rep.uniform_bound_C,
         "max_unitarity_residual": report.max_unitarity_residual,

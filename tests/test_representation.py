@@ -328,6 +328,18 @@ def test_uniform_bound_rejects_finite_entries_whose_norm_overflows():
         uniform_bound(z2_point_groupoid(), {"r0@pt": big, "r1@pt": big})
 
 
+@pytest.mark.parametrize("rho, error, message", [
+    ({"r0@pt": np.eye(2)}, MissingArrow, "matrices missing for arrows ['r1@pt']"),
+    # the first arrow in id order sets the dimension
+    ({"r0@pt": np.eye(2), "r1@pt": np.eye(3)}, DimensionMismatch,
+     "rho[r1@pt]: matrix is 3x3, expected dimension 2"),
+], ids=["missing", "dimension"])
+def test_uniform_bound_names_a_bad_table_as_make_representation_does(rho, error, message):
+    with pytest.raises(error) as exc:
+        uniform_bound(z2_point_groupoid(), rho)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_gram_set_z2_hand_value():
     rep = z2_rep()
     ps = gram_set(rep, "pt")
@@ -529,12 +541,82 @@ def _verify_s3(witness):
     (lambda rep: generate_instance(trivial_action(cyclic_group(2), ("pt",), (1.0,)),
                                    {"r0": np.eye(2), "r1": np.eye(3)}, 4.0, 0),
      InvalidBaseRep, "base representation has inconsistent dimensions"),
+    (lambda rep: generate_instance(trivial_action(cyclic_group(2), ("pt",), (1.0,)),
+                                   {"r0": 1.0, "r1": 1.0}, 4.0, 0),
+     DimensionMismatch, "base[r0]: expected a nonempty square matrix, got shape ()"),
+    (lambda rep: generate_instance(trivial_action(cyclic_group(2), ("pt",), (1.0,)),
+                                   {}, 4.0, 0),
+     InvalidBaseRep, "base representation misses element 'r0'"),
 ], ids=["dims", "groupoids", "witness-unit", "witness-dim", "witness-singular",
-        "witness-singular-then-missing", "witness-missing-then-singular", "base-dims"])
+        "witness-singular-then-missing", "witness-missing-then-singular", "base-dims",
+        "base-scalars", "base-empty"])
 def test_similarity_and_generation_reject_mismatched_inputs(call, error, message):
     with pytest.raises(error) as exc:
         call(z2_rep())
     assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("read", [
+    check_representation,
+    lambda rep: gram_set(rep, "pt"),
+    unitarize,
+    lambda rep: verify_similarity(z2_rep(), rep, {"pt": np.eye(2)}, 1e-7),
+], ids=["check_representation", "gram_set", "unitarize", "verify_similarity"])
+def test_every_reader_of_a_hand_built_representation_checks_its_arrows(read):
+    # Every reader takes the matrices from ``mats``, which _stacked checks as
+    # make_representation does.
+    G = z2_point_groupoid()
+    with pytest.raises(MissingArrow) as exc:
+        read(Representation(G, 2, {"r0@pt": np.eye(2)}, 1.0))
+    assert str(exc.value) == "matrices missing for arrows ['r1@pt']"
+    extra = {"r0@pt": np.eye(2), "r1@pt": A, "bogus": np.eye(2)}
+    with pytest.raises(InvalidRepresentation) as exc:
+        read(Representation(G, 2, extra, 1.0))
+    assert str(exc.value) == "matrices for unknown arrows ['bogus']"
+
+
+def test_make_representation_holds_its_checked_stack_and_views_of_it():
+    rep = z2_rep()
+    assert rep.mats.shape == (2, 2, 2) and rep.mats.dtype == np.complex128
+    for i, g in enumerate(rep.groupoid._ids):
+        assert np.shares_memory(rep.mats, rep.rho[g])
+        assert np.array_equal(rep.mats[i], rep.rho[g])
+
+
+def _counting_stacked(monkeypatch):
+    calls = []
+    stacked = representation._stacked
+
+    def counted(G, dim, rho):
+        calls.append(len(rho))
+        return stacked(G, dim, rho)
+
+    monkeypatch.setattr(representation, "_stacked", counted)
+    return calls
+
+
+def test_unitarize_and_verify_similarity_stack_only_the_output(monkeypatch):
+    s4 = symmetric_group(4)
+    rep = generate_instance(left_translation_action(s4), trivial_base_rep(s4, 2), 2.0, 0)
+    calls = _counting_stacked(monkeypatch)
+    witness, unitary, _ = unitarize(rep)
+    psi = {x: p.mat for x, p in witness.psi.items()}
+    ok, _ = verify_similarity(rep, unitary, psi, 1e-5)
+    assert ok and calls == [len(rep.rho)]  # the output's make_representation
+
+
+def test_a_hand_built_representation_is_stacked_once(monkeypatch):
+    rep = z2_rep()
+    hand = Representation(rep.groupoid, rep.dim, dict(rep.rho), rep.uniform_bound_C)
+    calls = _counting_stacked(monkeypatch)
+    assert check_representation(hand) == []
+    gram_set(hand, "pt")
+    unitarize(hand)
+    assert verify_similarity(hand, rep, {"pt": np.eye(2)}, 1e-12)[0]
+    # hand's stack on its first read, then unitarize's output
+    assert calls == [2, 2] and np.array_equal(hand.mats, rep.mats)
+    # a replaced representation stacks its own matrices
+    assert dataclasses.replace(hand).mats is not hand.mats and len(calls) == 3
 
 
 def test_base_rep_builders():

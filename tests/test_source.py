@@ -95,3 +95,23 @@ def test_no_handler_sets_state_on_the_exception_it_caught():
                 if isinstance(owner, ast.Name) and owner.id == handler.name:
                     found.append(f"{p.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
+
+
+def test_arrow_matrices_are_read_from_the_one_stack():
+    # A representation's ``rho`` is read only by ``Representation.mats``,
+    # which _stacked checks once; every other reader takes that stack.
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "rho"
+                    and isinstance(child.ctx, ast.Load)):
+                found.add((module, ".".join(scope)))
+            visit(child, module, scope)
+
+    for p in sorted(SRC.glob("*.py")):
+        visit(ast.parse(p.read_text()), p.stem, [])
+    assert found == {("representation", "Representation.mats")}

@@ -13,6 +13,9 @@ _spec.loader.exec_module(bench_pairs)
 _spec = importlib.util.spec_from_file_location("stage_times", TOOLS / "stage_times.py")
 stage_times = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(stage_times)
+_spec = importlib.util.spec_from_file_location("output_digest", TOOLS / "output_digest.py")
+output_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(output_digest)
 
 METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "rate", "better": "higher"},
            {"name": "rare", "better": "lower"}]
@@ -115,3 +118,11 @@ def test_certificate_census_runs_one_degenerate_seed(monkeypatch, capsys):
     ]
     assert figures["meb_calls"] > 0
     assert lines[-1] == f"degenerate: {figures['meb_calls']} _meb calls per unitarize run"
+
+
+def test_output_digest_of_one_workload_seed_is_the_same_twice(monkeypatch):
+    # In process, twice, on the one-instance `degenerate` workload: the
+    # digest reads the deterministic outputs and nothing else.
+    monkeypatch.syspath_prepend(str(TOOLS.parent / "bench"))
+    first = output_digest.digest("degenerate", 0)
+    assert len(first) == 64 and output_digest.digest("degenerate", 0) == first
