@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .errors import InvalidAction, ParameterOutOfRange, ParseError, UnitarizerError
-from .groupoid import _action_table, build_action_groupoid
+from .groupoid import build_action_groupoid
 from .properties import run_geometry_suite
 from .representation import (
     _permutation_rep,
@@ -99,7 +99,7 @@ def cmd_generate(args) -> int:
 def permutation_rep_of_action(spec):
     """Unitary base rep permuting unit coordinates the way the group acts."""
     try:
-        table = _action_table(spec)
+        table = spec.table
     except InvalidAction:
         build_action_groupoid(spec)  # raises the spec's first error, as at other dims
         raise

@@ -23,8 +23,9 @@ Theory of Semigroups*, vol. 1, 1961): the arrows b with (ab)c == a(bc)
 for all composable a, c include the identities and are closed under
 composition, so it suffices to check such a set of arrows that generates
 the others.  Group tables and action compatibility are proved by one
-such test on their integer tables, which one reader, ``_index_table``,
-maps from the string-keyed dicts.  Only when a proof fails does an
+such test on the integer tables a group or spec holds: a builder's string
+table is a view over one, and one reader, ``_index_table``, maps any other
+(a user's or a file's dict) once.  Only when a proof fails does an
 exhaustive scan, one gathered block of triples per middle arrow, run to
 name the first failing triple; ``check_axioms`` always runs it.
 """
@@ -32,6 +33,7 @@ name the first failing triple; ``check_axioms`` always runs it.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, permutations, product, repeat
@@ -385,8 +387,9 @@ class FiniteMeasuredGroupoid:
             iso = local[self._blocks[r][np.ix_(self._srank[loops], self._trank[loops])]]
             picked = loops[_generators(iso, local[unit[r]])]
             gens += [tree, self._inv[tree], picked]
-        middles = np.setdiff1d(np.concatenate(gens), unit)
-        return not any(self._middle_fails(b).any() for b in middles)
+        middle = np.zeros(len(self._ids), dtype=bool)
+        middle[np.concatenate(gens)], middle[unit] = True, False
+        return not any(self._middle_fails(b).any() for b in np.flatnonzero(middle))
 
     def _scan_associativity(self):
         """Check (ab)c == a(bc) on every composable triple.
@@ -420,8 +423,9 @@ def _generators(mult, e):
         member[j] = True
         new = np.flatnonzero(member)
         while new.size:
-            prod = np.unique(mult[np.ix_(new, gens)])
-            new = prod[~member[prod]]
+            reached = np.zeros(len(mult), dtype=bool)
+            reached[mult[np.ix_(new, gens)]] = True
+            new = np.flatnonzero(reached & ~member)
             member[new] = True
     return np.array(gens, dtype=np.intp)
 
@@ -525,14 +529,64 @@ def restrict(G: FiniteMeasuredGroupoid, units) -> FiniteMeasuredGroupoid:
 # -- groups, actions and the groupoids they generate ----------------------
 
 
+class _TableView(Mapping):
+    """Read-only Mapping (rows[i], cols[j]) -> cols[ix[i, j]] over an integer table.
+
+    Keys iterate in row-major order; no dict of the cells is built.
+    """
+
+    def __init__(self, rows, cols, ix):
+        self.rows, self.cols, self.ix = rows, cols, ix
+        self._rank = dict(zip(rows, range(len(rows)))), dict(zip(cols, range(len(cols))))
+
+    def __getitem__(self, key):
+        try:
+            r, c = key
+            return self.cols[self.ix[self._rank[0][r], self._rank[1][c]]]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        return product(self.rows, self.cols)
+
+    def __len__(self):
+        return len(self.rows) * len(self.cols)
+
+    def __repr__(self):
+        return f"<{len(self.rows)} x {len(self.cols)} table>"
+
+    def __eq__(self, other):
+        if isinstance(other, _TableView) and (self.rows, self.cols) == (other.rows, other.cols):
+            return np.array_equal(self.ix, other.ix)
+        return super().__eq__(other)
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group as an explicit multiplication table."""
+    """A finite group as an explicit multiplication table, a Mapping (a, b) -> ab.
+
+    A builder's is a view over its integer ``table``, which any other is read
+    into once: a group is not mutated after construction.
+    """
 
     elements: tuple
-    mult: dict
+    mult: Mapping
     identity: str
     inverses: dict
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """[a, b] = the index of ab, on element indices."""
+        return _held_table(self.mult, self.elements, self.elements,
+                           "multiplication table incomplete at ({!r}, {!r})",
+                           "multiplication table has an entry for unknown elements {!r}")
+
+
+def _held_table(table, rows, cols, incomplete, unknown) -> np.ndarray:
+    """The table of a view over ``rows`` and ``cols`` as is, else as :func:`_index_table` reads it."""
+    if isinstance(table, _TableView) and (table.rows, table.cols) == (rows, cols):
+        return table.ix
+    return _index_table(table, rows, cols, incomplete, unknown)
 
 
 def _index_table(table, rows, cols, incomplete, unknown) -> np.ndarray:
@@ -555,20 +609,6 @@ def _index_table(table, rows, cols, incomplete, unknown) -> np.ndarray:
     return out
 
 
-def _product_table(group: FiniteGroup) -> np.ndarray:
-    """mult[a, b] = ab, on element indices, as :func:`_index_table` reads it."""
-    return _index_table(group.mult, group.elements, group.elements,
-                        "multiplication table incomplete at ({!r}, {!r})",
-                        "multiplication table has an entry for unknown elements {!r}")
-
-
-def _action_table(spec: ActionGroupoidSpec) -> np.ndarray:
-    """table[g, x] = g.x, on element and unit indices, as :func:`_index_table` reads it."""
-    return _index_table(spec.action, spec.group.elements, tuple(spec.units),
-                        "action incomplete at ({!r}, {!r})",
-                        "action given on unknown element or unit {!r}")
-
-
 def _validate_group(group: FiniteGroup) -> tuple:
     """Check the group axioms; return ``mult``, ``inv`` and generators, on element indices."""
     elems, n = group.elements, len(group.elements)
@@ -577,7 +617,7 @@ def _validate_group(group: FiniteGroup) -> tuple:
         raise InvalidAction("duplicate group elements")
     if group.identity not in eidx:
         raise InvalidAction("group identity is not an element")
-    mult = _product_table(group)
+    mult = group.table
     e = eidx[group.identity]
     r = np.arange(n)
     inv = np.fromiter((eidx.get(group.inverses.get(a), -1) for a in elems), np.intp, n)
@@ -618,12 +658,23 @@ def _first_incompatible(mult, table, gens):
 
 @dataclass(frozen=True)
 class ActionGroupoidSpec:
-    """A finite group acting on weighted units."""
+    """A finite group acting on weighted units by ``action``, a Mapping (g, x) -> g.x.
+
+    A builder's is a view over its integer ``table``, which any other is read
+    into once: a spec is not mutated after construction.
+    """
 
     group: FiniteGroup
     units: tuple
     mu: tuple
-    action: dict  # (element, unit) -> unit
+    action: Mapping
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """[g, x] = the index of g.x, on element and unit indices."""
+        return _held_table(self.action, self.group.elements, tuple(self.units),
+                           "action incomplete at ({!r}, {!r})",
+                           "action given on unknown element or unit {!r}")
 
 
 def build_action_groupoid(spec: ActionGroupoidSpec) -> FiniteMeasuredGroupoid:
@@ -638,9 +689,9 @@ def build_action_groupoid(spec: ActionGroupoidSpec) -> FiniteMeasuredGroupoid:
     if any("@" in str(s) for s in list(group.elements) + list(units)):
         raise InvalidAction("element and unit names must not contain '@'")
     elems = group.elements
-    table = _action_table(spec)
-    for x in units:
-        if spec.action[(group.identity, x)] != x:
+    table = spec.table
+    for x, y in zip(units, table[elems.index(group.identity)].tolist()):
+        if units[y] != x:
             raise InvalidAction(f"identity does not fix unit {x!r}")
     bad = _first_incompatible(mult, table, gens)
     if bad is not None:
@@ -673,12 +724,9 @@ def cyclic_group(n: int) -> FiniteGroup:
     """Z/n with elements r0 .. r{n-1} and rk * rj = r{(k+j) mod n}."""
     if n < 1:
         raise InvalidAction("cyclic group order must be positive")
-    elems = tuple(f"r{i}" for i in range(n))
-    mult = {
-        (f"r{i}", f"r{j}"): f"r{(i + j) % n}" for i in range(n) for j in range(n)
-    }
+    elems, r = tuple(f"r{i}" for i in range(n)), np.arange(n)
     inverses = {f"r{i}": f"r{(n - i) % n}" for i in range(n)}
-    return FiniteGroup(elems, mult, "r0", inverses)
+    return FiniteGroup(elems, _TableView(elems, elems, (r[:, None] + r) % n), "r0", inverses)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -692,9 +740,8 @@ def symmetric_group(n: int) -> FiniteGroup:
     prod = np.searchsorted(codes, perms[:, perms] @ place)  # [p, r]: p after r
     inverse = np.searchsorted(codes, np.argsort(perms, axis=1) @ place)
     elems = tuple("".join(map(str, p)) for p in perms.tolist())
-    mult = dict(zip(product(elems, repeat=2), map(elems.__getitem__, prod.ravel().tolist())))
     inverses = dict(zip(elems, map(elems.__getitem__, inverse.tolist())))
-    return FiniteGroup(elems, mult, elems[0], inverses)
+    return FiniteGroup(elems, _TableView(elems, elems, prod), elems[0], inverses)
 
 
 def uniform_mu(k: int) -> tuple:
@@ -704,45 +751,44 @@ def uniform_mu(k: int) -> tuple:
 def left_translation_action(group: FiniteGroup, mu=None) -> ActionGroupoidSpec:
     """The group acting on itself by left multiplication."""
     units = tuple(f"u{e}" for e in group.elements)
-    action = {
-        (g, f"u{x}"): f"u{group.mult[(g, x)]}" for g in group.elements for x in group.elements
-    }
     mu = uniform_mu(len(units)) if mu is None else mu
-    return ActionGroupoidSpec(group, units, tuple(mu), action)
+    return ActionGroupoidSpec(group, units, tuple(mu), _TableView(group.elements, units, group.table))
 
 
 def natural_permutation_action(n: int, mu=None) -> ActionGroupoidSpec:
     """S_n acting on the n units x0 .. x{n-1}."""
     group = symmetric_group(n)
     units = tuple(f"x{i}" for i in range(n))
-    action = {(p, f"x{i}"): f"x{int(p[i])}" for p in group.elements for i in range(n)}
+    points = np.array([list(map(int, p)) for p in group.elements], dtype=np.intp)
     mu = uniform_mu(n) if mu is None else mu
-    return ActionGroupoidSpec(group, units, tuple(mu), action)
+    return ActionGroupoidSpec(group, units, tuple(mu), _TableView(group.elements, units, points))
 
 
 def ordered_pair_action(n: int, mu=None) -> ActionGroupoidSpec:
     """S_n acting on ordered pairs of distinct points (n*(n-1) units)."""
-    group = symmetric_group(n)
-    units = tuple(f"x{i}{j}" for i in range(n) for j in range(n) if i != j)
-    action = {(p, x): f"x{p[int(x[1])]}{p[int(x[2])]}" for p in group.elements for x in units}
+    natural = natural_permutation_action(n)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))  # the pairs, in row-major order
+    units = tuple(f"x{a}{b}" for a, b in zip(i.tolist(), j.tolist()))
+    rank = np.zeros((n, n), dtype=np.intp)
+    rank[i, j] = np.arange(i.size)
+    p, group = natural.table, natural.group
+    table = rank[p[:, i], p[:, j]]  # p sends x{a}{b} to x{p[a]}{p[b]}
     mu = uniform_mu(len(units)) if mu is None else mu
-    return ActionGroupoidSpec(group, units, tuple(mu), action)
+    return ActionGroupoidSpec(group, units, tuple(mu), _TableView(group.elements, units, table))
 
 
 def cyclic_shift_action(n: int, copies: int = 1, mu=None) -> ActionGroupoidSpec:
     """Z/n shifting ``copies`` disjoint cycles of n units each."""
     group = cyclic_group(n)
     units = tuple(f"x{b}_{i}" for b in range(copies) for i in range(n))
-    action = {
-        (f"r{k}", f"x{b}_{i}"): f"x{b}_{(i + k) % n}"
-        for k in range(n) for b in range(copies) for i in range(n)
-    }
+    u = np.arange(len(units))  # x{b}_{i} is unit b * n + i
+    table = u - u % n + (u + np.arange(n)[:, None]) % n
     mu = uniform_mu(len(units)) if mu is None else mu
-    return ActionGroupoidSpec(group, units, tuple(mu), action)
+    return ActionGroupoidSpec(group, units, tuple(mu), _TableView(group.elements, units, table))
 
 
 def trivial_action(group: FiniteGroup, units, mu) -> ActionGroupoidSpec:
     """Every group element fixes every unit."""
     units = tuple(units)
-    action = {(g, x): x for g in group.elements for x in units}
-    return ActionGroupoidSpec(group, units, tuple(mu), action)
+    table = np.broadcast_to(np.arange(len(units)), (len(group.elements), len(units)))
+    return ActionGroupoidSpec(group, units, tuple(mu), _TableView(group.elements, units, table))

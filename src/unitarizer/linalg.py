@@ -39,7 +39,10 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     InvalidMatrix
         If any entry is NaN or infinite.
     """
-    m = np.asarray(a, dtype=np.complex128)
+    try:
+        m = np.asarray(a, dtype=np.complex128)
+    except ValueError:  # a ragged nested list, or entries that are not numbers
+        raise DimensionMismatch(f"{name}: expected a nonempty square matrix of numbers") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise DimensionMismatch(
             f"{name}: expected a nonempty square matrix, got shape {m.shape}"

@@ -54,7 +54,6 @@ from .errors import (
 )
 from .geometry import GLcBall, chart
 from .groupoid import ActionGroupoidSpec, FiniteMeasuredGroupoid, build_action_groupoid
-from .groupoid import _product_table
 from .linalg import (
     PD_FLOOR,
     adjoint,
@@ -544,8 +543,8 @@ def check_base_rep(group, base_rep: dict, dim: int):
     """The matrices, in element order, of a unitary group representation given as a dict.
 
     Checked element by element (present, of dimension ``dim``, unitary), then for
-    u(a) u(b) = u(ab) on the product table, read as the group check reads it, by
-    the functoriality kernel ``_residuals``.
+    u(a) u(b) = u(ab) on the integer product table ``group.table``, which the group
+    check reads too, by the functoriality kernel ``_residuals``.
     """
     elems, mats = group.elements, []
     for g in elems:
@@ -558,7 +557,7 @@ def check_base_rep(group, base_rep: dict, dim: int):
             raise InvalidBaseRep(f"base matrix for {g!r} is not unitary")
         mats.append(m)
     mats, every = np.stack(mats), np.arange(len(elems))
-    for a, r in _residuals(_by_entry_row(mats), every, every, _product_table(group)):
+    for a, r in _residuals(_by_entry_row(mats), every, every, group.table):
         bad = np.argwhere(r > REP_TOL)
         if bad.size:
             i, j = bad[0]

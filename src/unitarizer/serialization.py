@@ -95,7 +95,7 @@ def _get(obj: dict, key: str, where: str):
 
 def matrix_to_json(m) -> dict:
     """``{"dim": n, "rows": ...}`` of one n x n matrix, by :func:`_matrices_to_json`."""
-    return _matrices_to_json([0], np.asarray(m, dtype=np.complex128)[None])[0]
+    return _matrices_to_json([0], [m])[0]
 
 
 def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
@@ -125,7 +125,10 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
 
 def _matrices_to_json(keys, stack) -> dict:
     """``{key: matrix object}`` over ``keys`` and a stack of n x n matrices: the one encoder."""
-    a = np.asarray(stack, dtype=np.complex128)
+    try:
+        a = np.asarray(stack, dtype=np.complex128)
+    except ValueError:  # a ragged nested list
+        a = np.empty(0)
     _require(a.ndim == 3 and a.shape[1] == a.shape[2], "matrix: not square")
     rows = np.stack((a.real, a.imag), -1).tolist()
     return {k: {"dim": a.shape[1], "rows": r} for k, r in zip(keys, rows)}
@@ -227,15 +230,19 @@ def _composition_chunks(G: FiniteMeasuredGroupoid):
     yield "]"
 
 
+def _name_table(rows, cols, table) -> dict:
+    """``{rows[i]: {cols[j]: cols[table[i, j]]}}`` of an integer table."""
+    names = np.array(cols, dtype=object)[table].tolist()
+    return {a: dict(zip(cols, row)) for a, row in zip(rows, names)}
+
+
 def action_spec_to_json(spec: ActionGroupoidSpec) -> dict:
     grp = spec.group
     return {
         "kind": "action",
         "group": {
             "elements": list(grp.elements),
-            "mult_table": {
-                a: {b: grp.mult[(a, b)] for b in grp.elements} for a in grp.elements
-            },
+            "mult_table": _name_table(grp.elements, grp.elements, grp.table),
             "identity": grp.identity,
             "inverses": dict(grp.inverses),
         },
@@ -243,9 +250,7 @@ def action_spec_to_json(spec: ActionGroupoidSpec) -> dict:
             "units": list(spec.units),
             "mu": [float(w) for w in spec.mu],
         },
-        "action": {
-            g: {x: spec.action[(g, x)] for x in spec.units} for g in grp.elements
-        },
+        "action": _name_table(grp.elements, spec.units, spec.table),
     }
 
 
@@ -352,7 +357,7 @@ def groupoid_from_json(obj, where: str = "groupoid") -> FiniteMeasuredGroupoid:
         _name_bad_entry(entries.as_list(), where)
         raise
     except InvalidGroupoid:
-        if np.less(pairs, 0).any() or np.unique(ih * len(index) + ig).size < ih.size:
+        if np.less(pairs, 0).any() or not np.diff(np.sort(ih * len(index) + ig)).all():
             _name_bad_entry(entries.as_list(), where)
         raise
     finally:

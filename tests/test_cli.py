@@ -307,6 +307,30 @@ def test_package_and_cli_import_without_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_generating_and_unitarizing_do_not_import_numpy_ma(tmp_path):
+    # numpy's unique imports numpy.ma (about 15 ms and 1.2 MB per process);
+    # the group and groupoid checks use boolean masks instead
+    root = os.path.dirname(os.path.dirname(unitarizer.__file__))
+    rep = str(tmp_path / "rep.json")
+    probe = (
+        "import sys\n"
+        "from unitarizer import cli, groupoid, representation as rp, serialization\n"
+        "spec = groupoid.natural_permutation_action(3)\n"
+        "rep = rp.generate_instance(spec, rp.trivial_base_rep(spec.group, 2), 4.0, 0)\n"
+        "rp.unitarize(rep)\n"
+        f"serialization.save_json(serialization.representation_to_json(rep), {rep!r})\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        f"cli.main(['unitarize', {rep!r}, '-o', {str(tmp_path / 'out.json')!r}])\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
 def _malformed(case, tmp_path, rep, out, spec):
     """Write the malformed input of ``case``; return the CLI arguments that read it.
 

@@ -125,6 +125,72 @@ def test_symmetric_group_equals_the_per_product_form(n):
     assert list(got.inverses.items()) == list(ref.inverses.items())
 
 
+def _reference_actions():
+    """The builders' actions, each with its table as a dict built cell by cell."""
+    s3, s4, z6 = _reference_symmetric_group(3), _reference_symmetric_group(4), cyclic_group(6)
+    z6_mult = {(f"r{i}", f"r{j}"): f"r{(i + j) % 6}" for i in range(6) for j in range(6)}
+    pairs = tuple(f"x{i}{j}" for i in range(4) for j in range(4) if i != j)
+    return [
+        (natural_permutation_action(n), {
+            (p, f"x{i}"): f"x{int(p[i])}" for p in ref.elements for i in range(n)
+        }) for n, ref in ((3, s3), (4, s4))
+    ] + [
+        (ordered_pair_action(4), {
+            (p, x): f"x{p[int(x[1])]}{p[int(x[2])]}" for p in s4.elements for x in pairs
+        }),
+        (left_translation_action(z6), {
+            (g, f"u{x}"): f"u{z6_mult[(g, x)]}" for g in z6.elements for x in z6.elements
+        }),
+        (left_translation_action(symmetric_group(3)), {
+            (g, f"u{x}"): f"u{s3.mult[(g, x)]}" for g in s3.elements for x in s3.elements
+        }),
+        (cyclic_shift_action(6, copies=2), {
+            (f"r{k}", f"x{b}_{i}"): f"x{b}_{(i + k) % 6}"
+            for k in range(6) for b in range(2) for i in range(6)
+        }),
+        (trivial_action(s3, ("a", "b"), (0.5, 0.5)), {
+            (g, x): x for g in s3.elements for x in ("a", "b")
+        }),
+    ]
+
+
+def _assert_same_table(view, ref):
+    assert list(view.items()) == list(ref.items())  # the same cells, in the same order
+    assert len(view) == len(ref) and dict(view) == ref and view == ref
+    key = next(iter(ref))
+    assert key in view and (key[0], "zz") not in view and "abc" not in view
+    with pytest.raises(KeyError):
+        view[(key[0], "zz")]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cyclic_group_table_equals_the_per_cell_dict(n):
+    ref = {(f"r{i}", f"r{j}"): f"r{(i + j) % n}" for i in range(n) for j in range(n)}
+    _assert_same_table(cyclic_group(n).mult, ref)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_symmetric_group_table_equals_the_per_cell_dict(n):
+    got, ref = symmetric_group(n), _reference_symmetric_group(n)
+    _assert_same_table(got.mult, ref.mult)
+    assert got.mult == symmetric_group(n).mult  # two views over equal tables
+    assert got.mult != symmetric_group(n - 1).mult
+
+
+@pytest.mark.parametrize("i", range(7), ids=[
+    "natural-S3", "natural-S4", "pairs-S4", "left-Z6", "left-S3", "shift-6x2", "trivial",
+])
+def test_builder_action_equals_the_per_cell_dict(i):
+    spec, ref = _reference_actions()[i]
+    _assert_same_table(spec.action, ref)
+    # the dict reads to the table the view holds, with the same groupoid
+    by_dict = ActionGroupoidSpec(spec.group, spec.units, spec.mu, ref)
+    assert np.array_equal(by_dict.table, spec.table)
+    assert build_action_groupoid(by_dict)._pairs[2].tolist() == (
+        build_action_groupoid(spec)._pairs[2].tolist()
+    )
+
+
 def _reference_tables(spec):
     """Arrows, inverse and composition built entry by entry from the string dicts."""
     group, act = spec.group, spec.action

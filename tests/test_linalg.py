@@ -63,6 +63,8 @@ def test_as_square_matrix_rejections():
         as_square_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(DimensionMismatch):
         as_square_matrix(np.ones(4))
+    with pytest.raises(DimensionMismatch, match="^m: expected a nonempty square matrix of numbers$"):
+        as_square_matrix([[1, 0], [0]], "m")  # ragged
 
 
 def test_hermitian_part_symmetrizes_roundoff():

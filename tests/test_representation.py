@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from unitarizer import representation
+from unitarizer import groupoid, representation
 from unitarizer.errors import (
     DimensionMismatch,
     InvalidAction,
@@ -333,7 +333,9 @@ def test_uniform_bound_rejects_finite_entries_whose_norm_overflows():
     # the first arrow in id order sets the dimension
     ({"r0@pt": np.eye(2), "r1@pt": np.eye(3)}, DimensionMismatch,
      "rho[r1@pt]: matrix is 3x3, expected dimension 2"),
-], ids=["missing", "dimension"])
+    ({"r0@pt": np.eye(2), "r1@pt": [[1, 0], [0]]}, DimensionMismatch,
+     "rho[r1@pt]: expected a nonempty square matrix of numbers"),
+], ids=["missing", "dimension", "ragged"])
 def test_uniform_bound_names_a_bad_table_as_make_representation_does(rho, error, message):
     with pytest.raises(error) as exc:
         uniform_bound(z2_point_groupoid(), rho)
@@ -646,6 +648,26 @@ def test_check_base_rep_rejections():
     del partial["210"]
     with pytest.raises(InvalidBaseRep):
         check_base_rep(g3, partial, 3)
+
+
+def test_generate_instance_reads_each_dict_table_once_and_no_built_table(monkeypatch):
+    read, index_table = [], groupoid._index_table
+
+    def counted(table, rows, cols, incomplete, unknown):
+        read.append(incomplete)
+        return index_table(table, rows, cols, incomplete, unknown)
+
+    monkeypatch.setattr(groupoid, "_index_table", counted)
+    spec = natural_permutation_action(3)
+    rep = generate_instance(spec, trivial_base_rep(spec.group, 2), 4.0, 0)
+    assert read == []
+    # the same tables as plain dicts: one read each
+    group = dataclasses.replace(spec.group, mult=dict(spec.group.mult))
+    by_dict = ActionGroupoidSpec(group, spec.units, spec.mu, dict(spec.action))
+    again = generate_instance(by_dict, trivial_base_rep(group, 2), 4.0, 0)
+    assert read == ["multiplication table incomplete at ({!r}, {!r})",
+                    "action incomplete at ({!r}, {!r})"]
+    assert np.array_equal(again.mats, rep.mats)
 
 
 def test_check_base_rep_names_an_incomplete_product_table_as_the_build_does():

@@ -20,6 +20,7 @@ from unitarizer.groupoid import (
     ordered_pair_action,
     restrict,
     symmetric_group,
+    trivial_action,
 )
 from unitarizer.linalg import l2_norm
 from unitarizer.representation import (
@@ -78,6 +79,12 @@ def test_matrix_to_json_bytes_equal_the_per_entry_form():
         assert json.dumps(matrix_to_json(m)) == want
 
 
+@pytest.mark.parametrize("m", [[[1, 2], [3]], np.ones((2, 3))], ids=["ragged", "2x3"])
+def test_matrix_to_json_names_a_matrix_that_is_not_square(m):
+    with pytest.raises(ParseError, match="^matrix: not square$"):
+        matrix_to_json(m)
+
+
 def test_matrix_parser_rejects_ragged_rows():
     with pytest.raises(ParseError):
         matrix_from_json({"dim": 2, "rows": [[[1, 0], [0, 0]], [[1, 0]]]})
@@ -107,6 +114,35 @@ def test_action_spec_round_trip():
     obj = action_spec_to_json(SWAP_SPEC)
     again = action_spec_from_json(obj)
     assert again == SWAP_SPEC
+
+
+def _per_cell_spec_json(spec):
+    """The JSON object of an action spec, read cell by cell through its Mappings."""
+    grp = spec.group
+    return {
+        "kind": "action",
+        "group": {
+            "elements": list(grp.elements),
+            "mult_table": {a: {b: grp.mult[(a, b)] for b in grp.elements} for a in grp.elements},
+            "identity": grp.identity,
+            "inverses": dict(grp.inverses),
+        },
+        "space": {"units": list(spec.units), "mu": [float(w) for w in spec.mu]},
+        "action": {g: {x: spec.action[(g, x)] for x in spec.units} for g in grp.elements},
+    }
+
+
+@pytest.mark.parametrize("spec", [
+    SWAP_SPEC,
+    natural_permutation_action(4),
+    ordered_pair_action(3),
+    left_translation_action(symmetric_group(3)),
+    cyclic_shift_action(4, copies=2),
+    trivial_action(cyclic_group(3), ("a", "b"), (0.25, 0.75)),
+], ids=["swap-dict", "natural-S4", "pairs-S3", "left-S3", "shift-4x2", "trivial-Z3"])
+def test_action_spec_to_json_bytes_equal_the_per_cell_form(spec):
+    assert json.dumps(action_spec_to_json(spec)) == json.dumps(_per_cell_spec_json(spec))
+    assert action_spec_from_json(action_spec_to_json(spec)) == spec
 
 
 def test_explicit_groupoid_round_trip():

@@ -10,6 +10,8 @@ Each instance runs in a fresh child process that imports the package from
 ``DIR/src`` (default: the checkout that holds this file) and times each
 stage on the same inputs, as the minimum over 5 calls:
 
+* ``natural_permutation_action``, which builds the spec: the group's
+  product table and the action table;
 * ``groupoid._validate_group`` on the group, ``build_action_groupoid`` on
   the spec and ``check_base_rep`` on the base;
 * ``generate_instance``, which runs the three above and then
@@ -40,6 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 STAGES = (
+    "natural_permutation_action",
     "_validate_group",
     "build_action_groupoid",
     "check_base_rep",
@@ -71,12 +74,14 @@ def stage_times(name: str, repeat: int) -> dict:
     match = re.fullmatch(r"S([1-9])-natural", name)
     if match is None:
         raise ValueError(f"unknown instance {name!r}: expected S<n>-natural")
-    spec = groupoid.natural_permutation_action(int(match[1]))
+    n = int(match[1])
+    spec = groupoid.natural_permutation_action(n)
     base = rp.trivial_base_rep(spec.group, DIM)
     rep = rp.generate_instance(spec, base, COND, SEED)
     witness, unitary, _ = rp.unitarize(rep)
     psi = {x: p.mat for x, p in witness.psi.items()}
     calls = {
+        "natural_permutation_action": lambda: groupoid.natural_permutation_action(n),
         "_validate_group": lambda: groupoid._validate_group(spec.group),
         "build_action_groupoid": lambda: groupoid.build_action_groupoid(spec),
         "check_base_rep": lambda: rp.check_base_rep(spec.group, base, DIM),
