@@ -7,18 +7,16 @@ with a lower bound r_lb on the circumradius r*:
 
     d(candidate, center)**2 <= 2 * (radius_at(candidate)**2 - r_lb**2)
 
-r_lb is the chart dual at the candidate x.  With W_i = log(x**-1/2 b_i
-x**-1/2), every simplex weight lam gives r*^2 >= sum_i lam_i ||W_i||**2 -
-||sum_i lam_i W_i||**2, because the exponential map is metric-increasing
-in nonpositive curvature (Bhatia, *Positive Definite Matrices*, 2007,
-ch. 6).  The inequality holds at any simplex weight, not only the optimal
-one, so a bound taken at weights carried over from a congruent point set
-is still sound; ``unitarize`` certifies the units it transports a center
-to that way, at the weights of the solved unit's certificate, which every
-result keeps as ``weights``.  ``_meb`` returns the dual at its optimal
-weights, so the bound costs one chart and one subsolve, and it is tight
-at the circumcenter; a solve that stops at the iterate it last charted
-certifies from that chart and its subsolve, at no further cost.  The
+Every certificate is ``bound(chart, weights)``.  A :class:`Chart` at the
+candidate x holds the logs W_i = log(x**-1/2 b_i x**-1/2), and every
+simplex weight lam gives r*^2 >= sum_i lam_i ||W_i||**2 - ||sum_i lam_i
+W_i||**2, because the exponential map is metric-increasing in nonpositive
+curvature (Bhatia, *Positive Definite Matrices*, 2007, ch. 6).  The dual
+holds at any simplex weights, so the weights are the chart ball's optimal
+ones (``best_weights``), tight at the circumcenter, or weights carried from
+a congruent point set, as ``unitarize`` carries a solved unit's to the
+units it transports the center to.  ``result`` builds every certified
+result from a chart and its weights, which it keeps as ``weights``.  The
 pairwise bound ``radius_lower_bound`` is kept as an oracle.
 
 The iteration is a tangent-space fixed point started at the first point:
@@ -149,26 +147,50 @@ class CircumcenterResult:
     weights: np.ndarray = field(compare=False, repr=False)
 
 
+@dataclass(frozen=True, eq=False)
+class Chart:
+    """A center charted against a set: chart logs as rows ``X``, squared distances ``q``, radius."""
+
+    center: SpdMatrix
+    ball: GLcBall
+    X: np.ndarray
+    q: np.ndarray
+    radius: float
+
+
 def _farthest(theta: SpdMatrix, pset: PointSet, q: np.ndarray) -> float:
     """sqrt(q.max()) for a chart at ``theta``, as ``distance`` to the farthest point.
 
-    Only the paths that chart ``theta`` themselves call it: a solve's own
-    certificate, ``certify`` and ``radius_at``.  It is bitwise sqrt(q.max()),
-    but the benchmark's self-check needs one traced ``distance`` call per
-    solve; a certificate handed its chart (``at``) reads the radius from it.
+    Bitwise sqrt(q.max()), but the benchmark's self-check needs one traced
+    ``distance`` call per solve, so every chart at one center reads its radius here.
     """
     return distance(theta, pset.point(int(np.argmax(q))))
 
 
-def _chart(x: SpdMatrix, pset: PointSet):
-    """The chart logs W, squared distances q and radius at a candidate ``x``.
+def chart_at(center: SpdMatrix, pset: PointSet) -> Chart:
+    """The chart at ``center`` against ``pset``.
 
-    The one place that charts a candidate against a set: a candidate of
-    another dimension raises the :class:`DimensionMismatch` of ``in_ball``.
+    A center of another dimension raises the :class:`DimensionMismatch` of
+    ``in_ball``, before any chart.
     """
-    _check_ball(x, pset.ball)
-    W, q = chart(x, pset.mats)[1:3]
-    return W, q, _farthest(x, pset, q)
+    _check_ball(center, pset.ball)
+    W, q = chart(center, pset.mats)[1:3]
+    return Chart(center, pset.ball, _tangent(W), q, _farthest(center, pset, q))
+
+
+def charts_at(centers, psets, P: np.ndarray, keep: np.ndarray) -> list:
+    """The charts at ``centers[i]`` against ``psets[i]``, from one stacked chart.
+
+    ``P``, shape (k, m, n, n), holds each set's points before dedup and
+    ``keep``, shape (k, m), marks the rows that are the set's points.  A
+    stacked chart is bitwise each center's own, so each chart is bitwise
+    ``chart_at``'s.
+    """
+    W, q = chart(np.stack([c.mat for c in centers]), P)[1:3]
+    return [
+        Chart(c, ps.ball, _tangent(W[i, k]), q[i, k], math.sqrt(q[i, k].max()))
+        for i, (c, ps, k) in enumerate(zip(centers, psets, keep))
+    ]
 
 
 def radius_at(theta: SpdMatrix, pset: PointSet):
@@ -177,9 +199,9 @@ def radius_at(theta: SpdMatrix, pset: PointSet):
     Ties within relative ``TIE_RTOL`` of the maximum resolve to the
     smallest index.  One chart at ``theta`` gives every distance.
     """
-    _, q, r = _chart(theta, pset)
-    d = np.sqrt(q)
-    return r, int(np.argmax(d >= d.max() * (1.0 - TIE_RTOL)))
+    c = chart_at(theta, pset)
+    d = np.sqrt(c.q)
+    return c.radius, int(np.argmax(d >= d.max() * (1.0 - TIE_RTOL)))
 
 
 def radius_lower_bound(pset: PointSet) -> float:
@@ -204,67 +226,51 @@ def _dual_gap(r2: float, lam: np.ndarray, X: np.ndarray) -> float:
     return max(r2 - float(lam @ np.einsum("ij,ij->i", X, X)), 0.0) + float(v @ v)
 
 
-def _bounds(r: float, gap: float):
-    """The lower bound and the error bound of a chart of radius ``r`` with dual gap ``gap``."""
-    return math.sqrt(max(r * r - gap, 0.0)), math.sqrt(2.0 * gap)
+def bound(c: Chart, weights: np.ndarray):
+    """``(r_lb, error_bound)`` of the chart dual at simplex ``weights``.
+
+    r_lb is formed as in ``_dual_gap`` and is at most the radius (lowering
+    a lower bound keeps it sound); the center lies within ``error_bound =
+    sqrt(2 * (radius**2 - r_lb**2))`` of the true circumcenter.
+    """
+    r2 = c.radius * c.radius
+    gap = _dual_gap(r2, weights, c.X)
+    return math.sqrt(max(r2 - gap, 0.0)), math.sqrt(2.0 * gap)
+
+
+def best_weights(c: Chart) -> np.ndarray:
+    """The optimal weights of the chart ball (``_meb``), whose dual is tight at the circumcenter."""
+    return _meb(c.X)[0]
+
+
+def result(c: Chart, weights: np.ndarray, eps: float, iterations: int) -> CircumcenterResult:
+    """The result at the chart's center, certified by ``bound(c, weights)``.
+
+    Raises :class:`NumericalEscape` when the center lies outside the set's
+    ball; ``converged`` is True exactly when the bound is at most ``eps``.
+    """
+    if not in_ball(c.center, c.ball, _ITERATE_SLACK):
+        raise NumericalEscape(f"center escaped GL_c with c = {c.ball.c:g}")
+    lower, err = bound(c, weights)
+    return CircumcenterResult(c.center, c.radius, lower, err, iterations, err <= eps, weights)
 
 
 def certify(candidate: SpdMatrix, pset: PointSet):
     """Certificate for an arbitrary candidate center.
 
     Returns ``(error_bound, radius_gap)`` with ``radius_gap =
-    radius_at(candidate)**2 - r_lb**2`` and ``error_bound = sqrt(2 *
-    radius_gap)``; the true circumcenter lies within ``error_bound`` of
-    the candidate.  r_lb is the chart dual at the candidate: the radius of
-    the Euclidean minimal enclosing ball of the logs
-    log(candidate**-1/2 b candidate**-1/2), formed as in ``_dual_gap`` and
-    at most the radius (lowering a lower bound keeps it sound).
+    radius_at(candidate)**2 - r_lb**2``: the bound of the chart at the
+    candidate at its chart ball's optimal weights.
     """
-    W, _, r = _chart(candidate, pset)
-    X = _tangent(W)
-    lower, bound = _bounds(r, _dual_gap(r * r, _meb(X)[0], X))
-    return bound, r * r - lower * lower
+    c = chart_at(candidate, pset)
+    lower, err = bound(c, best_weights(c))
+    return err, c.radius * c.radius - lower * lower
 
 
-def _check_center(center: SpdMatrix, pset: PointSet):
-    if not in_ball(center, pset.ball, _ITERATE_SLACK):
-        raise NumericalEscape(f"center escaped GL_c with c = {pset.ball.c:g}")
-
-
-def _result(center, eps: float, iterations: int, r: float, gap: float, lam: np.ndarray):
-    """The result at ``center`` from its chart radius ``r`` and dual gap ``gap`` at ``lam``."""
-    lower, bound = _bounds(r, gap)
-    return CircumcenterResult(center, r, lower, bound, iterations, bound <= eps, lam)
-
-
-def certified_result(
-    center: SpdMatrix,
-    pset: PointSet,
-    eps: float,
-    iterations: int,
-    at=None,
-    weights=None,
-) -> CircumcenterResult:
-    """Certify ``center`` against ``pset`` as :func:`certify` does.
-
-    Raises :class:`NumericalEscape` when the center lies outside the set's
-    ball; ``converged`` is True exactly when the bound is at most ``eps``.
-    ``at = (W, r)`` is the chart at ``center`` when the caller has it: its
-    logs and the radius the caller read from it.  ``weights``, simplex
-    weights on the points, give the bound when it is at most ``eps``;
-    otherwise, and without them, the optimal weights of the chart ball do.
-    """
-    _check_center(center, pset)
-    if at is None:
-        W, _, r = _chart(center, pset)
-    else:
-        W, r = at
-    X = _tangent(W)
-    gap = None if weights is None else _dual_gap(r * r, weights, X)
-    if gap is None or math.sqrt(2.0 * gap) > eps:
-        weights = _meb(X)[0]
-        gap = _dual_gap(r * r, weights, X)
-    return _result(center, eps, iterations, r, gap, weights)
+def certified_result(center: SpdMatrix, pset: PointSet, eps: float, iterations: int):
+    """The result at ``center``, certified as :func:`certify` certifies it."""
+    c = chart_at(center, pset)
+    return result(c, best_weights(c), eps, iterations)
 
 
 def _meb(X: np.ndarray):
@@ -423,12 +429,9 @@ def solve(
     rather than stopping the moment the certificate is met, so returned
     centers are usually accurate to far better than the certificate.
 
-    The solve reads the set as its stack ``pset.mats``.  Three exits stop
-    at the iterate that the last iteration charted: the target radius, the
-    stationary rule and an exhausted line search.  They certify from that
-    chart and that iteration's chart-ball weights, bitwise what
-    :func:`certified_result` gives at the returned center.  The stall rule
-    and the cap stop at a new iterate, which is charted once more.
+    Every exit returns ``result(chart, best weights)`` at the last
+    iterate: the last iteration's chart and weights where it charted that
+    iterate, else a new chart.
     """
     if not (eps > 0.0 and np.isfinite(eps)):
         raise ParameterOutOfRange(f"eps must be positive, got {eps}")
@@ -437,12 +440,13 @@ def solve(
     P = pset.mats
     if not len(P):
         raise EmptySet("cannot solve an empty point set")
-    if len(P) == 1:
+    n = pset.dim
+    if len(P) == 1:  # the point is its own center, and its chart is zero
         if trace is not None:
             trace.append((0, 0.0, 0.0))
-        return CircumcenterResult(pset.points[0], 0.0, 0.0, 0.0, 0, True, np.ones(1))
+        zero = Chart(pset.points[0], pset.ball, np.zeros((1, 2 * n * n)), np.zeros(1), 0.0)
+        return result(zero, np.ones(1), eps, 0)
 
-    n = pset.dim
     hi = pset.ball.c * (1.0 + _ITERATE_SLACK)
 
     x = pset.point(0)
@@ -512,9 +516,9 @@ def solve(
             stall = 0
 
     # Certifying the iterate of least radius instead certifies no more solves.
-    if not charted:  # the stall rule or the cap stopped at a new iterate
-        return certified_result(x, pset, eps, iterations)
-    # The last chart is at x, and lam its chart ball's optimal weights.
-    _check_center(x, pset)
-    r = _farthest(x, pset, q)
-    return _result(x, eps, iterations, r, _dual_gap(r * r, lam, X), lam)
+    if charted:  # the last chart is at x, and lam its chart ball's optimal weights
+        last = Chart(x, pset.ball, X, q, _farthest(x, pset, q))
+    else:  # the stall rule or the cap stopped at a new iterate
+        last = chart_at(x, pset)
+        lam = best_weights(last)
+    return result(last, lam, eps, iterations)

@@ -737,7 +737,10 @@ def symmetric_group(n: int) -> FiniteGroup:
     perms = np.array(list(permutations(range(n))), dtype=np.intp)
     place = n ** np.arange(n - 1, -1, -1)
     codes = perms @ place
-    prod = np.searchsorted(codes, perms[:, perms] @ place)  # [p, r]: p after r
+    comp = np.zeros((len(perms), len(perms)), dtype=np.intp)  # [p, r]: the code of p after r
+    for i in range(n):  # one digit at a time, with no (n!, n!, n) temporary
+        comp += np.take(perms * place[i], perms[:, i], axis=1)
+    prod = np.searchsorted(codes, comp)
     inverse = np.searchsorted(codes, np.argsort(perms, axis=1) @ place)
     elems = tuple("".join(map(str, p)) for p in perms.tolist())
     inverses = dict(zip(elems, map(elems.__getitem__, inverse.tolist())))

@@ -18,26 +18,20 @@ representation into a unitary one:
 one stacked pass, runs the certified circumcenter solver once, at the
 orbit's first unit r, and transports the center to every other
 positive-mass unit x of the orbit along the first arrow h: x -> r,
-sigma(x) = rho(h)* sigma(r) rho(h).  Congruence by rho(h) maps r's Gram
-point of each arrow a . h**-1 to x's point of a, and is an isometry, so
-x's chart at sigma(x) is a unitary copy of r's.  The dual weights of r's
-certificate, carried along that pairing, therefore certify x in its own
-chart of its own Gram set (one stacked chart for the orbit), and x is
-reported with ``iterations = 0``.  Only where they cannot, because the
-dedup kept different partners or the carried bound exceeds eps, does x
-solve its own chart ball.  The report carries unitarity and equivariance
-residuals along with all certificates.
+sigma(x) = rho(h)* sigma(r) rho(h).  Each certificate is ``bound(chart,
+weights)`` in the unit's own chart: x's, a unitary copy of r's, takes the
+weights carried from r where they hold (see ``_transport``).  The report
+carries unitarity and equivariance residuals along with all certificates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .circumcenter import PointSet, certified_result, solve
+from .circumcenter import PointSet, best_weights, charts_at, result, solve
 # point_set is not called here, but bench/tracing.py wraps it under this
 # module's name.
 from .circumcenter import point_set  # noqa: F401
@@ -52,7 +46,7 @@ from .errors import (
     SingularTransform,
     UnknownUnit,
 )
-from .geometry import GLcBall, chart
+from .geometry import GLcBall
 from .groupoid import ActionGroupoidSpec, FiniteMeasuredGroupoid, build_action_groupoid
 from .linalg import (
     PD_FLOOR,
@@ -355,14 +349,12 @@ def unitarize(
     One circumcenter is solved per orbit, at the orbit's first
     positive-mass unit r.  Every other positive-mass unit x of the orbit
     gets sigma(x) = rho(h)* sigma(r) rho(h) along the first arrow h: x -> r
-    in id order.  It is certified against its own Gram set at the dual
-    weights of r's certificate, carried from each point of r's arrow
-    a . h**-1 to x's point of a; where a weighted point of r has no kept
-    partner at x, or the carried bound exceeds ``eps``, at the optimal
-    weights of x's own chart ball instead.  So ``converged`` is False only
-    when the optimal weights leave the bound above ``eps``.  Transported
-    units are reported with ``iterations = 0``; the trace of one is the
-    single row ``(0, radius_at_center, center_error_bound)``.
+    in id order, certified by ``_transport``.  Every unit's certificate is
+    ``bound(chart, weights)`` at its chart ball's optimal weights or at
+    weights carried from r, so ``converged`` is False only when the optimal
+    weights leave the bound above ``eps``.  Transported units are reported
+    with ``iterations = 0``; the trace of one is the single row ``(0,
+    radius_at_center, center_error_bound)``.
 
     Units whose certificates stall above ``eps`` are reported with
     ``converged = False`` in the witness certificates; the conjugated
@@ -440,12 +432,11 @@ def _transport(rep: Representation, h: np.ndarray, grams, res, eps: float):
     ``h`` indexes ``rep.mats``, ``grams`` is ``_orbit_grams`` of r followed
     by those units, and ``res`` is r's result.  Congruence by rho(h) maps
     r's Gram point of arrow a . h**-1 to x's point of arrow a, and r's
-    chart at sigma(r) unitarily onto x's at sigma(x), so r's dual weights
-    carried along that pairing bound x's radius from below.  Each x is
-    certified in its own chart of its own Gram set, all from one stacked
-    chart, at the carried weights; at the optimal weights of ``_meb``
-    instead when a weighted point of r has no kept partner at x, or when
-    the carried bound exceeds ``eps``.
+    chart at sigma(r) unitarily onto x's at sigma(x), so r's weights,
+    carried along that pairing, are a sound dual in x's chart (``charts_at``,
+    one stacked chart).  They certify x unless a weighted point of r has no
+    kept partner at x or their bound exceeds ``eps``; then x's
+    ``best_weights`` do.
     """
     G = rep.groupoid
     A, keep, H, psets = grams
@@ -459,14 +450,13 @@ def _transport(rep: Representation, h: np.ndarray, grams, res, eps: float):
     at_r[A[0]] = np.arange(A.shape[1])
     carried = lam[at_r[G._compose_ix(A[1:], G._inv[h][:, None])]]
     lost = ((carried > 0.0) & ~keep[1:]).any(axis=1)
-    _, W, q, _, _ = chart(np.stack([c.mat for c in centers]), H[1:])
-    return [
-        certified_result(
-            c, ps, eps, 0, at=(W[i, k], math.sqrt(q[i, k].max())),
-            weights=None if lost[i] else carried[i, k],
-        )
-        for i, (c, ps, k) in enumerate(zip(centers, psets[1:], keep[1:]))
-    ]
+    out = []
+    for i, c in enumerate(charts_at(centers, psets[1:], H[1:], keep[1:])):
+        cert = None if lost[i] else result(c, carried[i, keep[i + 1]], eps, 0)
+        if cert is None or not cert.converged:
+            cert = result(c, best_weights(c), eps, 0)
+        out.append(cert)
+    return out
 
 
 def _same_groupoid(A: FiniteMeasuredGroupoid, B: FiniteMeasuredGroupoid) -> bool:

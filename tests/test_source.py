@@ -115,3 +115,33 @@ def test_arrow_matrices_are_read_from_the_one_stack():
     for p in sorted(SRC.glob("*.py")):
         visit(ast.parse(p.read_text()), p.stem, [])
     assert found == {("representation", "Representation.mats")}
+
+
+def test_certificates_are_decided_behind_circumcenter():
+    # The chart kernel and the dual are read only by geometry and
+    # circumcenter, and every result is built by circumcenter.result, so a
+    # certificate is bound(chart, weights) on every path.
+    kernels = {"chart", "_tangent", "_meb", "_dual_gap"}
+    found, built = set(), set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + [child.name])
+                continue
+            if isinstance(child, ast.Name) and child.id in kernels:
+                found.add((module, child.id))
+            elif isinstance(child, ast.Attribute) and child.attr in kernels:
+                found.add((module, child.attr))
+            elif isinstance(child, ast.ImportFrom):
+                found.update((module, a.name) for a in child.names if a.name in kernels)
+            elif isinstance(child, ast.Call) and ast.unparse(child.func).endswith(
+                "CircumcenterResult"
+            ):
+                built.add((module, ".".join(scope)))
+            visit(child, module, scope)
+
+    for p in sorted(SRC.glob("*.py")):
+        visit(ast.parse(p.read_text()), p.stem, [])
+    assert {module for module, _ in found} == {"geometry", "circumcenter"}
+    assert built == {("circumcenter", "result")}

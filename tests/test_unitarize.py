@@ -4,8 +4,10 @@ import pytest
 from test_circumcenter import displaced
 from unitarizer import circumcenter, representation
 from unitarizer.circumcenter import (
+    bound,
     certified_result,
     certify,
+    chart_at,
     radius_at,
     radius_lower_bound,
     solve,
@@ -481,11 +483,9 @@ def test_displaced_transported_centers_are_never_under_reported():
         for E in (along, across):
             for delta in (1e-10, 1e-6):
                 mutant = displaced(res.center, E, delta)
-                # eps 1 keeps the carried weights whatever bound they give
-                cert = certified_result(mutant, ps, 1.0, 0, weights=res.weights)
-                assert np.array_equal(cert.weights, res.weights)
+                err = bound(chart_at(mutant, ps), res.weights)[1]  # at the carried weights
                 moved = distance(mutant, res.center)
-                assert cert.center_error_bound >= moved - res.center_error_bound
+                assert err >= moved - res.center_error_bound
 
 
 @pytest.mark.parametrize("eps", [1e-7, 10.0])
@@ -502,6 +502,31 @@ def test_unit_whose_dedup_differs_from_the_roots_takes_the_meb_path(monkeypatch,
     for x in ("x1", "x2"):
         res = report.unit_results[x]
         assert res.center_error_bound == certify(witness.sigma[x], gram_set(rep, x))[0]
+
+
+def s3_natural_renamed_rep():
+    return s3_natural_rep({"201": "210", "210": "201"})
+
+
+@pytest.mark.parametrize("build, units, fallbacks", [
+    (s4_self_rep, 24, 0), (s3_natural_rep, 3, 0), (s3_natural_renamed_rep, 3, 2),
+], ids=["S4-self", "S3-natural", "S3-natural-renamed"])
+def test_every_certificate_is_the_bound_of_a_fresh_chart_at_its_weights(
+    monkeypatch, build, units, fallbacks
+):
+    # C1: a unit's certificate is a function of its center's chart and its
+    # weights alone, whether the unit was solved or transported, at carried
+    # weights or (the renamed S3, whose x1 and x2 take the _meb path) at its
+    # own chart ball's.
+    rep = build()
+    calls = meb_calls(monkeypatch)
+    _, _, report = unitarize(rep, eps=1e-7)
+    (root,) = [r for r in report.unit_results.values() if r.iterations > 0]
+    assert len(report.unit_results) == units and len(calls) == root.iterations + fallbacks
+    for x, res in report.unit_results.items():
+        c = chart_at(res.center, gram_set(rep, x))
+        assert c.radius == res.radius_at_center
+        assert bound(c, res.weights) == (res.radius_lower_bound, res.center_error_bound)
 
 
 def s3_natural_cond100_rep():
