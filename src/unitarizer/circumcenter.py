@@ -429,9 +429,9 @@ def solve(
     rather than stopping the moment the certificate is met, so returned
     centers are usually accurate to far better than the certificate.
 
-    Every exit returns ``result(chart, best weights)`` at the last
-    iterate: the last iteration's chart and weights where it charted that
-    iterate, else a new chart.
+    Every stop, the cap and the stall rule included, comes right after the
+    chart at the current iterate, and ``result`` certifies that chart at
+    its chart ball's optimal weights.
     """
     if not (eps > 0.0 and np.isfinite(eps)):
         raise ParameterOutOfRange(f"eps must be positive, got {eps}")
@@ -451,17 +451,17 @@ def solve(
 
     x = pset.point(0)
     stall = 0
-    iterations = 0
     last = None
-    for k in range(max_iter):
-        iterations = k + 1
+    for k in range(max_iter + 1):
         M, W, q, sq, isq = chart(x, P)
-        charted = True
         r2 = float(q.max())
         r_k = math.sqrt(r2)
         # Tangent minimal-enclosing-ball direction; r2_tan is the chart dual.
         X = _tangent(W)
         lam, r2_tan = _meb(X)
+        if k == max_iter or stall >= _STALL_STEPS:
+            break  # the cap, or the tangent step has stalled at roundoff
+        iterations = k + 1
         if trace is not None:
             trace.append((k, r_k, math.sqrt(2.0 * _dual_gap(r2, lam, X))))
         if r_k <= eps / math.sqrt(2.0):
@@ -506,19 +506,12 @@ def solve(
             t *= 0.5
         if accepted is None:
             break  # line search exhausted: iterate is stationary
-        x, charted = accepted, False
+        x = accepted
         last = (half, v, t)
         if t * vnorm <= _STALL_RTOL * (1.0 + r_k):
             stall += 1
-            if stall >= _STALL_STEPS:
-                break
         else:
             stall = 0
 
     # Certifying the iterate of least radius instead certifies no more solves.
-    if charted:  # the last chart is at x, and lam its chart ball's optimal weights
-        last = Chart(x, pset.ball, X, q, _farthest(x, pset, q))
-    else:  # the stall rule or the cap stopped at a new iterate
-        last = chart_at(x, pset)
-        lam = best_weights(last)
-    return result(last, lam, eps, iterations)
+    return result(Chart(x, pset.ball, X, q, _farthest(x, pset, q)), lam, eps, iterations)

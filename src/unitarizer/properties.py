@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalEscape
+from .errors import NumericalEscape, ParameterOutOfRange
 from .geometry import congruence, distance, geodesic, midpoint
 from .linalg import SpdMatrix
 from .sampling import random_invertible, random_spd, rng_from_seed
@@ -51,6 +51,8 @@ def run_geometry_suite(dim: int, trials: int, seed, tol: float = 1e-8) -> Geomet
     scaled by the endpoint distance.  Raises :class:`NumericalEscape` on
     the first violation.
     """
+    if dim < 1 or trials < 1:
+        raise ParameterOutOfRange(f"dim and trials must be at least 1, got {dim} and {trials}")
     rng = rng_from_seed(seed)
     worst_sp = worst_cong = worst_tri = worst_speed = 0.0
     for k in range(trials):

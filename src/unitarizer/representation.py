@@ -571,8 +571,8 @@ def generate_instance(
     in one stacked product.  The same seed yields a bit-identical
     instance; the uniform bound is at most ``cond_bound``.
     """
-    if not cond_bound >= 1.0:
-        raise ParameterOutOfRange(f"cond_bound must be at least 1, got {cond_bound}")
+    if not 1.0 <= cond_bound < np.inf:
+        raise ParameterOutOfRange(f"cond_bound must be finite and at least 1, got {cond_bound}")
     G = build_action_groupoid(spec)
     group = spec.group
     # A scalar reads as size 0; check_base_rep names it, or a missing element.
@@ -586,7 +586,11 @@ def generate_instance(
     H = np.stack([random_invertible(rng, dim, float(cond_bound)) for _ in spec.units])
     ids = [f"{g}@{x}" for g in group.elements for x in spec.units]  # the arrows (gamma, x)
     gamma, x = np.divmod(np.arange(len(ids)), len(spec.units))
-    R = H[G._arrow_tgt[[G._index[a] for a in ids]]] @ U0[gamma] @ np.linalg.inv(H)[x]
+    try:
+        H_inv = np.linalg.inv(H)
+    except np.linalg.LinAlgError:
+        raise SingularTransform(f"a drawn h is singular at cond_bound {cond_bound:g}") from None
+    R = H[G._arrow_tgt[[G._index[a] for a in ids]]] @ U0[gamma] @ H_inv[x]
     return make_representation(G, dim, dict(zip(ids, R)))
 
 

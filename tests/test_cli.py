@@ -10,7 +10,7 @@ import pytest
 import unitarizer
 from unitarizer import cli, serialization
 from unitarizer.cli import main, permutation_rep_of_action
-from unitarizer.groupoid import ActionGroupoidSpec, cyclic_group
+from unitarizer.groupoid import ActionGroupoidSpec, cyclic_group, natural_permutation_action
 from unitarizer.representation import (
     check_representation,
     generate_instance,
@@ -59,6 +59,13 @@ def test_selftest_zero_tolerance_fails(capsys):
                "--tol", "0"])
     assert rc == 2
     assert "error:numerical:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", "-1"), ("--trials", "0"), ("--dim", "0")])
+def test_selftest_rejects_an_empty_run(flag, value, capsys):
+    assert main(["selftest", flag, value, "--seed", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:validation: dim and trials must be")
 
 
 def test_generate_writes_deterministic_file(spec_file, tmp_path, capsys):
@@ -278,6 +285,18 @@ def run_module(*args):
         [sys.executable, "-m", "unitarizer.cli", *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+@pytest.mark.parametrize("cond, reason", [
+    ("1e20", "a drawn h is singular at cond_bound 1e+20"),
+    ("inf", "cond_bound must be finite and at least 1, got inf"),
+])
+def test_generate_extreme_cond_bound_prints_one_error_line(tmp_path, cond, reason):
+    spec = str(tmp_path / "s3.json")
+    save_json(action_spec_to_json(natural_permutation_action(3)), spec)
+    proc = run_module("generate", spec, "--dim", "2", "--cond-bound", cond, "--seed", "0",
+                      "-o", str(tmp_path / "rep.json"))
+    assert proc.returncode == 1 and proc.stderr.splitlines() == [f"error:validation: {reason}"]
 
 
 def test_console_entry_point_runs():

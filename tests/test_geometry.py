@@ -192,3 +192,9 @@ def test_chart_is_batch_invariant_bitwise(dim):
         for k, b in enumerate(bases):
             for got, want in zip(stacked, chart(b, Ps[k])):
                 assert np.array_equal(got[k], want)
+
+
+@pytest.mark.parametrize("dim, trials", [(0, 5), (2, 0), (2, -1)])
+def test_geometry_suite_rejects_an_empty_run(dim, trials):
+    with pytest.raises(ParameterOutOfRange, match="at least 1"):
+        run_geometry_suite(dim, trials, seed=0)

@@ -509,6 +509,12 @@ def test_generate_instance_rejects_bad_cond_bound():
     base = permutation_base_rep(symmetric_group(3))
     with pytest.raises(ParameterOutOfRange):
         generate_instance(spec, base, 0.5, seed=1)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ParameterOutOfRange, match="finite"):
+            generate_instance(spec, base, bad, seed=1)
+    # so large a bound that a drawn h cannot be inverted
+    with pytest.raises(SingularTransform, match=r"cond_bound 1e\+20$"):
+        generate_instance(spec, trivial_base_rep(symmetric_group(3), 2), 1e20, seed=0)
 
 
 def _z3_rep():

@@ -27,6 +27,7 @@ from unitarizer.groupoid import (
 )
 from unitarizer.representation import (
     cyclic_character_base_rep,
+    direct_sum_base_rep,
     generate_instance,
     gram_set,
     make_representation,
@@ -534,6 +535,12 @@ def s3_natural_cond100_rep():
     return generate_instance(natural_permutation_action(3), permutation_base_rep(s3), 100.0, 0)
 
 
+def s3_dim4_rep():
+    s3 = symmetric_group(3)
+    base = direct_sum_base_rep(permutation_base_rep(s3), trivial_base_rep(s3, 1))
+    return generate_instance(natural_permutation_action(3), base, 10.0, 0)
+
+
 @pytest.mark.parametrize("build, max_iter", [
     (s4_self_rep, 100_000),
     (s3_natural_rep, 100_000),
@@ -542,13 +549,17 @@ def s3_natural_cond100_rep():
     # and the cap at 5
     (s3_natural_cond100_rep, 200),
     (s3_natural_cond100_rep, 5),
-], ids=["S4-self", "S3-natural", "S3-self", "cond100-line-search", "cond100-cap"])
-def test_solve_certifies_its_last_iterate_as_certified_result_does(build, max_iter):
+    (s3_dim4_rep, 100_000),  # the stall rule stops it
+], ids=["S4-self", "S3-natural", "S3-self", "cond100-line-search", "cond100-cap", "S3-dim4-stall"])
+def test_solve_certifies_its_last_iterate_as_certified_result_does(build, max_iter, monkeypatch):
     rep = build()
     ps = gram_set(rep, rep.groupoid.positive_units[0])
     res = solve(ps, 1e-7, max_iter=max_iter)
     if build is s3_natural_cond100_rep:
         assert not res.converged and (res.iterations < max_iter) == (max_iter == 200)
+    if build is s3_dim4_rep:
+        monkeypatch.setattr(circumcenter, "_STALL_STEPS", 10**9)
+        assert res.iterations == 20 and solve(ps, 1e-7, max_iter=max_iter).iterations > 20
     want = certified_result(res.center, ps, 1e-7, res.iterations)
     got = (res.radius_at_center, res.radius_lower_bound, res.center_error_bound, res.converged)
     assert got == (want.radius_at_center, want.radius_lower_bound,

@@ -9,8 +9,9 @@ instance below.  Each workload and seed is hashed in a fresh child process
 that imports the package from ``DIR/src`` and the workloads from
 ``DIR/bench`` (default: the checkout that holds this file).  The workloads
 are `degenerate`, `large-groupoid` and `generic` (``WORKLOADS``), at
-workload seeds 0 and 1 (``SEEDS``): 86 instances.  Per instance, in plan
-order, the digest covers:
+workload seeds 0 and 1 (``SEEDS``), and `ill-conditioned` at seed 0
+(``RAW_RUNS``): 95 instances.  Per instance, in plan order, the digest
+covers:
 
 * ``unitarize``'s output as library JSON (``unitarization_to_json``, with
   sorted keys), at the workloads' eps and iteration budget;
@@ -19,7 +20,13 @@ order, the digest covers:
 * on a CLI workload (`large-groupoid`), the input file, and the exit code,
   standard output, standard error and output file of ``unitarizer
   unitarize``, with the temporary directory's path replaced by a fixed
-  name.
+  name;
+* on `ill-conditioned`, whose unvalidated generator output
+  (``workloads.raw_instance``) goes through ``make_representation``: the
+  error type and message of a rejected input, and for a validated one
+  each unit's center bytes, radius, bounds, iterations, ``converged``,
+  weights and ``unitarize`` trace rows.  These are the solves that stop
+  at the iteration cap and by the stall rule.
 
 It prints one line per workload and seed, ``<workload> seed <s>:
 <sha256>``, and ends with one JSON line that holds every digest and
@@ -42,6 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("degenerate", "large-groupoid", "generic")
 SEEDS = (0, 1)
+RAW_RUNS = (("ill-conditioned", 0),)
 VERIFY_TOL = 1e-5  # the benchmark gate's tolerance
 
 
@@ -49,7 +57,8 @@ def digest(workload: str, seed: int) -> str:
     """The sha256 of every output of ``workload`` at ``seed``, with the package imported."""
     import workloads
     from unitarizer import cli
-    from unitarizer.representation import unitarize, verify_similarity
+    from unitarizer.errors import UnitarizerError
+    from unitarizer.representation import make_representation, unitarize, verify_similarity
     from unitarizer.serialization import unitarization_to_json
 
     wl = workloads.WORKLOADS[workload]
@@ -58,6 +67,22 @@ def digest(workload: str, seed: int) -> str:
     def add(piece: bytes):
         h.update(len(piece).to_bytes(8, "big") + piece)
 
+    if wl.path == workloads.RAW:
+        for case in wl.cases(seed):
+            trace = {}
+            try:
+                rep = make_representation(*workloads.raw_instance(case))
+                _, _, report = unitarize(rep, eps=workloads.EPS, max_iter=wl.max_iter, trace=trace)
+            except UnitarizerError as exc:
+                add(f"{type(exc).__name__}: {exc}".encode())
+                continue
+            for x, r in report.unit_results.items():
+                add(r.center.mat.tobytes())
+                add(repr((x, r.radius_at_center, r.radius_lower_bound, r.center_error_bound,
+                          r.iterations, r.converged)).encode())
+                add(r.weights.tobytes())
+                add(repr(trace[x]).encode())
+        return h.hexdigest()
     with tempfile.TemporaryDirectory() as workdir:
         for inst in workloads.set_up(wl, wl.cases(seed), workdir):
             rep = inst.rep
@@ -94,16 +119,15 @@ def main(argv=None) -> int:
         print(digest(workload, int(seed)))
         return 0
     digests, lines = {}, []
-    for workload in WORKLOADS:
-        for seed in SEEDS:
-            child = subprocess.run(
-                [sys.executable, __file__, "--child", f"{workload}:{seed}",
-                 "--checkout", str(checkout)],
-                capture_output=True, text=True, check=True,
-            )
-            digests.setdefault(workload, {})[str(seed)] = child.stdout.strip()
-            lines.append(f"{workload} seed {seed}: {child.stdout.strip()}")
-            print(lines[-1], flush=True)
+    for workload, seed in [(w, s) for w in WORKLOADS for s in SEEDS] + list(RAW_RUNS):
+        child = subprocess.run(
+            [sys.executable, __file__, "--child", f"{workload}:{seed}",
+             "--checkout", str(checkout)],
+            capture_output=True, text=True, check=True,
+        )
+        digests.setdefault(workload, {})[str(seed)] = child.stdout.strip()
+        lines.append(f"{workload} seed {seed}: {child.stdout.strip()}")
+        print(lines[-1], flush=True)
     digests["all"] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print(json.dumps(digests, sort_keys=True))
     return 0
