@@ -9,25 +9,27 @@ Construction validates every axiom and reports the first failing arrow or
 triple.
 
 The checks run over integer tables built once per groupoid.  Arrows are
-numbered in sorted-id order, and the composition is kept as index triples
-(h, g, hg): the constructor and the JSON parser map their ``[h, g, hg]``
-id entries to them in one pass (the parser, for a composition left in a
-file's bytes, by a scan of those bytes), while ``build_action_groupoid``
-and ``restrict`` hand them over directly.  The composites sit in one
-flat table with a block per unit y, whose rows are y's source fiber and
-whose columns are its target fiber, so the table holds exactly the
-composable pairs.  The identity of a unit is read off its block and each
-inverse law is one numpy gather over the table.  Associativity is proved
-from generators by Light's test (Clifford & Preston, *The Algebraic
-Theory of Semigroups*, vol. 1, 1961): the arrows b with (ab)c == a(bc)
-for all composable a, c include the identities and are closed under
-composition, so it suffices to check such a set of arrows that generates
-the others.  Group tables and action compatibility are proved by one
-such test on the integer tables a group or spec holds: a builder's string
-table is a view over one, and one reader, ``_index_table``, maps any other
-(a user's or a file's dict) once.  Only when a proof fails does an
-exhaustive scan, one gathered block of triples per middle arrow, run to
-name the first failing triple; ``check_axioms`` always runs it.
+numbered in sorted-id order, and the composition is kept as int32 index
+triples (h, g, hg): the constructor and the JSON parser map their
+``[h, g, hg]`` id entries to them in one pass (the parser, for a
+composition left in a file's bytes, by a scan of those bytes), while
+``build_action_groupoid`` and ``restrict`` hand them over directly.  The
+composites sit in one flat int32 table with a block per unit y, whose rows
+are y's source fiber and whose columns are its target fiber, so the table
+holds exactly the composable pairs; its rows, taken in arrow order, are
+the triples sorted by (h, g), which the writer reads.  The identity of a
+unit is read off its block and each inverse law is one numpy gather over
+the table.  Associativity is proved from generators by Light's test
+(Clifford & Preston, *The Algebraic Theory of Semigroups*, vol. 1, 1961):
+the arrows b with (ab)c == a(bc) for all composable a, c include the
+identities and are closed under composition, so it suffices to check such
+a set of arrows that generates the others.  Group tables and action
+compatibility are proved by one such test on the integer tables a group or
+spec holds: a builder's string table is a view over one, and one reader,
+``_index_table``, maps any other (a user's or a file's dict) once.  Only
+when a proof fails does an exhaustive scan, one gathered block of triples
+per middle arrow, run to name the first failing triple; ``check_axioms``
+always runs it.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ class IdEntries:
     def triples(self, index):
         m = len(self.entries)
         flat = np.fromiter(
-            map(index.get, chain.from_iterable(self.entries), repeat(-1)), np.intp, 3 * m
+            map(index.get, chain.from_iterable(self.entries), repeat(-1)), np.int32, 3 * m
         )
         return tuple(flat.reshape(m, 3).T)
 
@@ -120,9 +122,9 @@ class FiniteMeasuredGroupoid:
     def _from_triples(cls, units, mu, arrows, inverse, pairs, entry=None):
         """The groupoid whose composition is the index triples ``pairs``.
 
-        ``pairs`` is ``(ih, ig, ic)``: entry k says that arrow ``ih[k]``
-        after ``ig[k]`` is ``ic[k]``, each a rank in sorted arrow-id order,
-        or -1 for an id that names no arrow.  ``entry(i)`` names entry i as
+        ``pairs`` is ``(ih, ig, ic)``, three int32 arrays: entry k says that
+        arrow ``ih[k]`` after ``ig[k]`` is ``ic[k]``, each a rank in sorted
+        arrow-id order, or -1 for an id that names no arrow.  ``entry(i)`` names entry i as
         ((h, g), c) and is called only to raise; without it, the ids at the
         entry's ranks name it.  Validation and its messages are the
         constructor's.
@@ -196,6 +198,20 @@ class FiniteMeasuredGroupoid:
         ih, ig, ic = self._pairs
         return (self._ids[ih[i]], self._ids[ig[i]]), self._ids[ic[i]]
 
+    def _sorted_triples(self) -> np.ndarray:
+        """The index triples as int32 rows (h, g, hg), sorted by (h, g), with no sort.
+
+        Per arrow h in index order, row ``srank[h]`` of block ``src(h)``,
+        at ``_base[h]``, holds h after each g into ``src(h)``, in index order.
+        """
+        fibers = [self._into[y] for y in self._arrow_src.tolist()]
+        out = np.empty((self._table.size, 3), dtype=np.int32)
+        out[:, 0] = np.repeat(np.arange(len(fibers), dtype=np.int32), [f.size for f in fibers])
+        np.concatenate(fibers, out=out[:, 1], casting="same_kind")
+        np.concatenate([self._table[b:b + f.size] for b, f in zip(self._base, fibers)],
+                       out=out[:, 2])
+        return out
+
     # -- basic accessors ------------------------------------------------
 
     def arrow(self, g: str) -> Arrow:
@@ -262,7 +278,7 @@ class FiniteMeasuredGroupoid:
         known = (ih >= 0) & (ig >= 0)
         keyed = known & (s[ih] == t[ig]) if s.size else known
         sel = slice(None) if keyed.all() else keyed  # a view, not a copy
-        table = np.full(self._offset[-1], -1, dtype=np.intp)
+        table = np.full(self._offset[-1], -1, dtype=np.int32)
         table[self._base[ih[sel]] + trank[ig[sel]]] = ic[sel]
         self._pairs = (ih, ig, ic)
         self._table = table
@@ -521,7 +537,7 @@ def restrict(G: FiniteMeasuredGroupoid, units) -> FiniteMeasuredGroupoid:
     inside = np.array([g in inverse for g in G._ids], dtype=bool)
     ih, ig, _ = G._pairs
     keep = inside[ih] & inside[ig]
-    rank = np.cumsum(inside) - 1
+    rank = np.cumsum(inside, dtype=np.int32) - 1
     pairs = tuple(rank[p[keep]] for p in G._pairs)
     return FiniteMeasuredGroupoid._from_triples(order, mu, arrows, inverse, pairs)
 
@@ -708,7 +724,7 @@ def build_action_groupoid(spec: ActionGroupoidSpec) -> FiniteMeasuredGroupoid:
     flat = ids.ravel().tolist()
     arrows = list(map(Arrow, flat, units * ng, map(units.__getitem__, table.ravel().tolist())))
     inverse = dict(zip(flat, ids[inv[:, None], table].ravel().tolist()))
-    rank = np.empty(ng * nx, dtype=np.intp)
+    rank = np.empty(ng * nx, dtype=np.int32)
     rank[sorted(range(ng * nx), key=flat.__getitem__)] = np.arange(ng * nx)
     rank = rank.reshape(ng, nx)
     # At [g, x, h]: (h, g.x) after (g, x) is (hg, x).

@@ -53,6 +53,8 @@ def run_geometry_suite(dim: int, trials: int, seed, tol: float = 1e-8) -> Geomet
     """
     if dim < 1 or trials < 1:
         raise ParameterOutOfRange(f"dim and trials must be at least 1, got {dim} and {trials}")
+    if not 0.0 <= tol < np.inf:
+        raise ParameterOutOfRange(f"tol must be finite and nonnegative, got {tol}")
     rng = rng_from_seed(seed)
     worst_sp = worst_cong = worst_tri = worst_speed = 0.0
     for k in range(trials):

@@ -136,6 +136,8 @@ def check_representation(rep: Representation, tol: float = REP_TOL):
     ``residual = l2_norm(rho(hg) - rho(h) rho(g))``, worst first; residuals
     equal to 12 significant digits are listed in pair-name order.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ParameterOutOfRange(f"tol must be finite and nonnegative, got {tol}")
     return _bad_pairs(rep.groupoid, rep.mats, tol)
 
 
@@ -147,8 +149,10 @@ def _bad_pairs(G: FiniteMeasuredGroupoid, mats: np.ndarray, tol: float):
     out = []
     for y in np.flatnonzero(pos):
         rows, cols = pos[G._arrow_tgt[G._out[y]]], pos[G._arrow_src[G._into[y]]]
-        ih, ig = G._out[y][rows], G._into[y][cols]
-        for a, r in _residuals(T, ih, ig, G._blocks[y][rows][:, cols]):
+        ih, ig, block = G._out[y], G._into[y], G._blocks[y]
+        if not (rows.all() and cols.all()):  # else the block itself, with no copy
+            ih, ig, block = ih[rows], ig[cols], block[rows][:, cols]
+        for a, r in _residuals(T, ih, ig, block):
             hit = zip(*np.nonzero(r > tol))
             out += [((ids[ih[a + i]], ids[ig[j]]), float(r[i, j])) for i, j in hit]
     # Residuals equal in exact arithmetic differ by summation roundoff.
@@ -491,6 +495,8 @@ def verify_similarity(
     that check fails are they checked unit by unit, in unit order, and the
     first failing unit raises.  The arrows are read from each ``mats``.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ParameterOutOfRange(f"tol must be finite and nonnegative, got {tol}")
     if rep1.dim != rep2.dim:
         raise DimensionMismatch(f"dimensions differ: {rep1.dim} vs {rep2.dim}")
     if not _same_groupoid(rep1.groupoid, rep2.groupoid):
@@ -599,6 +605,8 @@ def generate_instance(
 
 def trivial_base_rep(group, dim: int) -> dict:
     """Every element acts as the identity."""
+    if dim < 1:
+        raise ParameterOutOfRange(f"dim must be at least 1, got {dim}")
     return {g: np.eye(dim, dtype=np.complex128) for g in group.elements}
 
 

@@ -41,12 +41,13 @@ Writers are deterministic (sorted keys, ``json.dumps``' C encoder) and
 atomic (write to a temp file, then rename).  :func:`save_json` also takes
 a groupoid object, alone or as the ``"groupoid"`` field of an output
 dict, and writes the bytes of its ``groupoid_to_json`` dict without
-building it: each arrow id is encoded once, the sorted index triples
-gather the encoded ids, and each block of rows is joined into one piece
-of the composition text.  The file is written piece by piece, so no
-string holds the whole text.  The CLI hands it its outputs that way; the
-public ``*_to_json`` functions return plain JSON dicts.  Matrices are
-written from one stack, a representation's arrows from its ``mats``.
+building it: each arrow id is encoded once, the rows of the composite
+table, read in (h, g) order with no sort, gather the encoded ids, and
+each block of rows is joined into one piece of the composition text.
+The file is written piece by piece, so no string holds the whole text.
+The CLI hands it its outputs that way; the public ``*_to_json`` functions
+return plain JSON dicts.  Matrices are written from one stack, a
+representation's arrows from its ``mats``.
 """
 
 from __future__ import annotations
@@ -179,7 +180,10 @@ def _stack_from_json(objs: list):
 
 def groupoid_to_json(G: FiniteMeasuredGroupoid) -> dict:
     out = _groupoid_head(G)
-    out["composition"] = np.array(G._ids, dtype=object)[_sorted_pairs(G)].tolist()
+    names, rows = np.array(G._ids, dtype=object), G._sorted_triples()
+    out["composition"] = comp = []
+    for start in range(0, len(rows), _ROWS_PER_CHUNK):  # no (pairs, 3) array of ids
+        comp += names[rows[start:start + _ROWS_PER_CHUNK]].tolist()
     return out
 
 
@@ -197,22 +201,13 @@ def _groupoid_head(G: FiniteMeasuredGroupoid) -> dict:
     }
 
 
-def _sorted_pairs(G: FiniteMeasuredGroupoid) -> np.ndarray:
-    """The index triples as rows (h, g, hg), sorted by (h, g).
-
-    Arrow indices follow sorted ids, so these rows name the sorted
-    ``[h, g, hg]`` id triples.  Each (h, g) occurs once, so one key sorts.
-    """
-    ih, ig, _ = G._pairs
-    return np.stack(G._pairs, axis=1)[np.argsort(ih * len(G._ids) + ig)]
-
-
 def _composition_chunks(G: FiniteMeasuredGroupoid):
-    """``json.dumps(groupoid_to_json(G)["composition"])`` in pieces, from the index triples.
+    """``json.dumps(groupoid_to_json(G)["composition"])`` in pieces, from the composite table.
 
     Each id is encoded once, in three forms: ``["h", ``, ``"g", `` and
-    ``"hg"], ``.  A gather of the sorted triples picks each row's three
-    pieces, and one join per block of rows writes them.
+    ``"hg"], ``.  Per block of the rows ``G._sorted_triples()`` reads off
+    the table, one gather picks each row's three pieces and one join
+    writes them.
     """
     n = len(G._ids)
     ids = [json.dumps(g) for g in G._ids]
@@ -220,10 +215,10 @@ def _composition_chunks(G: FiniteMeasuredGroupoid):
         [f"[{g}, " for g in ids] + [f"{g}, " for g in ids] + [f"{g}], " for g in ids],
         dtype=object,
     )
-    rows = _sorted_pairs(G) + (0, n, 2 * n)
+    rows = G._sorted_triples()
     yield "["
     for start in range(0, len(rows), _ROWS_PER_CHUNK):
-        pieces = forms[rows[start:start + _ROWS_PER_CHUNK].ravel()].tolist()
+        pieces = forms[(rows[start:start + _ROWS_PER_CHUNK] + (0, n, 2 * n)).ravel()].tolist()
         if start + _ROWS_PER_CHUNK >= len(rows):
             pieces[-1] = pieces[-1][:-2]  # no separator after the last row
         yield "".join(pieces)
@@ -357,7 +352,8 @@ def groupoid_from_json(obj, where: str = "groupoid") -> FiniteMeasuredGroupoid:
         _name_bad_entry(entries.as_list(), where)
         raise
     except InvalidGroupoid:
-        if np.less(pairs, 0).any() or not np.diff(np.sort(ih * len(index) + ig)).all():
+        key = ih.astype(np.intp) * len(index) + ig  # an int32 product would wrap
+        if np.less(pairs, 0).any() or not np.diff(np.sort(key)).all():
             _name_bad_entry(entries.as_list(), where)
         raise
     finally:
@@ -643,7 +639,7 @@ class CompositionSpan:
         ids = [g.encode() for g in index]
         m = len(self.quotes)
         if not ids:
-            return tuple(np.full((3, m), -1, dtype=np.intp))
+            return tuple(np.full((3, m), -1, dtype=np.int32))
         width = -(-max(map(len, ids)) // 8)
         padded = b"".join(g.ljust(8 * width, b"\0") for g in ids)
         table = _WordTable(list(np.frombuffer(padded, dtype=">u8").reshape(len(ids), width).T))
@@ -652,7 +648,7 @@ class CompositionSpan:
         size = len(self.data)
         at_byte = _words_at(self.data, 8)
         keep = np.array([0] + [2**64 - 2 ** (64 - 8 * r) for r in range(1, 9)], dtype=np.uint64)
-        out = np.empty((m, 3), dtype=np.intp)
+        out = np.empty((m, 3), dtype=np.int32)
         for b in range(0, m, _ROWS_PER_CHUNK):
             rows = self.quotes[b:b + _ROWS_PER_CHUNK]
             first = rows[:, 0::2].ravel() + 1

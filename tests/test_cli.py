@@ -418,3 +418,28 @@ def test_malformed_input_ends_in_one_error_line(spec_file, tmp_path, case, reaso
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert reason in lines[0]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+@pytest.mark.parametrize("command", ["check", "selftest", "verify"])
+def test_a_vacuous_tolerance_ends_in_one_error_line(spec_file, tmp_path, capsys, command, tol):
+    rep = str(tmp_path / "rep.json")
+    assert main(["generate", spec_file, "--dim", "2", "--seed", "1", "-o", rep]) == 0
+    args = {"check": [rep], "selftest": ["--trials", "1"], "verify": [rep, rep]}[command]
+    capsys.readouterr()
+    assert main([command, *args, "--tol", tol]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error:validation: tol must be finite and nonnegative, got {float(tol)}"
+    ]
+
+
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_generate_rejects_an_empty_dimension_in_one_error_line(spec_file, tmp_path, capsys, dim):
+    out = str(tmp_path / "rep.json")
+    assert main(["generate", spec_file, "--dim", dim, "--seed", "0", "-o", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error:validation: dim must be at least 1, got {dim}"
+    ]
+    assert not os.path.exists(out)

@@ -253,6 +253,42 @@ def test_action_groupoid_tables_equal_the_per_pair_form(spec):
     )
 
 
+def _argsorted_triples(G):
+    """The index triples as rows sorted by (h, g), by one argsort of a key formed in intp."""
+    ih, ig, _ = G._pairs
+    return np.stack(G._pairs, axis=1)[np.argsort(ih.astype(np.intp) * len(G._ids) + ig)]
+
+
+def _shuffled(G, seed):
+    """``G`` rebuilt from its composition dict, with the entries in a seeded random order."""
+    items = list(G.composition.items())
+    order = np.random.default_rng(seed).permutation(len(items)).tolist()
+    return FiniteMeasuredGroupoid(G.units, G.mu, G.arrows, G.inverse,
+                                  dict(map(items.__getitem__, order)))
+
+
+@pytest.mark.parametrize("spec", BUILD_CATALOG)
+def test_sorted_triples_are_read_off_the_table_in_key_order(spec):
+    G = build_action_groupoid(spec)
+    for H in (G, restrict(G, G.units[::2]), _shuffled(G, 0)):
+        rows = H._sorted_triples()
+        assert rows.dtype == np.int32
+        assert np.array_equal(rows, _argsorted_triples(H))
+
+
+def test_composition_is_held_as_int32_by_every_builder():
+    G = build_action_groupoid(ordered_pair_action(3))
+    for H in (G, restrict(G, G.units[:3]), _shuffled(G, 1)):
+        assert [p.dtype for p in H._pairs] == [np.int32] * 3
+        assert H._table.dtype == np.int32
+
+
+def test_s5_natural_composition_takes_four_bytes_per_index():
+    G = build_action_groupoid(natural_permutation_action(5))
+    assert G._table.size == 72_000
+    assert sum(p.nbytes for p in G._pairs) + G._table.nbytes == 4 * 4 * 72_000
+
+
 @pytest.mark.parametrize("units", [(0, 1), (("a", "b"), ("c", "d"))])
 def test_non_string_unit_names_are_rejected(units):
     spec = trivial_action(cyclic_group(2), units, (0.5, 0.5))

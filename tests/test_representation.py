@@ -782,3 +782,37 @@ def test_check_base_rep_matches_the_per_row_reference_on_corrupted_inputs():
         assert _outcome(check_base_rep, group, base, dim) == want, (k, want)
         raised += want is not None
     assert raised >= 400
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_a_tolerance_that_would_pass_vacuously_is_rejected(tol):
+    from unitarizer.properties import run_geometry_suite
+
+    spec = natural_permutation_action(3)
+    rep = generate_instance(spec, trivial_base_rep(spec.group, 2), 4.0, 0)
+    with pytest.raises(ParameterOutOfRange, match="^tol must be finite and nonnegative"):
+        check_representation(rep, tol)
+    with pytest.raises(ParameterOutOfRange, match="^tol must be finite and nonnegative"):
+        verify_similarity(rep, rep, {}, tol)
+    with pytest.raises(ParameterOutOfRange, match="^tol must be finite and nonnegative"):
+        run_geometry_suite(2, 1, 0, tol=tol)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_trivial_base_rep_rejects_an_empty_dimension(dim):
+    with pytest.raises(ParameterOutOfRange, match=f"^dim must be at least 1, got {dim}$"):
+        trivial_base_rep(cyclic_group(2), dim)
+
+
+def test_functoriality_reads_an_unmasked_block_in_place(monkeypatch):
+    # With every unit of positive mass no row or column is masked, so each
+    # block of the composite table is passed as it is, with no copy.
+    spec = natural_permutation_action(3)
+    rep = generate_instance(spec, trivial_base_rep(spec.group, 2), 4.0, 0)
+    G, seen, residuals = rep.groupoid, [], representation._residuals
+    monkeypatch.setattr(representation, "_residuals",
+                        lambda T, left, right, table: seen.append(table)
+                        or residuals(T, left, right, table))
+    assert check_representation(rep) == []
+    assert len(seen) == len(G.units)
+    assert all(table is block for table, block in zip(seen, G._blocks))

@@ -950,6 +950,29 @@ def test_reader_needs_the_composition_in_its_place(tmp_path):
     assert got == _representation_outcome(_reference_representation, rpath)
 
 
+def test_loaded_composition_is_int32_and_written_off_the_table(tmp_path, monkeypatch):
+    # A composition list in a shuffled order, read from the file's bytes and
+    # from a parsed list: int32 triples in the list's order, and the rows the
+    # writer reads off the table are those triples sorted by (h, g).
+    G = build_action_groupoid(ordered_pair_action(3))
+    obj = groupoid_to_json(G)
+    order = np.random.default_rng(5).permutation(len(obj["composition"])).tolist()
+    obj["composition"] = [obj["composition"][k] for k in order]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(obj))
+    assert _reads_from_the_bytes(str(path))
+    want = G._sorted_triples()
+    loaded = load_groupoid(str(path)), groupoid_from_json(obj)
+    monkeypatch.setattr(np, "argsort", None)  # the write path sorts nothing
+    for H in loaded:
+        assert [p.dtype for p in H._pairs] == [np.int32] * 3 and H._table.dtype == np.int32
+        assert np.array_equal(np.stack(H._pairs, axis=1), want[order])  # the list's order
+        assert np.array_equal(H._sorted_triples(), want)
+        assert groupoid_to_json(H) == groupoid_to_json(G)
+        save_json(H, str(tmp_path / "out.json"))
+        assert load_json(str(tmp_path / "out.json")) == groupoid_to_json(G)
+
+
 def test_reader_follows_a_groupoid_file_reference(tmp_path):
     gpath = tmp_path / "g.json"
     gpath.write_bytes(_edge_bytes())

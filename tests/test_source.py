@@ -145,3 +145,17 @@ def test_certificates_are_decided_behind_circumcenter():
         visit(ast.parse(p.read_text()), p.stem, [])
     assert {module for module, _ in found} == {"geometry", "circumcenter"}
     assert built == {("circumcenter", "result")}
+
+
+def test_only_the_groupoid_module_reads_the_index_triples():
+    # The triples keep the composition's input order, which only groupoid
+    # needs; every other module reads the composite table, and the writer
+    # its rows in (h, g) order, through groupoid's methods.
+    found = [
+        f"{p.name}:{node.lineno}"
+        for p in sorted(SRC.glob("*.py"))
+        if p.stem != "groupoid"
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "_pairs"
+    ]
+    assert found == []

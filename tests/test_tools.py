@@ -126,3 +126,10 @@ def test_output_digest_of_one_workload_seed_is_the_same_twice(monkeypatch):
     monkeypatch.syspath_prepend(str(TOOLS.parent / "bench"))
     first = output_digest.digest("degenerate", 0)
     assert len(first) == 64 and output_digest.digest("degenerate", 0) == first
+
+
+def test_stage_times_cli_row_runs_the_written_input_in_children():
+    row = stage_times.cli_row("S3-natural", 1)
+    assert set(row) == {"wall_s", "peak_rss_mb", "exit"}
+    assert row["wall_s"] > 0.0 and row["peak_rss_mb"] > 0.0
+    assert row["exit"] in (0, 2)  # 2: a solve stopped short of its certificate
