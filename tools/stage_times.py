@@ -124,7 +124,7 @@ def write_input(name: str, path: str) -> dict:
 
 
 def cli_run(path: str) -> dict:
-    """Seconds and exit code of one ``cli.main(["unitarize", path, ...])``, and this process's peak in MB."""
+    """Seconds and exit code of one ``cli.main(["unitarize", path, ...])``, and the peak MB."""
     from unitarizer import cli
 
     out = str(Path(path).with_suffix(".out.json"))
