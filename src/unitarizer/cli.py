@@ -126,7 +126,7 @@ def cmd_unitarize(args) -> int:
         rep, eps=args.eps, max_iter=args.max_iter, trace=trace
     )
     # The file holds unitarization_to_json's dict; save_json writes its
-    # groupoid from the index triples, so no composition list is built.
+    # groupoid from the composite table's rows, so no composition list is built.
     save_json(_unitarization_value(rep, witness, unitary, report), args.output)
     if args.trace:
         try:

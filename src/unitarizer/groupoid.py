@@ -9,15 +9,15 @@ Construction validates every axiom and reports the first failing arrow or
 triple.
 
 The checks run over integer tables built once per groupoid.  Arrows are
-numbered in sorted-id order, and the composition is kept as int32 index
+numbered in sorted-id order, and the composition arrives as int32 index
 triples (h, g, hg): the constructor and the JSON parser map their
 ``[h, g, hg]`` id entries to them in one pass (the parser, for a
 composition left in a file's bytes, by a scan of those bytes), while
-``build_action_groupoid`` and ``restrict`` hand them over directly.  The
-composites sit in one flat int32 table with a block per unit y, whose rows
-are y's source fiber and whose columns are its target fiber, so the table
-holds exactly the composable pairs; its rows, taken in arrow order, are
-the triples sorted by (h, g), which the writer reads.  The identity of a
+``build_action_groupoid`` and ``restrict`` hand them over directly.  They
+fill one flat int32 table, the only copy kept, with a block per unit y whose
+rows are y's source fiber and whose columns are its target fiber, so it holds
+exactly the composable pairs; its rows, in arrow order, are the triples
+sorted by (h, g), which every reader of the composition takes.  The identity of a
 unit is read off its block and each inverse law is one numpy gather over
 the table.  Associativity is proved from generators by Light's test
 (Clifford & Preston, *The Algebraic Theory of Semigroups*, vol. 1, 1961):
@@ -102,10 +102,10 @@ class FiniteMeasuredGroupoid:
         Keyed by (left, right); defined exactly when src(left) == tgt(right).
 
     The identity arrow of each unit is derived from ``composition`` and kept
-    as ``unit_arrows``, a dict unit -> arrow id.  The composition is kept as
-    integer triples, read from the dict's entries in one pass; the
-    ``composition`` dict is built from them on first access, in the order
-    its entries were given.
+    as ``unit_arrows``, a dict unit -> arrow id.  The composition is kept
+    only as the table of composites, filled from the dict's entries in one
+    pass; the ``composition`` dict is built from the table's rows on first
+    access, in (h, g) order by arrow id.
     """
 
     def __init__(self, units, mu, arrows, inverse, composition):
@@ -124,14 +124,13 @@ class FiniteMeasuredGroupoid:
 
         ``pairs`` is ``(ih, ig, ic)``, three int32 arrays: entry k says that
         arrow ``ih[k]`` after ``ig[k]`` is ``ic[k]``, each a rank in sorted
-        arrow-id order, or -1 for an id that names no arrow.  ``entry(i)`` names entry i as
-        ((h, g), c) and is called only to raise; without it, the ids at the
-        entry's ranks name it.  Validation and its messages are the
-        constructor's.
+        arrow-id order, or -1 for an id that names no arrow.  They fill the
+        table and are not kept.  ``entry`` is as :meth:`_validate` takes it.
+        Validation and its messages are the constructor's.
         """
         G = cls.__new__(cls)
         G._setup(units, mu, arrows, inverse)
-        G._validate(pairs, entry or G._entry)
+        G._validate(pairs, entry)
         return G
 
     def _setup(self, units, mu, arrows, inverse):
@@ -188,15 +187,10 @@ class FiniteMeasuredGroupoid:
 
     @cached_property
     def composition(self) -> dict:
-        """dict (h, g) -> h after g, in the order the entries were given."""
+        """dict (h, g) -> h after g, in (h, g) order by arrow id."""
         names = np.array(self._ids, dtype=object)
-        h, g, c = (names[p].tolist() for p in self._pairs)
+        h, g, c = (names[p].tolist() for p in self._sorted_triples().T)
         return dict(zip(zip(h, g), c))
-
-    def _entry(self, i):
-        """Entry i of the index triples as ((h, g), c)."""
-        ih, ig, ic = self._pairs
-        return (self._ids[ih[i]], self._ids[ig[i]]), self._ids[ic[i]]
 
     def _sorted_triples(self) -> np.ndarray:
         """The index triples as int32 rows (h, g, hg), sorted by (h, g), with no sort.
@@ -259,14 +253,16 @@ class FiniteMeasuredGroupoid:
 
     # -- validation ------------------------------------------------------
 
-    def _validate(self, pairs, entry, exhaustive=False):
-        """Check every axiom on the index triples ``pairs``.
+    def _validate(self, pairs, entry=None, exhaustive=False):
+        """Fill the table from the index triples ``pairs`` and check every axiom.
 
-        ``entry(i)`` names entry i as ((h, g), c); it is called only to raise.
-        Associativity is proved by Light's test, and scanned triple by triple
-        when that fails or when ``exhaustive``.
+        ``entry(i)`` names entry i as ((h, g), c), by default by the ids at
+        its ranks; it is called only to raise.  Associativity is proved by
+        Light's test, and scanned triple by triple when that fails or when
+        ``exhaustive``.
         """
         ih, ig, ic = pairs
+        entry = entry or (lambda i: ((self._ids[ih[i]], self._ids[ig[i]]), self._ids[ic[i]]))
         inv = self.inverse
         by_id = self._by_id
         idx = self._index
@@ -280,7 +276,6 @@ class FiniteMeasuredGroupoid:
         sel = slice(None) if keyed.all() else keyed  # a view, not a copy
         table = np.full(self._offset[-1], -1, dtype=np.int32)
         table[self._base[ih[sel]] + trank[ig[sel]]] = ic[sel]
-        self._pairs = (ih, ig, ic)
         self._table = table
         self._blocks = blocks = [
             table[self._offset[y]:self._offset[y + 1]].reshape(f.size, self._into[y].size)
@@ -460,7 +455,7 @@ def _raise_first(error, name, checks):
 
 def check_axioms(G: FiniteMeasuredGroupoid) -> bool:
     """Re-run the axiom validation, associativity exhaustively; True when it passes."""
-    G._validate(G._pairs, G._entry, exhaustive=True)
+    G._validate(tuple(G._sorted_triples().T), exhaustive=True)
     return True
 
 
@@ -535,11 +530,10 @@ def restrict(G: FiniteMeasuredGroupoid, units) -> FiniteMeasuredGroupoid:
     # Kept ids keep their sorted order, so a kept arrow's new index is the
     # number of kept arrows before it.
     inside = np.array([g in inverse for g in G._ids], dtype=bool)
-    ih, ig, _ = G._pairs
-    keep = inside[ih] & inside[ig]
+    rows = G._sorted_triples()
+    rows = rows[inside[rows[:, 0]] & inside[rows[:, 1]]]
     rank = np.cumsum(inside, dtype=np.int32) - 1
-    pairs = tuple(rank[p[keep]] for p in G._pairs)
-    return FiniteMeasuredGroupoid._from_triples(order, mu, arrows, inverse, pairs)
+    return FiniteMeasuredGroupoid._from_triples(order, mu, arrows, inverse, tuple(rank[rows.T]))
 
 
 # -- groups, actions and the groupoids they generate ----------------------

@@ -59,7 +59,7 @@ from .linalg import (
     spectral_calculus,
     symmetrize,
 )
-from .sampling import random_invertible
+from .sampling import random_invertible, rng_from_seed
 
 # Relative tolerance for representation identities (functoriality, units,
 # inverses) at validation time.
@@ -588,7 +588,7 @@ def generate_instance(
     dim = max(dims, default=0)
     U0 = check_base_rep(group, base_rep, dim)
 
-    rng = np.random.default_rng(seed)
+    rng = rng_from_seed(seed)
     H = np.stack([random_invertible(rng, dim, float(cond_bound)) for _ in spec.units])
     ids = [f"{g}@{x}" for g in group.elements for x in spec.units]  # the arrows (gamma, x)
     gamma, x = np.divmod(np.arange(len(ids)), len(spec.units))

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterOutOfRange
 from .linalg import SpdMatrix, spd
 
 
 def rng_from_seed(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
+    """``np.random.default_rng(seed)``; a seed it rejects raises ParameterOutOfRange."""
+    try:
+        return np.random.default_rng(seed)
+    except (ValueError, TypeError):
+        raise ParameterOutOfRange(f"seed must be a nonnegative integer, got {seed!r}") from None
 
 
 def ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -506,7 +506,7 @@ def load_json(path: str):
             return json.load(f)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -530,7 +530,7 @@ def read_json(path: str):
     if span is not None:
         try:
             obj = json.loads(data[:span.start].decode() + "null" + data[span.end:].decode())
-        except (json.JSONDecodeError, UnicodeDecodeError):
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError):
             obj = None
         if isinstance(obj, dict):
             holder = obj if "composition" in obj else obj.get("groupoid")

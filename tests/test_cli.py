@@ -443,3 +443,43 @@ def test_generate_rejects_an_empty_dimension_in_one_error_line(spec_file, tmp_pa
         f"error:validation: dim must be at least 1, got {dim}"
     ]
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["selftest", "generate"])
+@pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-5")],
+                         ids=["flag", "env"])
+def test_a_negative_seed_ends_in_one_error_line(spec_file, tmp_path, monkeypatch, capsys,
+                                                command, flag, env):
+    if env is None:
+        monkeypatch.delenv("UNITARIZER_SEED", raising=False)
+    else:
+        monkeypatch.setenv("UNITARIZER_SEED", env)
+    out = tmp_path / "rep.json"
+    args = {"selftest": ["--trials", "1"],
+            "generate": [spec_file, "--dim", "2", "-o", str(out)]}[command]
+    assert main([command, *args, *flag]) == 1
+    seed = flag[1] if flag else env
+    assert capsys.readouterr().err.splitlines() == [
+        f"error:validation: seed must be a nonnegative integer, got {seed}"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spliced", [False, True], ids=["parsed", "spliced"])
+@pytest.mark.parametrize("referenced", [False, True], ids=["direct", "by-reference"])
+def test_deeply_nested_json_ends_in_one_io_line(tmp_path, capsys, spliced, referenced):
+    # Far past the interpreter's recursion limit.  With a composition in
+    # the layout json.dumps writes, the reader first parses the text around
+    # it, and then the whole file.
+    deep = "[" * 100_000 + "]" * 100_000
+    head = '{"composition": [["a", "a", "a"]], "deep": ' if spliced else '{"deep": '
+    data = (head + deep + "}").encode()
+    assert (serialization.CompositionSpan.find(data) is not None) == spliced
+    path = tmp_path / "deep.json"
+    path.write_bytes(data)
+    if referenced:
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps({"groupoid": {"file": "deep.json"}, "dim": 1, "arrows": {}}))
+    assert main(["check", str(path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error:io: {tmp_path / 'deep.json'} is not valid JSON")

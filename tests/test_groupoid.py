@@ -42,7 +42,14 @@ from unitarizer.groupoid import (
     trivial_action,
     uniform_mu,
 )
-from unitarizer.serialization import groupoid_from_json, groupoid_to_json
+from unitarizer.serialization import (
+    CompositionSpan,
+    groupoid_from_json,
+    groupoid_to_json,
+    load_groupoid,
+    read_json,
+    save_json,
+)
 
 SWAP = {
     ("r0", "a"): "a",
@@ -198,9 +205,7 @@ def test_builder_action_equals_the_per_cell_dict(i):
     # the dict reads to the table the view holds, with the same groupoid
     by_dict = ActionGroupoidSpec(spec.group, spec.units, spec.mu, ref)
     assert np.array_equal(by_dict.table, spec.table)
-    assert build_action_groupoid(by_dict)._pairs[2].tolist() == (
-        build_action_groupoid(spec)._pairs[2].tolist()
-    )
+    assert np.array_equal(build_action_groupoid(by_dict)._table, build_action_groupoid(spec)._table)
 
 
 def _reference_tables(spec):
@@ -244,7 +249,9 @@ def test_action_groupoid_tables_equal_the_per_pair_form(spec):
     arrows, inverse, composition = _reference_tables(spec)
     assert list(G.arrows) == arrows
     assert list(G.inverse.items()) == list(inverse.items())
-    assert list(G.composition.items()) == list(composition.items())
+    # the same dict, in (h, g) order by arrow id, which is index order
+    assert G.composition == composition
+    assert list(G.composition.items()) == sorted(composition.items())
     # every composite key and value is an arrow's own id string
     own = {a.id: a.id for a in G.arrows}
     assert all(
@@ -253,10 +260,13 @@ def test_action_groupoid_tables_equal_the_per_pair_form(spec):
     )
 
 
-def _argsorted_triples(G):
-    """The index triples as rows sorted by (h, g), by one argsort of a key formed in intp."""
-    ih, ig, _ = G._pairs
-    return np.stack(G._pairs, axis=1)[np.argsort(ih.astype(np.intp) * len(G._ids) + ig)]
+def _reference_rows(spec, H):
+    """The entries of ``_reference_tables(spec)`` among H's arrows, as rank rows sorted by (h, g)."""
+    rank = {a: i for i, a in enumerate(sorted(a.id for a in H.arrows))}
+    _, _, composition = _reference_tables(spec)
+    return np.array(sorted(
+        (rank[h], rank[g], rank[c]) for (h, g), c in composition.items() if h in rank and g in rank
+    ), dtype=np.int32).reshape(-1, 3)
 
 
 def _shuffled(G, seed):
@@ -273,20 +283,48 @@ def test_sorted_triples_are_read_off_the_table_in_key_order(spec):
     for H in (G, restrict(G, G.units[::2]), _shuffled(G, 0)):
         rows = H._sorted_triples()
         assert rows.dtype == np.int32
-        assert np.array_equal(rows, _argsorted_triples(H))
+        assert np.array_equal(rows, _reference_rows(spec, H))
 
 
 def test_composition_is_held_as_int32_by_every_builder():
     G = build_action_groupoid(ordered_pair_action(3))
     for H in (G, restrict(G, G.units[:3]), _shuffled(G, 1)):
-        assert [p.dtype for p in H._pairs] == [np.int32] * 3
         assert H._table.dtype == np.int32
 
 
-def test_s5_natural_composition_takes_four_bytes_per_index():
+def _pair_length_arrays(G):
+    """Attributes of G holding an array, or a view of one, with a pair's count of elements,
+    other than the table and its views."""
+    found = []
+    for name, value in vars(G).items():
+        items = value.values() if isinstance(value, dict) else (
+            value if isinstance(value, (list, tuple)) else [value])
+        for a in items:
+            while isinstance(a, np.ndarray) and isinstance(a.base, np.ndarray):
+                a = a.base
+            if isinstance(a, np.ndarray) and a is not G._table and a.size >= G._table.size:
+                found.append(name)
+    return found
+
+
+def test_s5_natural_composition_takes_four_bytes_per_index(tmp_path):
+    # The table is the one store of the composition, whatever the groupoid
+    # was built from: the action builder, restrict, a dict, a list or a span.
     G = build_action_groupoid(natural_permutation_action(5))
-    assert G._table.size == 72_000
-    assert sum(p.nbytes for p in G._pairs) + G._table.nbytes == 4 * 4 * 72_000
+    path = str(tmp_path / "g.json")
+    save_json(G, path)
+    assert isinstance(read_json(path)["composition"], CompositionSpan)
+    sources = {
+        "builder": lambda: G,
+        "restrict": lambda: restrict(G, G.units),
+        "list": lambda: groupoid_from_json(groupoid_to_json(G)),
+        "span": lambda: load_groupoid(path),
+        "dict": lambda: FiniteMeasuredGroupoid(G.units, G.mu, G.arrows, G.inverse, G.composition),
+    }
+    for source, build in sources.items():
+        H = build()
+        assert H._table.size == 72_000 and H._table.nbytes == 4 * 72_000, source
+        assert _pair_length_arrays(H) == [], source
 
 
 @pytest.mark.parametrize("units", [(0, 1), (("a", "b"), ("c", "d"))])
@@ -887,8 +925,7 @@ def test_light_test_agrees_with_the_exhaustive_scan(monkeypatch):
     for _ in range(1000):
         G = bases[rng.integers(len(bases))]
         s, t = G._arrow_src, G._arrow_tgt
-        ih, ig, ic = G._pairs
-        ic = ic.copy()
+        ih, ig, ic = G._sorted_triples().T  # a fresh array, so ic may be edited
         for k in rng.integers(ic.size, size=rng.integers(1, 4)):
             same = np.flatnonzero((s == s[ic[k]]) & (t == t[ic[k]]))
             ic[k] = same[rng.integers(same.size)]

@@ -48,7 +48,8 @@ from unitarizer.representation import (
     unitarize,
     verify_similarity,
 )
-from unitarizer.sampling import random_invertible
+from unitarizer.properties import run_geometry_suite
+from unitarizer.sampling import random_invertible, rng_from_seed
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 A = np.array([[1.0, 1.0], [0.0, -1.0]], dtype=np.complex128)
@@ -459,6 +460,23 @@ def test_generate_instance_determinism_and_bound():
     assert any(not np.array_equal(rep1.rho[g], rep3.rho[g]) for g in rep1.rho)
     assert rep1.uniform_bound_C <= 8.0 * (1 + 1e-9)
     assert check_representation(rep1) == []
+
+
+@pytest.mark.parametrize("seed", [-1, [3, -1], 1.5, "7"])
+def test_a_rejected_seed_raises_parameter_out_of_range(seed):
+    spec = natural_permutation_action(3)
+    base = permutation_base_rep(symmetric_group(3))
+    message = f"seed must be a nonnegative integer, got {seed!r}"
+    for call in (lambda: generate_instance(spec, base, 8.0, seed),
+                 lambda: run_geometry_suite(2, 1, seed)):
+        with pytest.raises(ParameterOutOfRange) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("seed", [0, 2**70, np.int64(3), [1, 2]])
+def test_an_accepted_seed_draws_as_numpy_draws(seed):
+    assert rng_from_seed(seed).random() == np.random.default_rng(seed).random()
 
 
 def test_generate_instance_cond_bound_one_is_unitary():

@@ -609,6 +609,12 @@ def test_save_json_writes_a_groupoid_as_groupoid_to_json_would(tmp_path, monkeyp
         assert groupoid_from_json(load_json(str(path))).composition == G.composition, n
 
 
+def test_composition_dict_follows_the_written_rows():
+    for n, G in enumerate(_writer_groupoids()):
+        rows = [[h, g, hg] for (h, g), hg in G.composition.items()]
+        assert rows == groupoid_to_json(G)["composition"], n
+
+
 def test_save_json_writes_output_values_as_their_json(tmp_path):
     path = tmp_path / "out.json"
     for n, G in enumerate(_writer_groupoids()):
@@ -735,7 +741,7 @@ def _groupoid_outcome(load, path):
         G = load(path)
     except (ParseError, InvalidGroupoid) as exc:
         return type(exc).__name__, str(exc)
-    return [p.tolist() for p in G._pairs], G.inverse, G.unit_arrows, G.arrows
+    return G._sorted_triples().tolist(), G.inverse, G.unit_arrows, G.arrows
 
 
 def _representation_outcome(load, path):
@@ -744,7 +750,7 @@ def _representation_outcome(load, path):
     except UnitarizerError as exc:
         return type(exc).__name__, str(exc)
     G = rep.groupoid
-    return [p.tolist() for p in G._pairs], G.unit_arrows, [(g, m.tobytes()) for g, m in rep.rho.items()]
+    return G._sorted_triples().tolist(), G.unit_arrows, [(g, m.tobytes()) for g, m in rep.rho.items()]
 
 
 def _reference_groupoid(path):
@@ -952,8 +958,8 @@ def test_reader_needs_the_composition_in_its_place(tmp_path):
 
 def test_loaded_composition_is_int32_and_written_off_the_table(tmp_path, monkeypatch):
     # A composition list in a shuffled order, read from the file's bytes and
-    # from a parsed list: int32 triples in the list's order, and the rows the
-    # writer reads off the table are those triples sorted by (h, g).
+    # from a parsed list: an int32 table, whose rows the writer reads sorted
+    # by (h, g).
     G = build_action_groupoid(ordered_pair_action(3))
     obj = groupoid_to_json(G)
     order = np.random.default_rng(5).permutation(len(obj["composition"])).tolist()
@@ -965,8 +971,7 @@ def test_loaded_composition_is_int32_and_written_off_the_table(tmp_path, monkeyp
     loaded = load_groupoid(str(path)), groupoid_from_json(obj)
     monkeypatch.setattr(np, "argsort", None)  # the write path sorts nothing
     for H in loaded:
-        assert [p.dtype for p in H._pairs] == [np.int32] * 3 and H._table.dtype == np.int32
-        assert np.array_equal(np.stack(H._pairs, axis=1), want[order])  # the list's order
+        assert H._table.dtype == np.int32
         assert np.array_equal(H._sorted_triples(), want)
         assert groupoid_to_json(H) == groupoid_to_json(G)
         save_json(H, str(tmp_path / "out.json"))
@@ -981,7 +986,7 @@ def test_reader_follows_a_groupoid_file_reference(tmp_path):
                                  "arrows": {g: ONE for g in EDGE_IDS}}))
     G = load_representation(str(rpath)).groupoid
     want = _reference_groupoid(str(gpath))
-    assert [p.tolist() for p in G._pairs] == [p.tolist() for p in want._pairs]
+    assert np.array_equal(G._sorted_triples(), want._sorted_triples())
     assert _reads_from_the_bytes(str(gpath))
 
 

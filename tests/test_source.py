@@ -147,14 +147,13 @@ def test_certificates_are_decided_behind_circumcenter():
     assert built == {("circumcenter", "result")}
 
 
-def test_only_the_groupoid_module_reads_the_index_triples():
-    # The triples keep the composition's input order, which only groupoid
-    # needs; every other module reads the composite table, and the writer
-    # its rows in (h, g) order, through groupoid's methods.
+def test_no_module_keeps_a_second_copy_of_the_pairs():
+    # The composite table is a groupoid's one store of its composition;
+    # its rows, in (h, g) order, are read through groupoid's methods.  No
+    # module stores or reads the input triples as ``_pairs``.
     found = [
         f"{p.name}:{node.lineno}"
         for p in sorted(SRC.glob("*.py"))
-        if p.stem != "groupoid"
         for node in ast.walk(ast.parse(p.read_text()))
         if isinstance(node, ast.Attribute) and node.attr == "_pairs"
     ]
